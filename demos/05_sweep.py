@@ -1,55 +1,56 @@
 """Sweep the benchmark across fractal generations and compare reports.
 
-The sweep API fans a base configuration out over a list of overrides and
-collects one summary per entry, capturing failures instead of aborting
-the batch. Short horizon here so the demo stays quick; the gains have not
-converged yet at t=3, which the reports dutifully flag.
+`cohsync sweep` is the one sweep path. A config's `sweep:` list holds
+override mappings; each is deep-merged onto the base config and run in
+order, into its own artifact directory, and a failing entry is recorded in
+the aggregate report instead of aborting the batch. This demo writes such a
+config to a temporary directory and runs it through the CLI entry point.
+Short horizon here so the demo stays quick; the gains have not converged
+yet at t=3, which the reports dutifully flag.
 """
 
-import dataclasses
+import csv
+import tempfile
+from pathlib import Path
 
-from cohsync import analysis, graph, linalg, protocol, signals, sim
+import yaml
+
+from cohsync import cli
 
 
 def main():
-    model = linalg.triple_integrator()
-    P = linalg.solve_care(model.A, model.B).P
-    params = protocol.ProtocolParams(P, model.B, protocol.spec_from_deadzone(0.5, P))
+    config = {
+        "name": "gens",
+        "graph": {"kind": "vicsek", "generation": 1, "directed": True},
+        "protocol": {"d": 0.5},
+        "disturbance": {"kind": "chirp"},
+        "integration": {"dt": 1e-3, "t_end": 3.0, "record_every": 50, "seed": 7},
+        "checks": {"bound": 1.0},
+        "output": {"formats": ["report"]},
+        "sweep": [{"graph": {"generation": gen}} for gen in (1, 2, 3)]
+        # d above the ellipsoid level of delta = 1: refused, the others still run
+        + [{"name": "broken", "protocol": {"delta": 1.0, "d": 0.7}}],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gens.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = Path(tmp) / "out"
+        code = cli.main(["sweep", str(path), "--out", str(out), "--quiet"])
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        entry_dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
 
-    g1 = graph.vicsek_fractal(1, directed=True)
-    base = sim.SimConfig(
-        model=model,
-        graph=g1,
-        params=params,
-        disturbance=signals.chirp_signal(),
-        x0=sim.default_initial_state(g1.n_nodes, model.n, seed=7),
-        t_end=3.0,
-        dt=1e-3,
-        record_every=50,
-    )
-
-    variations = []
-    for gen in (1, 2, 3):
-        g = graph.vicsek_fractal(gen, directed=True)
-        variations.append({
-            "graph": g,
-            "x0": sim.default_initial_state(g.n_nodes, model.n, seed=7),
-        })
-
-    results = sim.sweep(base, variations)
     print(f"{'entry':>5} {'agents':>6} {'tail max V':>12} {'settled':>8} {'max gain':>9}")
-    for k, res in enumerate(results):
-        if res.error is not None:
-            print(f"{k:5d} error: {res.error}")
+    for row in rows:
+        if row["status"].startswith("error"):
+            print(f"{row['entry']:>5} {row['status']}")
             continue
-        s = analysis.summarize(res.trajectory, params, bound=1.0, label=f"gen{k + 1}")
-        settled = "yes" if s.settled else "no"
-        print(f"{k:5d} {s.n_agents:6d} {s.tail_max_Vi:12.5f} "
-              f"{settled:>8} {s.max_final_gain:9.3f}")
+        settled = "yes" if row["settled"] == "1" else "no"
+        print(f"{row['entry']:>5} {row['n_agents']:>6} {float(row['tail_max_Vi']):12.5f} "
+              f"{settled:>8} {float(row['max_final_gain']):9.3f}")
 
-    # overrides are plain replacements; anything not listed comes from base
-    print(f"\nbase dt={base.dt}, reused by every entry: "
-          f"{all(dataclasses.replace(base, **v).dt == base.dt for v in variations)}")
+    print(f"\nper-entry artifact directories: {', '.join(entry_dirs)}")
+    print(f"sweep exit code: {code} (1: some entry failed a check or was refused)")
 
 
 if __name__ == "__main__":

@@ -45,10 +45,8 @@ from .linalg import (
 from .protocol import (
     CoherenceSpec,
     ProtocolParams,
-    control,
     make_spec,
     minimal_delta,
-    rho_dot,
     spec_from_deadzone,
     zeta,
 )
@@ -56,7 +54,6 @@ from .signals import (
     DisturbanceSignal,
     chirp,
     chirp_signal,
-    evaluate,
     load_table,
     sawtooth,
     sawtooth_signal,
@@ -65,13 +62,10 @@ from .signals import (
 )
 from .sim import (
     DivergenceError,
-    NetworkState,
     SimConfig,
-    SweepResult,
     Trajectory,
     default_initial_state,
     rhs,
     simulate,
-    sweep,
     write_trajectory_csv,
 )

@@ -90,19 +90,16 @@ def gain_report(traj, tail_fraction=0.2, tol=1e-3):
     )
 
 
-def check_delta_level(traj, params, bound, tail_fraction=0.2):
+def check_delta_level(traj, bound, tail_fraction=0.2):
     """Tail check of the ellipsoid bound.
 
-    Recomputes zeta_i' P zeta_i from the recorded zetas (the stored
-    vi_values are not trusted) and returns (ok, tail maximum): ok is True
+    Returns (ok, tail maximum) of the levels zeta_i' P zeta_i: ok is True
     iff the maximum over the trailing window stays at or below bound.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
     ntail = _tail_count(traj.n_samples, tail_fraction)
-    Z = traj.zetas[-ntail:]
-    V = np.einsum("sij,jk,sik->si", Z, params.P, Z)
-    tail_max = float(V.max())
+    tail_max = float(traj.vi_values[-ntail:].max())
     return tail_max <= bound, tail_max
 
 
@@ -141,7 +138,7 @@ def summarize(traj, params, bound=None, tail_fraction=0.2, tol=1e-3, label="run"
     spec = params.spec
     if bound is None:
         bound = spec.delta_bar
-    bound_ok, tail_max_vi = check_delta_level(traj, params, bound, tail_fraction)
+    bound_ok, tail_max_vi = check_delta_level(traj, bound, tail_fraction)
     settle = settling_time(traj, spec.delta, tail_fraction)
     gains = gain_report(traj, tail_fraction, tol)
     return RunSummary(

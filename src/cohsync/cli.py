@@ -8,6 +8,7 @@ error, 3 violated model or graph assumption, 4 numerical divergence.
 import argparse
 import copy
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -135,6 +136,8 @@ def _as_float(value, path, minimum=None, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"must be a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(path, f"must be finite, got {value}")
     if positive and value <= 0:
         raise SchemaError(path, f"must be positive, got {value}")
     if minimum is not None and value < minimum:
@@ -412,9 +415,11 @@ def build_experiment(norm):
 
 
 def _apply_flags(norm, args):
-    for field, key in (("seed", "seed"), ("dt", "dt"), ("t_end", "t_end")):
-        value = getattr(args, field, None)
+    for key in ("seed", "dt", "t_end"):
+        value = getattr(args, key, None)
         if value is not None:
+            if key != "seed":
+                value = _as_float(value, f"integration.{key}", positive=True)
             norm["integration"][key] = value
     if norm["integration"]["t_end"] < norm["integration"]["dt"]:
         raise SchemaError("integration.t_end", "must be at least dt")
@@ -482,7 +487,8 @@ def cmd_sweep(args):
     raw, default_name = load_config(args.config)
     base_norm = normalize_config(raw, default_name)
     entries = base_norm.pop("sweep", [])
-    base_raw = {k: v for k, v in raw.items() if k != "sweep"}
+    # an entry without its own name runs as <name>_<idx>, never under the base name
+    base_raw = {k: v for k, v in raw.items() if k not in ("sweep", "name")}
     outdir = _resolve_outdir(args, base_norm["name"], base_norm["output"])
     outdir.mkdir(parents=True, exist_ok=True)
 

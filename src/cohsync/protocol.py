@@ -118,17 +118,11 @@ def gain_rates(zetas, params):
 
 
 def control_all(rho, zetas, params):
-    """Control inputs for all agents: row i is -rho_i B'P zeta_i, shape (N, m)."""
+    """Control inputs for all agents: row i is -rho_i B'P zeta_i, shape (N, m).
+
+    Leading sample axes broadcast: gains (S, N) with disagreements
+    (S, N, n) give inputs of shape (S, N, m).
+    """
     Z = np.atleast_2d(np.asarray(zetas, dtype=float))
     rho = np.asarray(rho, dtype=float)
-    return -rho[:, None] * (Z @ params.BtP.T)
-
-
-def rho_dot(zeta_i, params):
-    """Gain adaptation rate for a single agent (deadzone included)."""
-    return float(gain_rates(np.asarray(zeta_i, dtype=float)[None, :], params)[0])
-
-
-def control(rho_i, zeta_i, params):
-    """Control input for a single agent, -rho_i B'P zeta_i."""
-    return control_all(np.array([rho_i], dtype=float), np.asarray(zeta_i, dtype=float)[None, :], params)[0]
+    return -rho[..., None] * (Z @ params.BtP.T)

@@ -139,11 +139,6 @@ def evaluate_all(signal, agents, t):
     raise ValueError(f"unknown disturbance kind {signal.kind!r}")
 
 
-def evaluate(signal, i, t):
-    """Disturbance value for one 1-based agent label at time t."""
-    return float(evaluate_all(signal, np.array([i]), t)[0])
-
-
 def relabel(signal, perm):
     """Signal for a node-relabeled network: node i becomes node perm[i] (0-based).
 

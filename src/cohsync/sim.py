@@ -1,7 +1,7 @@
 """Closed-loop network simulation: fixed-step integration, stage-wise deadzone."""
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -26,41 +26,6 @@ class DivergenceError(RuntimeError):
         self.agent = agent
         self.time = time
         self.partial = partial
-
-
-@dataclass
-class NetworkState:
-    """Stacked agent states, adaptive gains, and the clock."""
-
-    x: np.ndarray
-    rho: np.ndarray
-    t: float
-
-
-@dataclass
-class Trajectory:
-    """Time-sampled record of a closed-loop run.
-
-    All arrays share the leading sample axis: times (S,), states
-    (S, N, n), gains (S, N), zetas (S, N, n), controls (S, N, m),
-    vi_values (S, N) holding zeta_i' P zeta_i, disturbances (S, N).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    gains: np.ndarray
-    zetas: np.ndarray
-    controls: np.ndarray
-    vi_values: np.ndarray
-    disturbances: np.ndarray
-
-    @property
-    def n_samples(self):
-        return self.times.shape[0]
-
-    @property
-    def n_agents(self):
-        return self.states.shape[1]
 
 
 @dataclass
@@ -111,34 +76,64 @@ class SimConfig:
             raise AssumptionError("the communication graph has no directed spanning tree")
 
 
+@dataclass
+class Trajectory:
+    """Time-sampled record of a closed-loop run: the state (x, rho) and its config.
+
+    times (S,), states (S, N, n) and gains (S, N) share the leading sample
+    axis. Everything else follows from them, the graph and the protocol:
+    the disagreements, controls and levels are derived on access, in one
+    vectorized pass over all samples.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    gains: np.ndarray
+    config: SimConfig
+
+    @property
+    def n_samples(self):
+        return self.times.shape[0]
+
+    @property
+    def n_agents(self):
+        return self.states.shape[1]
+
+    @property
+    def zetas(self):
+        """Disagreements zeta_i = sum_j l_ij x_j, shape (S, N, n)."""
+        return laplacian(self.config.graph) @ self.states
+
+    @property
+    def controls(self):
+        """Control inputs -rho_i B'P zeta_i, shape (S, N, m)."""
+        return control_all(self.gains, self.zetas, self.config.params)
+
+    @property
+    def vi_values(self):
+        """Levels zeta_i' P zeta_i, shape (S, N)."""
+        Z = self.zetas
+        return np.einsum("sij,sij->si", Z, Z @ self.config.params.P)
+
+
 def default_initial_state(n_agents, n_states, seed, span=5.0):
     """Seeded uniform initial states in [-span, span], stacked agent by agent."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-span, span, size=(n_agents, n_states)).reshape(-1)
 
 
-def rhs(state, cfg):
-    """Time derivative (xdot stacked, rho rates) of the closed loop.
+def rhs(cfg, L, t, x, rho):
+    """Time derivative (xdot, rho rates) of the closed loop at time t.
 
-    Pure in (state, cfg). The simulation loop inlines the same math; this
-    entry point exists for tests and custom integrators.
+    x holds one agent state per row, shape (N, n), rho the N gains; L is
+    the graph Laplacian, built once by the caller.
     """
-    N = cfg.graph.n_nodes
-    n = cfg.model.n
-    x = np.asarray(state.x, dtype=float).reshape(N, n)
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        agent = int(np.argmin(finite)) + 1
-        raise DivergenceError(
-            f"non-finite state for agent {agent} at t={state.t:.6g}", agent=agent, time=state.t
-        )
-    L = laplacian(cfg.graph)
     Z = L @ x
     rates = gain_rates(Z, cfg.params)
-    U = control_all(np.asarray(state.rho, dtype=float), Z, cfg.params)
-    w = sigs.evaluate_all(cfg.disturbance, np.arange(1, N + 1), state.t)
-    xdot = x @ cfg.model.A.T + U @ cfg.model.B.T + w[:, None] * cfg.model.E.T
-    return xdot.reshape(-1), rates
+    U = control_all(rho, Z, cfg.params)
+    w = sigs.evaluate_all(cfg.disturbance, np.arange(1, x.shape[0] + 1), t)
+    model = cfg.model
+    return x @ model.A.T + U @ model.B.T + w[:, None] * model.E.T, rates
 
 
 def simulate(cfg):
@@ -153,57 +148,28 @@ def simulate(cfg):
     """
     cfg.validate()
     N = cfg.graph.n_nodes
-    n = cfg.model.n
-    m = cfg.model.m
     L = laplacian(cfg.graph)
-    A = cfg.model.A
-    B = cfg.model.B
-    Ecol = cfg.model.E.T  # (1, n) after transpose, broadcast over agents
-    params = cfg.params
-    P = params.P
-    sig = cfg.disturbance
-    agents = np.arange(1, N + 1)
     dt = float(cfg.dt)
     half = 0.5 * dt
     steps = int(round(cfg.t_end / dt))
     every = int(cfg.record_every)
 
-    x = np.asarray(cfg.x0, dtype=float).reshape(N, n).copy()
+    x = np.asarray(cfg.x0, dtype=float).reshape(N, cfg.model.n).copy()
     rho0 = np.asarray(cfg.rho0, dtype=float).reshape(-1)
     rho = np.full(N, rho0[0]) if rho0.size == 1 else rho0.copy()
 
-    rec_t, rec_x, rec_rho, rec_z, rec_u, rec_v, rec_w = [], [], [], [], [], [], []
-
-    def record(t, xm, rh):
-        Z = L @ xm
-        rec_t.append(t)
-        rec_x.append(xm.copy())
-        rec_rho.append(rh.copy())
-        rec_z.append(Z)
-        rec_u.append(control_all(rh, Z, params))
-        rec_v.append(np.einsum("ij,ij->i", Z, Z @ P))
-        rec_w.append(sigs.evaluate_all(sig, agents, t))
-
-    def partial():
-        if not rec_t:
-            return None
-        return _assemble(rec_t, rec_x, rec_rho, rec_z, rec_u, rec_v, rec_w)
-
-    def deriv(t, xm, rh):
-        Z = L @ xm
-        rates = gain_rates(Z, params)
-        U = control_all(rh, Z, params)
-        w = sigs.evaluate_all(sig, agents, t)
-        return xm @ A.T + U @ B.T + w[:, None] * Ecol, rates
-
+    # each step rebinds x and rho to fresh arrays, so the record keeps references
+    times, states, gains = [], [], []
     t = 0.0
     for k in range(steps):
         if k % every == 0:
-            record(t, x, rho)
-        k1x, k1r = deriv(t, x, rho)
-        k2x, k2r = deriv(t + half, x + half * k1x, rho + half * k1r)
-        k3x, k3r = deriv(t + half, x + half * k2x, rho + half * k2r)
-        k4x, k4r = deriv(t + dt, x + dt * k3x, rho + dt * k3r)
+            times.append(t)
+            states.append(x)
+            gains.append(rho)
+        k1x, k1r = rhs(cfg, L, t, x, rho)
+        k2x, k2r = rhs(cfg, L, t + half, x + half * k1x, rho + half * k1r)
+        k3x, k3r = rhs(cfg, L, t + half, x + half * k2x, rho + half * k2r)
+        k4x, k4r = rhs(cfg, L, t + dt, x + dt * k3x, rho + dt * k3r)
         x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         rho = np.maximum(rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r), 0.0)
         t = (k + 1) * dt
@@ -215,57 +181,17 @@ def simulate(cfg):
                 f"(non-finite or beyond {STATE_LIMIT:g})",
                 agent=agent,
                 time=t,
-                partial=partial(),
+                partial=Trajectory(np.array(times), np.array(states), np.array(gains), cfg),
             )
-    record(t, x, rho)
+    times.append(t)
+    states.append(x)
+    gains.append(rho)
 
-    traj = _assemble(rec_t, rec_x, rec_rho, rec_z, rec_u, rec_v, rec_w)
+    traj = Trajectory(np.array(times), np.array(states), np.array(gains), cfg)
     drops = np.diff(traj.gains, axis=0).min() if traj.n_samples > 1 else 0.0
     if drops < -1e-12:
         raise RuntimeError(f"recorded gains decreased by {-drops:.3e}; integrator invariant broken")
     return traj
-
-
-def _assemble(ts, xs, rhos, zs, us, vs, ws):
-    return Trajectory(
-        times=np.array(ts),
-        states=np.array(xs),
-        gains=np.array(rhos),
-        zetas=np.array(zs),
-        controls=np.array(us),
-        vi_values=np.array(vs),
-        disturbances=np.array(ws),
-    )
-
-
-@dataclass
-class SweepResult:
-    """One sweep entry: the config it ran with and either a trajectory or the error."""
-
-    config: SimConfig
-    trajectory: Trajectory = None
-    error: Exception = None
-
-    @property
-    def ok(self):
-        return self.error is None
-
-
-def sweep(base, variations):
-    """Run one simulation per override mapping, in order.
-
-    Each entry is a dict of SimConfig field replacements. Failures are
-    captured per entry so one bad run never aborts the rest; results come
-    back in input order.
-    """
-    results = []
-    for overrides in variations:
-        cfg = replace(base, **overrides)
-        try:
-            results.append(SweepResult(config=cfg, trajectory=simulate(cfg)))
-        except Exception as exc:  # noqa: BLE001 - reported per entry by contract
-            results.append(SweepResult(config=cfg, error=exc))
-    return results
 
 
 def write_trajectory_csv(traj, path):
@@ -275,7 +201,10 @@ def write_trajectory_csv(traj, path):
     byte-identical files.
     """
     S, N, n = traj.states.shape
-    m = traj.controls.shape[2]
+    U = traj.controls
+    V = traj.vi_values
+    znorm = np.linalg.norm(traj.zetas, axis=2)
+    m = U.shape[2]
     header = (
         ["t", "agent"]
         + [f"x_{j + 1}" for j in range(n)]
@@ -283,7 +212,6 @@ def write_trajectory_csv(traj, path):
         + [f"u_{j + 1}" for j in range(m)]
         + ["zeta_norm", "V_i"]
     )
-    znorm = np.linalg.norm(traj.zetas, axis=2)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -293,9 +221,9 @@ def write_trajectory_csv(traj, path):
                 row = [tval, str(a + 1)]
                 row += [repr(float(v)) for v in traj.states[s, a]]
                 row.append(repr(float(traj.gains[s, a])))
-                row += [repr(float(v)) for v in traj.controls[s, a]]
+                row += [repr(float(v)) for v in U[s, a]]
                 row.append(repr(float(znorm[s, a])))
-                row.append(repr(float(traj.vi_values[s, a])))
+                row.append(repr(float(V[s, a])))
                 writer.writerow(row)
 
 

@@ -150,7 +150,7 @@ def test_criterion_7_invariant_suite():
     direction = np.array([1.0, 0.0, 0.0])
     v_dir = direction @ params.P @ direction
     boundary = direction * np.sqrt(params.spec.d / v_dir)
-    checks["deadzone_active_on_boundary"] = protocol.rho_dot(boundary, params) > 0.0
+    checks["deadzone_active_on_boundary"] = protocol.gain_rates(boundary, params)[0] > 0.0
 
     for gen in (1, 2, 3):
         for directed in (True, False):

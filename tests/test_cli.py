@@ -194,6 +194,26 @@ def test_schema_error_cases(tmp_path):
         assert cli.main(["check", write_config(tmp_path, cfg, f"bad{k}.yaml")]) == 2
 
 
+@pytest.mark.parametrize(
+    "patch, flags, field",
+    [
+        ({"protocol": {"d": float("nan")}}, [], "protocol.d"),
+        ({"integration": {"t_end": float("inf")}}, [], "integration.t_end"),
+        ({"protocol": {"rho0": float("inf")}}, [], "protocol.rho0"),
+        ({}, ["--dt", "nan"], "integration.dt"),
+        ({}, ["--t-end", "inf"], "integration.t_end"),
+    ],
+)
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, patch, flags, field):
+    cfg = fast_passing_config()
+    for section, fields in patch.items():
+        cfg[section] = {**cfg[section], **fields}
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, cfg), *flags, "--out", str(out), "--quiet"]) == 2
+    assert f"{field}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_table_range_is_a_config_error(tmp_path, capsys):
     table = tmp_path / "w.csv"
     table.write_text("t,w1,w2,w3,w4,w5\n0,0,0,0,0,0\n1,0.1,0,0,0,0\n")
@@ -261,6 +281,17 @@ def test_sweep_all_green_exits_0(tmp_path):
     with open(out / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert all(r[1] == "pass" for r in rows[1:])
+
+
+def test_sweep_entries_under_a_top_level_name_get_their_own_directories(tmp_path):
+    cfg = fast_passing_config(name="named")
+    cfg["sweep"] = [{}, {"integration": {"record_every": 25}}, {"name": "own"}]
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "1"]) in (0, 1)
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["named_00", "named_01", "own"]
+    meta = yaml.safe_load((out / "named_01" / "metadata.yaml").read_text())
+    assert meta["config"]["name"] == "named_01"
+    assert meta["config"]["integration"]["record_every"] == 25
 
 
 def test_full_benchmark_preset_passes(tmp_path):

@@ -116,13 +116,13 @@ def test_zeta_shape_errors():
 
 def test_gain_rate_inside_deadzone_is_exact_zero(bench_params):
     z = np.array([0.01, 0.0, 0.0])  # V ~ 2.4e-4, far below d = 0.5
-    assert protocol.rho_dot(z, bench_params) == 0.0
+    assert protocol.gain_rates(z, bench_params)[0] == 0.0
 
 
 def test_gain_rate_active_example(bench_params):
     # zeta = e1: V = P[0,0] ~ 2.41 >= d, growth = (B'P zeta)^2 = P[2,0]^2 = 1
     z = np.array([1.0, 0.0, 0.0])
-    assert protocol.rho_dot(z, bench_params) == pytest.approx(1.0, abs=1e-9)
+    assert protocol.gain_rates(z, bench_params)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gain_rate_boundary_counts_as_active():
@@ -130,10 +130,10 @@ def test_gain_rate_boundary_counts_as_active():
     params = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), spec)
     e1 = np.array([1.0, 0.0, 0.0])
     # V = 1.0 equals d exactly: the boundary belongs to the active side
-    assert protocol.rho_dot(e1, params) == 1.0
+    assert protocol.gain_rates(e1, params)[0] == 1.0
     spec_above = protocol.make_spec(2.0, np.eye(3), d=1.0 + 1e-9)
     params_above = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), spec_above)
-    assert protocol.rho_dot(e1, params_above) == 0.0
+    assert protocol.gain_rates(e1, params_above)[0] == 0.0
 
 
 def test_gain_rate_quadratic_identity(bench_params):
@@ -165,31 +165,30 @@ def test_level_set_implies_norm_bound(benchmark_P):
 
 def test_control_zero_cases(bench_params):
     z = np.array([1.0, 2.0, 3.0])
-    assert np.all(protocol.control(0.0, z, bench_params) == 0.0)
-    assert np.all(protocol.control(5.0, np.zeros(3), bench_params) == 0.0)
+    assert np.all(protocol.control_all([0.0], z, bench_params) == 0.0)
+    assert np.all(protocol.control_all([5.0], np.zeros(3), bench_params) == 0.0)
 
 
 def test_control_example_and_linearity(bench_params):
     z = np.array([1.0, 0.0, 0.0])
-    u = protocol.control(2.0, z, bench_params)
+    u = protocol.control_all([2.0], z, bench_params)[0]
     assert u.shape == (1,)
     # B'P zeta = P[2,0] ~ 1, scaled by -rho
     assert u[0] == pytest.approx(-2.0, abs=1e-9)
     # doubling the gain doubles the input bit for bit
-    assert np.array_equal(protocol.control(4.0, z, bench_params), 2.0 * u)
+    assert np.array_equal(protocol.control_all([4.0], z, bench_params)[0], 2.0 * u)
 
 
 def test_vectorized_and_scalar_routes_agree(bench_params):
-    # one-row and full-matrix calls may take different BLAS kernels, so
-    # the contract is agreement to 1e-12, not bit equality
+    # one call over a stack of samples (S, N, n) gives each sample's inputs
+    # bit for bit, which lets a trajectory derive its controls in one pass
     rng = np.random.default_rng(44)
-    Z = rng.normal(scale=2.0, size=(40, 3))
-    rho = rng.uniform(0.0, 3.0, size=40)
-    rates = protocol.gain_rates(Z, bench_params)
+    Z = rng.normal(scale=2.0, size=(6, 40, 3))
+    rho = rng.uniform(0.0, 3.0, size=(6, 40))
     U = protocol.control_all(rho, Z, bench_params)
-    for i in range(40):
-        assert abs(protocol.rho_dot(Z[i], bench_params) - rates[i]) <= 1e-12
-        assert np.abs(protocol.control(rho[i], Z[i], bench_params) - U[i]).max() <= 1e-12
+    assert U.shape == (6, 40, 1)
+    for s in range(6):
+        assert np.array_equal(U[s], protocol.control_all(rho[s], Z[s], bench_params))
 
 
 def test_control_all_shape(bench_params):

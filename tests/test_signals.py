@@ -9,8 +9,8 @@ from cohsync import signals
 def test_chirp_values():
     assert signals.chirp(1, 0.0) == 0.0
     # 0.1 sin(0.1*1*5 + 0.01*25) = 0.1 sin(0.75)
-    assert signals.evaluate(signals.chirp_signal(), 1, 5.0) == pytest.approx(0.068164, abs=1e-6)
-    assert signals.evaluate(signals.chirp_signal(), 1, 5.0) == pytest.approx(0.1 * math.sin(0.75), abs=1e-15)
+    assert signals.evaluate_all(signals.chirp_signal(), [1], 5.0)[0] == pytest.approx(0.068164, abs=1e-6)
+    assert signals.evaluate_all(signals.chirp_signal(), [1], 5.0)[0] == pytest.approx(0.1 * math.sin(0.75), abs=1e-15)
 
 
 def test_chirp_respects_bound():
@@ -23,7 +23,7 @@ def test_chirp_respects_bound():
 
 def test_sawtooth_values():
     assert signals.sawtooth(1, 0.0) == 0.0
-    assert signals.evaluate(signals.sawtooth_signal(), 1, 25.0) == 0.25
+    assert signals.evaluate_all(signals.sawtooth_signal(), [1], 25.0)[0] == 0.25
     assert signals.sawtooth(3, 10.0) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -62,14 +62,14 @@ def test_dispatch_matches_direct_functions():
 
 def test_agent_labels_are_one_based():
     with pytest.raises(ValueError, match="1-based"):
-        signals.evaluate(signals.chirp_signal(), 0, 1.0)
+        signals.evaluate_all(signals.chirp_signal(), [0], 1.0)
 
 
 def test_table_interpolation():
     sig = signals.table_signal([0.0, 1.0], [[1.0], [2.0]])
-    assert signals.evaluate(sig, 1, 0.5) == 1.5
-    assert signals.evaluate(sig, 1, 0.0) == 1.0
-    assert signals.evaluate(sig, 1, 1.0) == 2.0
+    assert signals.evaluate_all(sig, [1], 0.5)[0] == 1.5
+    assert signals.evaluate_all(sig, [1], 0.0)[0] == 1.0
+    assert signals.evaluate_all(sig, [1], 1.0)[0] == 2.0
     assert sig.bound == 2.0
 
 
@@ -77,15 +77,15 @@ def test_table_multiple_agents():
     sig = signals.table_signal([0.0, 1.0], [[1.0, 10.0], [2.0, 20.0]])
     assert np.array_equal(signals.evaluate_all(sig, np.array([1, 2]), 0.5), [1.5, 15.0])
     with pytest.raises(ValueError, match="agent columns"):
-        signals.evaluate(sig, 3, 0.5)
+        signals.evaluate_all(sig, [3], 0.5)
 
 
 def test_table_refuses_extrapolation():
     sig = signals.table_signal([0.0, 1.0], [[1.0], [2.0]])
     with pytest.raises(ValueError, match="extrapolation is refused"):
-        signals.evaluate(sig, 1, 1.5)
+        signals.evaluate_all(sig, [1], 1.5)
     with pytest.raises(ValueError, match="extrapolation is refused"):
-        signals.evaluate(sig, 1, -0.1)
+        signals.evaluate_all(sig, [1], -0.1)
 
 
 def test_table_validation():
@@ -105,7 +105,7 @@ def test_load_table(tmp_path):
     sig = signals.load_table(path)
     assert sig.kind == "custom-table"
     assert sig.bound == 20.0
-    assert signals.evaluate(sig, 2, 0.5) == 15.0
+    assert signals.evaluate_all(sig, [2], 0.5)[0] == 15.0
 
 
 def test_load_table_header_validation(tmp_path):
@@ -129,7 +129,7 @@ def test_relabel_moves_waveforms_with_the_nodes():
     for i in range(3):
         for t in (0.5, 4.0, 9.25):
             # new position perm[i] carries what old node i produced
-            assert signals.evaluate(sig, int(perm[i]) + 1, t) == signals.chirp(i + 1, t)
+            assert signals.evaluate_all(sig, [int(perm[i]) + 1], t)[0] == signals.chirp(i + 1, t)
 
 
 def test_relabel_composes():
@@ -138,14 +138,14 @@ def test_relabel_composes():
     once = signals.relabel(signals.relabel(signals.sawtooth_signal(), p1), p2)
     combined = signals.relabel(signals.sawtooth_signal(), p2[p1])
     for label in (1, 2, 3):
-        assert signals.evaluate(once, label, 7.0) == signals.evaluate(combined, label, 7.0)
+        assert signals.evaluate_all(once, [label], 7.0)[0] == signals.evaluate_all(combined, [label], 7.0)[0]
 
 
 def test_relabel_table_signal():
     sig = signals.table_signal([0.0, 1.0], [[1.0, 10.0], [2.0, 20.0]])
     swapped = signals.relabel(sig, np.array([1, 0]))
-    assert signals.evaluate(swapped, 2, 0.0) == 1.0
-    assert signals.evaluate(swapped, 1, 0.0) == 10.0
+    assert signals.evaluate_all(swapped, [2], 0.0)[0] == 1.0
+    assert signals.evaluate_all(swapped, [1], 0.0)[0] == 10.0
 
 
 def test_relabel_validation():
