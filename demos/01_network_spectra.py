@@ -6,6 +6,8 @@ variant keeps only the edges pointing away from the center, which gives a
 spanning tree rooted there.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from cohsync import graph
@@ -37,7 +39,8 @@ def main():
     print(f"\n3-ring Laplacian eigenvalues: {np.round(eig, 6)}")
 
     # graphs round-trip through a plain edge-list text format
-    path = "/tmp/demo_graph.txt"
+    path = Path("out") / "demo_graph.txt"
+    path.parent.mkdir(exist_ok=True)
     graph.write_edge_list(graph.vicsek_fractal(1, directed=True), path)
     back = graph.read_edge_list(path)
     print(f"\nedge-list round trip ok: "

@@ -5,6 +5,8 @@ so each ingredient is visible: graph, agent model, Riccati design, deadzone
 threshold, disturbance, integration settings.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from cohsync import analysis, graph, linalg, protocol, signals, sim
@@ -40,8 +42,10 @@ def main():
     print(f"final max |zeta_i|:  {np.linalg.norm(traj.zetas[-1], axis=1).max():.6f}  "
           f"(guaranteed level delta={spec.delta:.4f})")
 
-    sim.write_trajectory_csv(traj, "/tmp/demo_trajectory.csv")
-    print("\nfull trajectory written to /tmp/demo_trajectory.csv")
+    out = Path("out")
+    out.mkdir(exist_ok=True)
+    sim.write_trajectory_csv(traj, out / "demo_trajectory.csv")
+    print(f"\nfull trajectory written to {out / 'demo_trajectory.csv'}")
 
 
 if __name__ == "__main__":

@@ -377,7 +377,12 @@ def build_experiment(norm):
     """
     model = _build_model(norm["model"])
     graph = _build_graph(norm["graph"])
-    riccati = linalg.solve_care(model.A, model.B)
+    try:
+        riccati = linalg.solve_care(model.A, model.B)
+    except RuntimeError as exc:
+        raise AssumptionError(
+            f"no certified stabilizing Riccati solution (residual {exc.residual:.3e})"
+        ) from None
     proto = norm["protocol"]
     if proto.get("delta") is None:
         spec = protocol.spec_from_deadzone(proto["d"], riccati.P)

@@ -100,13 +100,13 @@ def test_outdir_resolution(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, fast_passing_config(name="envrun"))
     env_base = tmp_path / "envbase"
     monkeypatch.setenv(cli.ENV_OUT, str(env_base))
-    assert cli.main(["run", cfg_path, "--quiet", "--t-end", "1"]) in (0, 1)
-    assert (env_base / "envrun" / "trajectory.csv").exists()
     # an explicit --out beats the environment
     explicit = tmp_path / "explicit"
     assert cli.main(["run", cfg_path, "--quiet", "--t-end", "1", "--out", str(explicit)]) in (0, 1)
     assert (explicit / "trajectory.csv").exists()
-    assert not (env_base / "envrun" / "report.csv").exists() or True
+    assert not (env_base / "envrun").exists()
+    assert cli.main(["run", cfg_path, "--quiet", "--t-end", "1"]) in (0, 1)
+    assert (env_base / "envrun" / "trajectory.csv").exists()
 
 
 def test_outdir_from_config(tmp_path, monkeypatch):
@@ -238,6 +238,17 @@ def test_assumption_violation_exits_3(tmp_path, capsys):
     )
     assert cli.main(["check", write_config(tmp_path, cfg)]) == 3
     assert "not input-additive" in capsys.readouterr().err
+
+
+def test_uncertifiable_design_exits_3(tmp_path, capsys):
+    # passes the rank test, but the mode at 2 is reachable only through 1e-7
+    cfg = fast_passing_config(
+        model={"A": [[1.0, 0.0], [0.0, 2.0]], "B": [[1.0], [1e-7]], "E": [[1.0], [1e-7]]},
+    )
+    assert cli.main(["check", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("assumption violated:")
+    assert "residual" in err[0]
 
 
 def test_divergence_exits_4(tmp_path, capsys):

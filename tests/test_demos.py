@@ -13,6 +13,7 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(path, capsys):
+def test_demo_runs(path, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()

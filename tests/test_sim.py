@@ -56,18 +56,17 @@ def test_rhs_equal_states_coast(bench_setup):
 
 
 def test_simulate_flags_nonfinite_agent(bench_setup):
-    # agent 1 listens to agent 2 and no agent listens to agent 1. The dense
-    # product L @ x spreads a NaN to every row within one stage (0 * NaN is
-    # NaN), so the guard can single out only the lowest-numbered agent.
-    g = graph.from_edge_list(3, [(2, 1, 1.0), (3, 2, 1.0)])
+    # directed chain 1 -> 2 -> 3: the non-finite initial state is refused
+    # before any step, naming the agent that holds it
+    g = graph.from_edge_list(3, [(1, 2, 1.0), (2, 3, 1.0)])
     x0 = np.zeros((3, 3))
-    x0[0, 1] = np.nan
+    x0[2, 1] = np.nan
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=1.0, x0=x0.reshape(-1))
-    with pytest.raises(sim.DivergenceError, match="non-finite") as err:
+    with pytest.raises(ValueError, match="agent 3 is not finite"):
         sim.simulate(cfg)
-    assert err.value.agent == 1
-    assert err.value.time == cfg.dt
-    assert err.value.partial.times.tolist() == [0.0]
+    cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=1.0, rho0=np.nan)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sim.simulate(cfg)
 
 
 def test_equal_initial_states_follow_open_loop_flow(bench_setup):
