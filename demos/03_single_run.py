@@ -31,7 +31,7 @@ def main():
     )
     traj = sim.simulate(cfg)
 
-    summary = analysis.summarize(traj, params, bound=1.0, label="demo")
+    summary = analysis.summarize(traj, bound=1.0, label="demo")
     print(analysis.summary_text(summary))
 
     # a few raw numbers behind the verdict

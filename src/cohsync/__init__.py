@@ -8,17 +8,7 @@ graph, its spectrum, or the agent count.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    GainReport,
-    RunSummary,
-    SettlingReport,
-    check_delta_level,
-    coherence_levels,
-    gain_report,
-    settling_time,
-    summarize,
-    summary_text,
-)
+from .analysis import RunSummary, summarize, summary_text
 from .graph import (
     WeightedDigraph,
     algebraic_connectivity,

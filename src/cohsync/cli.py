@@ -465,7 +465,6 @@ def _run_one(norm):
     traj = sim.simulate(cfg)
     summary = analysis.summarize(
         traj,
-        cfg.params,
         bound=checks["bound"],
         tail_fraction=checks["tail_fraction"],
         tol=checks["tol"],
@@ -630,3 +629,7 @@ def main(argv=None):
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

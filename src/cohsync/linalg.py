@@ -21,8 +21,11 @@ def is_stabilizable(A, B, tol=1e-8):
 
     For every eigenvalue of A with nonnegative real part, [A - lambda I, B]
     must have full row rank. Singular values below ``tol`` times the
-    largest one count as zero. A small guard band (-1e-9) on the real part
-    absorbs eigensolver round-off on marginally stable modes.
+    larger of the largest one and the 2-norm of [A, B] count as zero; the
+    norm keeps a one-state pair, whose [A - lambda I, B] has a single
+    singular value, from passing for any nonzero B. A small guard band
+    (-1e-9) on the real part absorbs eigensolver round-off on marginally
+    stable modes.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -35,13 +38,14 @@ def is_stabilizable(A, B, tol=1e-8):
 def _pbh_defects(A, B, tol=1e-8):
     # eigenvalues at which [A - lambda I, B] loses row rank
     n = A.shape[0]
+    scale = np.linalg.norm(np.hstack([A, B]), 2)
     bad = []
     for lam in np.linalg.eigvals(A):
         if lam.real < -1e-9:
             continue
         M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
         s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= tol * s[0]:
+        if s[-1] <= tol * max(s[0], scale):
             bad.append(complex(lam))
     return bad
 

@@ -1,6 +1,5 @@
 """Closed-loop network simulation: fixed-step integration, stage-wise deadzone."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,9 +195,9 @@ def write_trajectory_csv(traj, path):
     """Write one row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m, zeta_norm, V_i.
 
     Floats are written with repr, so equal trajectories produce
-    byte-identical files.
+    byte-identical files; lines end in the csv module's "\\r\\n".
     """
-    S, N, n = traj.states.shape
+    n = traj.states.shape[2]
     U = traj.controls
     V = traj.vi_values
     znorm = np.linalg.norm(traj.zetas, axis=2)
@@ -211,18 +210,10 @@ def write_trajectory_csv(traj, path):
         + ["zeta_norm", "V_i"]
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in range(S):
-            tval = repr(float(traj.times[s]))
-            for a in range(N):
-                row = [tval, str(a + 1)]
-                row += [repr(float(v)) for v in traj.states[s, a]]
-                row.append(repr(float(traj.gains[s, a])))
-                row += [repr(float(v)) for v in U[s, a]]
-                row.append(repr(float(znorm[s, a])))
-                row.append(repr(float(V[s, a])))
-                writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for s, t in enumerate(traj.times.tolist()):
+            rows = np.column_stack([traj.states[s], traj.gains[s], U[s], znorm[s], V[s]]).tolist()
+            fh.writelines(f"{t!r},{a},{','.join(map(repr, row))}\r\n" for a, row in enumerate(rows, 1))
 
 
 def write_metadata(path, meta):

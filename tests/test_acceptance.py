@@ -39,8 +39,8 @@ def _report(number, label, checks):
     assert ok, {k: v for k, v in checks.items() if not v}
 
 
-def _coherency_checks(cfg, traj, bound):
-    s = analysis.summarize(traj, cfg.params, bound=bound)
+def _coherency_checks(traj, bound):
+    s = analysis.summarize(traj, bound=bound)
     return {
         "bound_holds": s.bound_ok,
         "gains_converged": s.gains_converged,
@@ -82,7 +82,7 @@ def test_criterion_3_directed_fractal_coherency(preset_run):
         norm, cfg, traj, elapsed = preset_run(name)
         checks[f"{name}_dt_pinned"] = norm["integration"]["dt"] == 1e-3
         checks[f"{name}_t_end_pinned"] = norm["integration"]["t_end"] == 30.0
-        for key, val in _coherency_checks(cfg, traj, 1.0).items():
+        for key, val in _coherency_checks(traj, 1.0).items():
             checks[f"{name}_{key}"] = val
     checks["fig3c_under_180s"] = preset_run("fig3c")[3] < 180.0
     _report(3, "delta-level coherency, directed fractals", checks)
@@ -93,7 +93,7 @@ def test_criterion_4_graph_family_robustness(preset_run):
     checks = {}
     for name in ("fig4a", "fig4b", "fig4c", "fig7"):
         _, cfg, traj, _ = preset_run(name)
-        for key, val in _coherency_checks(cfg, traj, 1.0).items():
+        for key, val in _coherency_checks(traj, 1.0).items():
             checks[f"{name}_{key}"] = val
         # scale-free: the protocol never sees the graph, so the gain
         # matrices and threshold must be bit-identical across presets
@@ -104,13 +104,13 @@ def test_criterion_4_graph_family_robustness(preset_run):
 
 def test_criterion_5_disturbance_pattern_robustness(preset_run):
     _, cfg, traj, _ = preset_run("fig8")
-    checks = _coherency_checks(cfg, traj, 1.0)
+    checks = _coherency_checks(traj, 1.0)
     _report(5, "sawtooth disturbance robustness", checks)
 
 
 def test_criterion_6_threshold_robustness(preset_run):
     _, cfg, traj, _ = preset_run("fig9")
-    checks = _coherency_checks(cfg, traj, 0.4)
+    checks = _coherency_checks(traj, 0.4)
     checks["d_is_0.2"] = cfg.params.spec.d == 0.2
     _report(6, "tighter deadzone threshold", checks)
 

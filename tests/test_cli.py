@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,25 @@ def test_uncertifiable_design_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("assumption violated:")
     assert "residual" in err[0]
+
+
+def test_unreachable_one_state_mode_exits_3(tmp_path, capsys):
+    cfg = fast_passing_config(model={"A": [[1.0]], "B": [[1e-300]], "E": [[1e-300]]})
+    assert cli.main(["check", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("assumption violated:")
+    assert "not stabilizable" in err[0]
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(cohsync.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohsync.cli", "check", "fig3a"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "config ok: fig3a" in proc.stdout
 
 
 def test_divergence_exits_4(tmp_path, capsys):

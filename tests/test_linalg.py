@@ -61,6 +61,8 @@ def test_min_eigenvalue_rayleigh_bound():
 def test_stabilizable_examples():
     assert linalg.is_stabilizable([[0.0]], [[1.0]])
     assert not linalg.is_stabilizable([[1.0]], [[0.0]])
+    # one state: [A - lambda I, B] has a single singular value, scaled by |[A, B]|
+    assert not linalg.is_stabilizable([[1.0]], [[1e-300]])
     # stable modes need no control authority
     assert linalg.is_stabilizable([[-1.0]], [[0.0]])
     assert linalg.is_stabilizable(np.diag([-1.0, -2.0]), np.zeros((2, 1)))

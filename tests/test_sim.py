@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -286,6 +287,35 @@ def test_trajectory_csv_bytes_are_stable(tmp_path, bench_setup):
         sim.write_trajectory_csv(sim.simulate(cfg), p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
+    # a fig3a-sized record (5 agents, 3001 samples) with values spanning
+    # many decades and signs, rendered cell by cell through csv.writer
+    g = graph.vicsek_fractal(1, directed=True)
+    cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=30.0)
+    rng = np.random.default_rng(5)
+    S, N, n = 3001, g.n_nodes, 3
+    states = rng.normal(size=(S, N, n)) * 10.0 ** rng.integers(-20, 20, size=(S, N, n))
+    states[0] = 0.0
+    states[1, 0] = [-0.0, 1.0, 1e16]
+    traj = sim.Trajectory(np.arange(S) * 0.01, states, rng.uniform(0, 50, size=(S, N)), cfg)
+    sim.write_trajectory_csv(traj, tmp_path / "fast.csv")
+
+    U, V = traj.controls, traj.vi_values
+    znorm = np.linalg.norm(traj.zetas, axis=2)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "agent", "x_1", "x_2", "x_3", "rho", "u_1", "zeta_norm", "V_i"])
+    for s in range(S):
+        for a in range(N):
+            row = [repr(float(traj.times[s])), str(a + 1)]
+            row += [repr(float(v)) for v in states[s, a]]
+            row.append(repr(float(traj.gains[s, a])))
+            row += [repr(float(v)) for v in U[s, a]]
+            row += [repr(float(znorm[s, a])), repr(float(V[s, a]))]
+            writer.writerow(row)
+    assert (tmp_path / "fast.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_write_metadata_round_trip(tmp_path):
