@@ -279,7 +279,7 @@ def normalize_config(raw, default_name="run"):
         "dt": dt,
         "t_end": t_end,
         "record_every": _as_int(integ.get("record_every", 10), "integration.record_every", minimum=1),
-        "seed": _as_int(integ.get("seed", 7), "integration.seed"),
+        "seed": _as_int(integ.get("seed", 7), "integration.seed", minimum=0),
     }
 
     output = _require_mapping(raw.get("output"), "output")
@@ -345,7 +345,7 @@ def _build_graph(gcfg):
         raise SchemaError("graph", str(exc)) from None
 
 
-def _build_signal(dcfg, t_end):
+def _build_signal(dcfg):
     kind = dcfg["kind"]
     if kind == "zero":
         return sigs.zero_signal()
@@ -354,26 +354,18 @@ def _build_signal(dcfg, t_end):
     if kind == "sawtooth":
         return sigs.sawtooth_signal()
     try:
-        signal = sigs.load_table(dcfg["path"])
-    except FileNotFoundError as exc:
+        return sigs.load_table(dcfg["path"])
+    except (FileNotFoundError, ValueError) as exc:
         raise SchemaError("disturbance.path", str(exc)) from None
-    except ValueError as exc:
-        raise SchemaError("disturbance.path", str(exc)) from None
-    t0, t1 = float(signal.table_times[0]), float(signal.table_times[-1])
-    if t0 > 0 or t1 < t_end:
-        raise SchemaError(
-            "disturbance.path",
-            f"table covers [{t0:.6g}, {t1:.6g}] but the run needs [0, {t_end:.6g}] and extrapolation is refused",
-        )
-    return signal
 
 
 def build_experiment(norm):
     """Resolve a normalized config into a ready SimConfig.
 
-    Solves the design equation once per model. Raises SchemaError for
-    value problems (exit 2) and AssumptionError for violated standing
-    assumptions (exit 3). Returns (SimConfig, checks dict, name).
+    Solves the design equation once per model; the SimConfig checks
+    itself as it is built. Raises SchemaError for value problems (exit 2)
+    and AssumptionError for violated standing assumptions (exit 3).
+    Returns (SimConfig, checks dict, name).
     """
     model = _build_model(norm["model"])
     graph = _build_graph(norm["graph"])
@@ -393,25 +385,19 @@ def build_experiment(norm):
             raise SchemaError("protocol.d", str(exc)) from None
     params = protocol.ProtocolParams(riccati.P, model.B, spec)
     integ = norm["integration"]
-    signal = _build_signal(norm["disturbance"], integ["t_end"])
-    rho0 = proto["rho0"]
-    if isinstance(rho0, list):
-        if len(rho0) != graph.n_nodes:
-            raise SchemaError("protocol.rho0", f"needs one value per agent ({graph.n_nodes}), got {len(rho0)}")
-        rho0 = np.array(rho0, dtype=float)
-    cfg = sim.SimConfig(
-        model=model,
-        graph=graph,
-        params=params,
-        disturbance=signal,
-        x0=sim.default_initial_state(graph.n_nodes, model.n, integ["seed"]),
-        rho0=rho0,
-        t_end=integ["t_end"],
-        dt=integ["dt"],
-        record_every=integ["record_every"],
-    )
+    signal = _build_signal(norm["disturbance"])
     try:
-        cfg.validate()
+        cfg = sim.SimConfig(
+            model=model,
+            graph=graph,
+            params=params,
+            disturbance=signal,
+            x0=sim.default_initial_state(graph.n_nodes, model.n, integ["seed"]),
+            rho0=proto["rho0"],
+            t_end=integ["t_end"],
+            dt=integ["dt"],
+            record_every=integ["record_every"],
+        )
     except AssumptionError:
         raise
     except ValueError as exc:
@@ -419,16 +405,12 @@ def build_experiment(norm):
     return cfg, norm["checks"], norm["name"]
 
 
-def _apply_flags(norm, args):
-    for key in ("seed", "dt", "t_end"):
-        value = getattr(args, key, None)
-        if value is not None:
-            if key != "seed":
-                value = _as_float(value, f"integration.{key}", positive=True)
-            norm["integration"][key] = value
-    if norm["integration"]["t_end"] < norm["integration"]["dt"]:
-        raise SchemaError("integration.t_end", "must be at least dt")
-    return norm
+def _with_flags(raw, args):
+    # --seed/--dt/--t-end override integration fields before the schema sees them
+    flags = {k: getattr(args, k) for k in ("seed", "dt", "t_end") if getattr(args, k, None) is not None}
+    if not flags:
+        return raw
+    return {**raw, "integration": {**_require_mapping(raw.get("integration"), "integration"), **flags}}
 
 
 def _resolve_outdir(args, name, output_cfg):
@@ -476,7 +458,7 @@ def _run_one(norm):
 
 def cmd_run(args):
     raw, default_name = load_config(args.config)
-    norm = _apply_flags(normalize_config(raw, default_name), args)
+    norm = normalize_config(_with_flags(raw, args), default_name)
     norm.pop("sweep", None)
     norm, traj, summary, ok = _run_one(norm)
     outdir = _resolve_outdir(args, norm["name"], norm["output"])
@@ -490,7 +472,9 @@ def cmd_run(args):
 def cmd_sweep(args):
     raw, default_name = load_config(args.config)
     base_norm = normalize_config(raw, default_name)
-    entries = base_norm.pop("sweep", [])
+    entries = base_norm.pop("sweep", None)
+    if not entries:
+        raise SchemaError("sweep", "cohsync sweep needs a nonempty list of override mappings")
     # an entry without its own name runs as <name>_<idx>, never under the base name
     base_raw = {k: v for k, v in raw.items() if k not in ("sweep", "name")}
     outdir = _resolve_outdir(args, base_norm["name"], base_norm["output"])
@@ -501,9 +485,8 @@ def cmd_sweep(args):
     all_ok = True
     for idx, overrides in enumerate(entries):
         try:
-            merged = _deep_merge(base_raw, overrides)
+            merged = _with_flags(_deep_merge(base_raw, overrides), args)
             norm = normalize_config(merged, f"{base_norm['name']}_{idx:02d}")
-            norm = _apply_flags(norm, args)
             norm.pop("sweep", None)
             norm, traj, summary, ok = _run_one(norm)
             _write_artifacts(outdir / norm["name"], norm, traj, summary)
@@ -539,8 +522,7 @@ def _deep_merge(base, override):
 
 def cmd_check(args):
     raw, default_name = load_config(args.config)
-    norm = _apply_flags(normalize_config(raw, default_name), args)
-    cfg, checks, name = build_experiment(norm)
+    cfg, checks, name = build_experiment(normalize_config(_with_flags(raw, args), default_name))
     if not args.quiet:
         spec = cfg.params.spec
         print(

@@ -19,8 +19,8 @@ class WeightedDigraph:
             raise ValueError("weight matrix must be square")
         if W.shape[0] < 1:
             raise ValueError("graph needs at least one node")
-        if np.any(W < 0):
-            raise ValueError("edge weights must be nonnegative")
+        if not np.all(np.isfinite(W) & (W >= 0)):
+            raise ValueError("edge weights must be finite and nonnegative")
         if np.any(np.diag(W) != 0):
             raise ValueError("self-loops are not allowed (diagonal must be zero)")
         W.setflags(write=False)  # shared freely; treat as immutable
@@ -203,7 +203,7 @@ def from_edge_list(n, edges):
     """Graph from (from, to, weight) triples with 1-based node indices.
 
     Duplicate edges keep the last weight. Self-loops, out-of-range
-    indices, and nonpositive weights are rejected.
+    indices, and nonpositive or non-finite weights are rejected.
     """
     if n < 1:
         raise ValueError("node count must be positive")

@@ -84,15 +84,15 @@ def min_eigenvalue_sym(M):
 class AgentModel:
     """Linear agent dx/dt = A x + B u + E w.
 
-    The disturbance map must be realizable through the input channel:
-    construction checks that E = B X has a solution X and refuses models
-    where it has none.
+    The disturbance is one scalar channel per agent, and it must be
+    realizable through the input channel: construction refuses an E with
+    more than one column, and one for which E = B X has no solution X.
 
     Parameters
     ----------
     A : (n, n) array
     B : (n, m) array
-    E : (n, w) array
+    E : (n, 1) array
     """
 
     def __init__(self, A, B, E):
@@ -104,6 +104,8 @@ class AgentModel:
             raise ValueError("A must be square")
         if self.B.shape[0] != n or self.E.shape[0] != n:
             raise ValueError("B and E must have as many rows as A")
+        if self.E.shape[1] != 1:
+            raise ValueError("E must have one column: each agent has a single disturbance channel")
         image_containment(self.E, self.B)
 
     @property
@@ -114,12 +116,8 @@ class AgentModel:
     def m(self):
         return self.B.shape[1]
 
-    @property
-    def w(self):
-        return self.E.shape[1]
-
     def __repr__(self):
-        return f"AgentModel(n={self.n}, m={self.m}, w={self.w})"
+        return f"AgentModel(n={self.n}, m={self.m})"
 
 
 def triple_integrator():

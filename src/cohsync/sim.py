@@ -27,9 +27,15 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Everything one run needs; validate() enforces the standing assumptions."""
+    """Everything one run needs, checked once, when it is built.
+
+    Construction, and so dataclasses.replace, enforces the standing
+    assumptions (AssumptionError) and refuses bad values (ValueError),
+    among them a table disturbance that does not cover every step and
+    every agent of the run.
+    """
 
     model: AgentModel
     graph: WeightedDigraph
@@ -41,7 +47,7 @@ class SimConfig:
     dt: float = 1e-3
     record_every: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -61,13 +67,23 @@ class SimConfig:
             raise ValueError(f"rho0 must be a scalar or one value per agent ({N})")
         if not np.all(np.isfinite(rho0) & (rho0 >= 0)):
             raise ValueError("initial gains must be finite and nonnegative")
-        if self.model.w != 1:
-            raise ValueError("simulation drives a single disturbance channel per agent (E with one column)")
         if self.params.n != n:
             raise ValueError("protocol matrices do not match the model state dimension")
+        sig = self.disturbance
+        if sig.table_times is not None:
+            # simulate integrates to round(t_end / dt) steps and asks for labels 1..N
+            t0, t1 = float(sig.table_times[0]), float(sig.table_times[-1])
+            horizon = int(round(self.t_end / self.dt)) * float(self.dt)
+            cols = sig.table_values.shape[1]
+            label = N if sig.index_map is None else int(max(sig.index_map))
+            if t0 > 0 or t1 < horizon or cols < label:
+                raise ValueError(
+                    f"table covers [{t0:.6g}, {t1:.6g}] for agents 1..{cols} but the run needs "
+                    f"[0, {horizon:.6g}] for agents 1..{label}, and extrapolation is refused"
+                )
         if not is_stabilizable(self.model.A, self.model.B):
             raise AssumptionError("(A, B) is not stabilizable")
-        if not np.isfinite(self.disturbance.bound):
+        if not np.isfinite(sig.bound):
             raise AssumptionError("disturbance signal must have a finite amplitude bound")
         if not has_directed_spanning_tree(self.graph):
             raise AssumptionError("the communication graph has no directed spanning tree")
@@ -143,7 +159,6 @@ def simulate(cfg):
     Gains are clamped at zero after each step to guard round-off.
     Samples are recorded every record_every steps plus the final state.
     """
-    cfg.validate()
     N = cfg.graph.n_nodes
     L = laplacian(cfg.graph)
     dt = float(cfg.dt)

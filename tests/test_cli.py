@@ -193,6 +193,7 @@ def test_schema_error_cases(tmp_path):
         fast_passing_config(output={"formats": ["parquet"]}),
         fast_passing_config(model={"preset": "double-integrator"}),
         fast_passing_config(disturbance={"kind": "zero", "path": "x.csv"}),
+        fast_passing_config(integration={"dt": 1e-3, "t_end": 6.0, "seed": -1}),
     ]
     for k, cfg in enumerate(bad):
         assert cli.main(["check", write_config(tmp_path, cfg, f"bad{k}.yaml")]) == 2
@@ -234,6 +235,85 @@ def test_table_disturbance_runs_when_range_covers(tmp_path):
     cfg = fast_passing_config(disturbance={"kind": "custom-table", "path": str(table)})
     out = tmp_path / "out"
     assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 0
+
+
+# inputs that must exit 2, as overrides of EDGE_LIST_CONFIG plus flags, with the
+# error each must name; the files they point to are written by `input_files`
+REFUSED_INPUTS = {
+    "negative seed": ({"integration": {"seed": -1}}, [], "integration.seed: must be >= 0"),
+    "negative seed flag": ({}, ["--seed", "-1"], "integration.seed: must be >= 0"),
+    "infinite weight": ({"graph": {"path": "chain_inf.txt"}}, [], "edge weights must be finite"),
+    "nan weight": ({"graph": {"path": "chain_nan.txt"}}, [], "edge weights must be finite"),
+    # t_end = 0.0015 integrates two steps, to t = 0.002
+    "table short of the last step": (
+        {"integration": {"t_end": 0.0015}, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
+        [],
+        "extrapolation is refused",
+    ),
+    "table short of an agent": (
+        {"disturbance": {"kind": "custom-table", "path": "two_agents.csv"}}, [], "extrapolation is refused",
+    ),
+}
+EDGE_LIST_CONFIG = fast_passing_config(graph={"kind": "edge-list", "path": "chain_1.0.txt"})
+
+
+def with_overrides(cfg, overrides):
+    return {**cfg, **{section: {**cfg[section], **fields} for section, fields in overrides.items()}}
+
+
+@pytest.fixture
+def input_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for weight in ("1.0", "inf", "nan"):
+        # directed chain 1 -> 2 -> 3 in the edge-list exchange format
+        (tmp_path / f"chain_{weight}.txt").write_text(f"nodes 3\n1 2 1.0\n2 3 {weight}\n")
+    (tmp_path / "ends_0.0015.csv").write_text("t,w1,w2,w3\n0,0,0,0\n0.0015,0,0,0\n")
+    (tmp_path / "two_agents.csv").write_text("t,w1,w2\n0,0,0\n6,0,0\n")
+    return tmp_path
+
+
+def test_edge_list_graph_runs(input_files, capsys):
+    cfg_path = write_config(input_files, EDGE_LIST_CONFIG)
+    assert cli.main(["check", cfg_path]) == 0
+    assert "config ok: exp: 3 agents" in capsys.readouterr().out
+    assert cli.main(["run", cfg_path, "--out", "out", "--quiet"]) in (0, 1)
+    with open(input_files / "out" / "trajectory.csv", newline="") as fh:
+        assert {row["agent"] for row in csv.DictReader(fh)} == {"1", "2", "3"}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_INPUTS))
+def test_refused_inputs_exit_2_from_check_and_run(input_files, capsys, case):
+    overrides, flags, message = REFUSED_INPUTS[case]
+    cfg_path = write_config(input_files, with_overrides(EDGE_LIST_CONFIG, overrides))
+    assert cli.main(["check", cfg_path, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(["run", cfg_path, *flags, "--out", "out", "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (input_files / "out").exists()
+
+
+def test_sweep_records_refused_inputs_and_runs_the_rest(input_files):
+    cases = [case for case in REFUSED_INPUTS.values() if not case[1]]
+    cfg = dict(EDGE_LIST_CONFIG, sweep=[{}] + [case[0] for case in cases] + [{"integration": {"record_every": 20}}])
+    assert cli.main(["sweep", write_config(input_files, cfg), "--out", "sweepout", "--quiet"]) == 1
+    out = input_files / "sweepout"
+    with open(out / "report.csv", newline="") as fh:
+        status = [row[1] for row in csv.reader(fh)][1:]
+    assert status[0] in ("pass", "fail") and status[-1] in ("pass", "fail")
+    for got, (_, _, message) in zip(status[1:-1], cases, strict=True):
+        assert got.startswith("error: ") and message in got
+    last = f"exp_{len(cases) + 1:02d}"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["exp_00", last]
+
+
+def test_sweep_without_entries_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", "fig3a", "--out", str(out), "--quiet"]) == 2
+    assert "config error: sweep:" in capsys.readouterr().err
+    cfg = fast_passing_config(sweep=[])
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 2
+    assert "config error: sweep:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_assumption_violation_exits_3(tmp_path, capsys):

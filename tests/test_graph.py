@@ -37,6 +37,11 @@ def test_digraph_validation():
         graph.WeightedDigraph([[1.0, 0.0], [0.0, 0.0]])  # self-loop
     with pytest.raises(ValueError):
         graph.WeightedDigraph(np.zeros((2, 3)))
+    for w in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            graph.WeightedDigraph([[0.0, w], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            graph.from_edge_list(2, [(1, 2, w)])
 
 
 def test_weights_are_read_only():

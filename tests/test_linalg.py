@@ -90,7 +90,7 @@ def test_image_containment_accepts_and_refuses():
 
 def test_agent_model_basic(benchmark_model):
     m = benchmark_model
-    assert (m.n, m.m, m.w) == (3, 1, 1)
+    assert (m.n, m.m) == (3, 1)
     assert np.array_equal(m.B, m.E)
 
 
@@ -100,6 +100,13 @@ def test_agent_model_rejects_off_channel_disturbance():
     E = np.array([[1.0], [0.0]])
     with pytest.raises(linalg.AssumptionError):
         linalg.AgentModel(A, B, E)
+
+
+def test_agent_model_refuses_multi_channel_disturbance():
+    # E = B X holds, but each agent carries a single disturbance channel
+    B = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="one column"):
+        linalg.AgentModel([[0.0, 1.0], [0.0, 0.0]], B, np.hstack([B, 2.0 * B]))
 
 
 def test_lyapunov_identity():

@@ -58,16 +58,14 @@ def test_rhs_equal_states_coast(bench_setup):
 
 def test_simulate_flags_nonfinite_agent(bench_setup):
     # directed chain 1 -> 2 -> 3: the non-finite initial state is refused
-    # before any step, naming the agent that holds it
+    # when the config is built, naming the agent that holds it
     g = graph.from_edge_list(3, [(1, 2, 1.0), (2, 3, 1.0)])
     x0 = np.zeros((3, 3))
     x0[2, 1] = np.nan
-    cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=1.0, x0=x0.reshape(-1))
     with pytest.raises(ValueError, match="agent 3 is not finite"):
-        sim.simulate(cfg)
-    cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=1.0, rho0=np.nan)
+        bench_cfg(bench_setup, g, signals.zero_signal(), t_end=1.0, x0=x0.reshape(-1))
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        sim.simulate(cfg)
+        bench_cfg(bench_setup, g, signals.zero_signal(), t_end=1.0, rho0=np.nan)
 
 
 def test_equal_initial_states_follow_open_loop_flow(bench_setup):
@@ -178,32 +176,57 @@ def test_validate_rejections(bench_setup):
     ok = dict(model=model, graph=g, params=params,
               disturbance=signals.zero_signal(), x0=np.zeros(15))
 
-    sim.SimConfig(**ok).validate()
+    cfg = sim.SimConfig(**ok)
+    # checked once, when built: fields are frozen, and replace checks again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.0
+    with pytest.raises(ValueError, match="dt"):
+        dataclasses.replace(cfg, dt=0.0)
 
     with pytest.raises(ValueError, match="dt"):
-        sim.SimConfig(**{**ok, "dt": 0.0}).validate()
+        sim.SimConfig(**{**ok, "dt": 0.0})
     with pytest.raises(ValueError, match="t_end"):
-        sim.SimConfig(**{**ok, "t_end": 1e-4}).validate()
+        sim.SimConfig(**{**ok, "t_end": 1e-4})
     with pytest.raises(ValueError, match="record_every"):
-        sim.SimConfig(**{**ok, "record_every": 0}).validate()
+        sim.SimConfig(**{**ok, "record_every": 0})
     with pytest.raises(ValueError, match="x0"):
-        sim.SimConfig(**{**ok, "x0": np.zeros(7)}).validate()
+        sim.SimConfig(**{**ok, "x0": np.zeros(7)})
     with pytest.raises(ValueError, match="nonnegative"):
-        sim.SimConfig(**{**ok, "rho0": -1.0}).validate()
+        sim.SimConfig(**{**ok, "rho0": -1.0})
 
     no_tree = graph.from_edge_list(5, [(1, 2, 1.0)])
     with pytest.raises(linalg.AssumptionError, match="spanning tree"):
-        sim.SimConfig(**{**ok, "graph": no_tree}).validate()
+        sim.SimConfig(**{**ok, "graph": no_tree})
 
     unstabilizable = linalg.AgentModel(np.diag([1.0, -1.0, -1.0]),
                                        np.array([[0.0], [0.0], [1.0]]),
                                        np.array([[0.0], [0.0], [1.0]]))
     with pytest.raises(linalg.AssumptionError, match="not stabilizable"):
-        sim.SimConfig(**{**ok, "model": unstabilizable}).validate()
+        sim.SimConfig(**{**ok, "model": unstabilizable})
 
     unbounded = signals.DisturbanceSignal(kind="chirp", bound=np.inf)
     with pytest.raises(linalg.AssumptionError, match="finite"):
-        sim.SimConfig(**{**ok, "disturbance": unbounded}).validate()
+        sim.SimConfig(**{**ok, "disturbance": unbounded})
+
+
+def test_table_disturbance_must_cover_the_run(bench_setup):
+    # the run integrates round(t_end/dt) steps: t_end = 0.0015 ends at t = 0.002
+    g = graph.vicsek_fractal(1, directed=True)
+    covers = signals.table_signal([0.0, 0.002], np.zeros((2, 5)))
+    short = signals.table_signal([0.0, 0.0015], np.zeros((2, 5)))
+    cfg = dict(model=bench_setup[0], graph=g, params=bench_setup[1], x0=np.zeros(15), t_end=0.0015)
+    assert sim.simulate(sim.SimConfig(disturbance=covers, **cfg)).times[-1] == 0.002
+    with pytest.raises(ValueError, match="extrapolation is refused"):
+        sim.SimConfig(disturbance=short, **cfg)
+    # every queried agent label needs a column: 5 columns cannot drive 25 agents
+    g25 = graph.vicsek_fractal(2, directed=True)
+    with pytest.raises(ValueError, match="agents 1..5 .* agents 1..25"):
+        sim.SimConfig(**{**cfg, "graph": g25, "x0": np.zeros(75)}, disturbance=covers)
+    # a rerouted signal queries the labels of its index map, not 1..N
+    one = signals.table_signal([0.0, 0.002], np.zeros((2, 1)))
+    sim.SimConfig(disturbance=dataclasses.replace(one, index_map=np.ones(5, dtype=int)), **cfg)
+    with pytest.raises(ValueError, match="agents 1..1 .* agents 1..2"):
+        sim.SimConfig(disturbance=dataclasses.replace(one, index_map=np.array([1, 1, 2, 1, 1])), **cfg)
 
 
 def test_default_initial_state_is_seeded():
