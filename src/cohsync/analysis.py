@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .protocol import minimal_delta
+from .protocol import levels, minimal_delta
 
 
 @dataclass
@@ -17,7 +17,8 @@ class RunSummary:
     coherency level |zeta_i| stays at or below delta for the rest of the
     horizon, None when there is none; worst_agent is the 1-based agent
     with the largest tail level. An agent's gain has converged when it
-    varies by less than tol over the tail window.
+    varies by less than tol over the tail window. The run passed when
+    bound_ok and gains_converged hold, and settled too if require_settled.
     """
 
     label: str
@@ -37,14 +38,11 @@ class RunSummary:
     n_converged: int
     max_final_gain: float
     max_gain_variation: float
-
-    @property
-    def passed(self):
-        return self.bound_ok and self.gains_converged
+    passed: bool
 
 
-def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, label="run"):
-    """Run every standard check on traj in one pass over its disagreements.
+def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=False, label="run"):
+    """Run every standard check on traj in one pass over its disagreements, and judge it.
 
     P and the coherency spec come from traj.config.params; bound defaults
     to the protocol's ellipsoid level delta_bar.
@@ -61,17 +59,18 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, label="run"):
     ntail = max(1, int(round(tail_fraction * traj.n_samples)))
 
     Z = traj.zetas
-    levels = np.linalg.norm(Z, axis=2)
-    tail_Z = Z[-ntail:]
-    tail_vi_max = float(np.einsum("sij,sij->si", tail_Z, tail_Z @ params.P).max())
-    ok = (levels <= spec.delta).all(axis=1)
+    norms = np.linalg.norm(Z, axis=2)
+    tail_vi_max = float(levels(Z[-ntail:], params).max())
+    ok = (norms <= spec.delta).all(axis=1)
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     settled = bool(suffix_ok.any())
-    tail_levels = levels[-ntail:]
+    tail_norms = norms[-ntail:]
+    bound_ok = bool(tail_vi_max <= bound)
 
     gains = traj.gains[-ntail:]
     variation = gains.max(axis=0) - gains.min(axis=0)
     converged = variation < tol
+    gains_converged = bool(converged.all())
     return RunSummary(
         label=label,
         n_agents=traj.n_agents,
@@ -80,16 +79,17 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, label="run"):
         delta_bar=spec.delta_bar,
         min_delta=minimal_delta(spec.d, params.P),
         bound=float(bound),
-        bound_ok=bool(tail_vi_max <= bound),
+        bound_ok=bound_ok,
         tail_max_Vi=tail_vi_max,
         settled=settled,
         T=float(traj.times[int(np.argmax(suffix_ok))]) if settled else None,
-        tail_max_zeta_norm=float(tail_levels.max()),
-        worst_agent=int(np.argmax(tail_levels.max(axis=0))) + 1,
-        gains_converged=bool(converged.all()),
+        tail_max_zeta_norm=float(tail_norms.max()),
+        worst_agent=int(np.argmax(tail_norms.max(axis=0))) + 1,
+        gains_converged=gains_converged,
         n_converged=int(converged.sum()),
         max_final_gain=float(traj.gains[-1].max()),
         max_gain_variation=float(variation.max()),
+        passed=bound_ok and gains_converged and (settled or not require_settled),
     )
 
 
@@ -111,7 +111,7 @@ def summary_text(s):
     return "\n".join(lines)
 
 
-REPORT_CSV_HEADER = [f.name for f in fields(RunSummary)] + ["passed"]
+REPORT_CSV_HEADER = [f.name for f in fields(RunSummary)]
 
 
 def _csv_cell(value):

@@ -11,6 +11,7 @@ import csv
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,14 @@ class SchemaError(ValueError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+# what a verb may raise on refusing to run or finish: exit status and stderr prefix
+REFUSALS = {
+    SchemaError: (2, "config error"),
+    AssumptionError: (3, "assumption violated"),
+    sim.DivergenceError: (4, "simulation diverged"),
+}
 
 
 def _vicsek_preset(generation, directed, d=0.5, kind="chirp", t_end=30.0, record_every=10):
@@ -104,10 +113,9 @@ def preset_config(name):
 def load_config(source):
     """Raw config from a YAML file path or a preset name; returns (dict, default name)."""
     path = Path(source)
-    if path.exists():
+    if path.is_file():
         try:
-            with open(path) as fh:
-                raw = yaml.safe_load(fh)
+            raw = yaml.safe_load(path.read_bytes())  # bytes: a bad encoding is a YAML error
         except yaml.YAMLError as exc:
             raise SchemaError("config", f"not valid YAML: {exc}") from None
         if not isinstance(raw, dict):
@@ -320,43 +328,40 @@ def normalize_config(raw, default_name="run"):
     return out
 
 
+@contextmanager
+def _refused(path):
+    """Turn a bad value or an unreadable file met inside into a SchemaError on path."""
+    try:
+        yield
+    except AssumptionError:  # a ValueError too, but exit 3
+        raise
+    except (ValueError, OSError) as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
 def _build_model(mcfg):
     if mcfg.get("preset") == "triple-integrator":
         return linalg.triple_integrator()
-    try:
+    with _refused("model"):
         return linalg.AgentModel(np.array(mcfg["A"]), np.array(mcfg["B"]), np.array(mcfg["E"]))
-    except AssumptionError:
-        raise
-    except ValueError as exc:
-        raise SchemaError("model", str(exc)) from None
 
 
 def _build_graph(gcfg):
     kind = gcfg["kind"]
-    try:
+    if kind == "edge-list":
+        with _refused("graph.path"):
+            return graphmod.read_edge_list(gcfg["path"])
+    with _refused("graph"):
         if kind == "vicsek":
             return graphmod.vicsek_fractal(gcfg["generation"], gcfg["directed"])
-        if kind == "circulant":
-            return graphmod.circulant(gcfg["n"], gcfg["offsets"], gcfg["directed"])
-        return graphmod.read_edge_list(gcfg["path"])
-    except FileNotFoundError as exc:
-        raise SchemaError("graph.path", str(exc)) from None
-    except ValueError as exc:
-        raise SchemaError("graph", str(exc)) from None
+        return graphmod.circulant(gcfg["n"], gcfg["offsets"], gcfg["directed"])
 
 
 def _build_signal(dcfg):
-    kind = dcfg["kind"]
-    if kind == "zero":
-        return sigs.zero_signal()
-    if kind == "chirp":
-        return sigs.chirp_signal()
-    if kind == "sawtooth":
-        return sigs.sawtooth_signal()
-    try:
-        return sigs.load_table(dcfg["path"])
-    except (FileNotFoundError, ValueError) as exc:
-        raise SchemaError("disturbance.path", str(exc)) from None
+    if dcfg["kind"] == "custom-table":
+        with _refused("disturbance.path"):
+            return sigs.load_table(dcfg["path"])
+    return {"zero": sigs.zero_signal, "chirp": sigs.chirp_signal, "sawtooth": sigs.sawtooth_signal}[dcfg["kind"]]()
 
 
 def build_experiment(norm):
@@ -379,14 +384,12 @@ def build_experiment(norm):
     if proto.get("delta") is None:
         spec = protocol.spec_from_deadzone(proto["d"], riccati.P)
     else:
-        try:
+        with _refused("protocol.d"):
             spec = protocol.make_spec(proto["delta"], riccati.P, proto.get("d"))
-        except ValueError as exc:
-            raise SchemaError("protocol.d", str(exc)) from None
     params = protocol.ProtocolParams(riccati.P, model.B, spec)
     integ = norm["integration"]
     signal = _build_signal(norm["disturbance"])
-    try:
+    with _refused("config"):
         cfg = sim.SimConfig(
             model=model,
             graph=graph,
@@ -398,10 +401,6 @@ def build_experiment(norm):
             dt=integ["dt"],
             record_every=integ["record_every"],
         )
-    except AssumptionError:
-        raise
-    except ValueError as exc:
-        raise SchemaError("config", str(exc)) from None
     return cfg, norm["checks"], norm["name"]
 
 
@@ -433,9 +432,7 @@ def _write_artifacts(outdir, norm, traj, summary):
         with open(outdir / "report.txt", "w") as fh:
             fh.write(analysis.summary_text(summary) + "\n")
         with open(outdir / "report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(analysis.REPORT_CSV_HEADER)
-            writer.writerow(analysis.summary_csv_row(summary))
+            csv.writer(fh).writerows([analysis.REPORT_CSV_HEADER, analysis.summary_csv_row(summary)])
     sim.write_metadata(
         outdir / "metadata.yaml",
         {"version": __version__, "seed": norm["integration"]["seed"], "config": norm},
@@ -445,28 +442,19 @@ def _write_artifacts(outdir, norm, traj, summary):
 def _run_one(norm):
     cfg, checks, name = build_experiment(norm)
     traj = sim.simulate(cfg)
-    summary = analysis.summarize(
-        traj,
-        bound=checks["bound"],
-        tail_fraction=checks["tail_fraction"],
-        tol=checks["tol"],
-        label=name,
-    )
-    ok = summary.passed and (summary.settled or not checks["require_settled"])
-    return norm, traj, summary, ok
+    return traj, analysis.summarize(traj, label=name, **checks)
 
 
 def cmd_run(args):
     raw, default_name = load_config(args.config)
     norm = normalize_config(_with_flags(raw, args), default_name)
     norm.pop("sweep", None)
-    norm, traj, summary, ok = _run_one(norm)
+    traj, summary = _run_one(norm)
     outdir = _resolve_outdir(args, norm["name"], norm["output"])
     _write_artifacts(outdir, norm, traj, summary)
     if not args.quiet:
-        print(analysis.summary_text(summary))
-        print(f"artifacts written to {outdir}")
-    return 0 if ok else 1
+        _say(analysis.summary_text(summary), f"artifacts written to {outdir}")
+    return 0 if summary.passed else 1
 
 
 def cmd_sweep(args):
@@ -482,32 +470,25 @@ def cmd_sweep(args):
 
     rows = []
     lines = []
-    all_ok = True
     for idx, overrides in enumerate(entries):
         try:
             merged = _with_flags(_deep_merge(base_raw, overrides), args)
             norm = normalize_config(merged, f"{base_norm['name']}_{idx:02d}")
             norm.pop("sweep", None)
-            norm, traj, summary, ok = _run_one(norm)
+            traj, summary = _run_one(norm)
             _write_artifacts(outdir / norm["name"], norm, traj, summary)
-            rows.append([str(idx), "pass" if ok else "fail"] + analysis.summary_csv_row(summary))
-            lines.append(f"[{idx}] {norm['name']}: {'PASS' if ok else 'FAIL'}")
-            all_ok = all_ok and ok
-        except (SchemaError, AssumptionError, sim.DivergenceError) as exc:
+            rows.append([str(idx), "pass" if summary.passed else "fail"] + analysis.summary_csv_row(summary))
+            lines.append(f"[{idx}] {norm['name']}: {'PASS' if summary.passed else 'FAIL'}")
+        except tuple(REFUSALS) as exc:
             rows.append([str(idx), f"error: {exc}"] + [""] * len(analysis.REPORT_CSV_HEADER))
             lines.append(f"[{idx}] error: {exc}")
-            all_ok = False
     with open(outdir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entry", "status"] + analysis.REPORT_CSV_HEADER)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([["entry", "status"] + analysis.REPORT_CSV_HEADER] + rows)
     with open(outdir / "report.txt", "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        fh.write("\n".join(lines) + "\n")
     if not args.quiet:
-        for line in lines:
-            print(line)
-        print(f"sweep artifacts written to {outdir}")
-    return 0 if all_ok else 1
+        _say(*lines, f"sweep artifacts written to {outdir}")
+    return 0 if all(row[1] == "pass" for row in rows) else 1
 
 
 def _deep_merge(base, override):
@@ -525,7 +506,7 @@ def cmd_check(args):
     cfg, checks, name = build_experiment(normalize_config(_with_flags(raw, args), default_name))
     if not args.quiet:
         spec = cfg.params.spec
-        print(
+        _say(
             f"config ok: {name}: {cfg.graph.n_nodes} agents, d={spec.d:.6g}, "
             f"delta={spec.delta:.6g}, delta_bar={spec.delta_bar:.6g}, "
             f"t_end={cfg.t_end:.6g}, dt={cfg.dt:.6g}"
@@ -535,17 +516,16 @@ def cmd_check(args):
 
 def cmd_list_presets(args):
     width = max(len(name) for name in PRESETS)
-    for name in sorted(PRESETS):
-        print(f"{name:<{width}}  {PRESETS[name][0]}")
+    _say(*(f"{name:<{width}}  {PRESETS[name][0]}" for name in sorted(PRESETS)))
     return 0
 
 
 def cmd_table1(args):
-    print(f"{'N':>5}  {'generation':>10}  {'lambda_2':>10}")
+    _say(f"{'N':>5}  {'generation':>10}  {'lambda_2':>10}")
     for g in (1, 2, 3):
         graph = graphmod.vicsek_fractal(g, directed=False)
         lam = graphmod.algebraic_connectivity(graph)
-        print(f"{graph.n_nodes:>5}  {g:>10}  {lam:>10.6f}")
+        _say(f"{graph.n_nodes:>5}  {g:>10}  {lam:>10.6f}")
     return 0
 
 
@@ -594,19 +574,22 @@ def build_parser():
     return parser
 
 
+def _say(*lines):
+    """Print lines to stdout; a reader that went away (`| head`) does not change the exit status."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:  # later writes, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except AssumptionError as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return 3
-    except sim.DivergenceError as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
-        return 4
+    except tuple(REFUSALS) as exc:
+        code, prefix = next(v for kind, v in REFUSALS.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint():

@@ -123,15 +123,15 @@ def _vicsek_cells(generation):
 
 def _orient_from(W, root):
     # breadth-first arborescence: keep only tree edges, pointed away from
-    # the root; receiver convention puts W[child, parent] = 1
-    n = W.shape[0]
+    # the root; receiver convention puts W[child, parent] = 1. W is
+    # symmetric, so each node's successors are its neighbours, ascending
+    succ = _successors(W)
     A = np.zeros_like(W)
     seen = {root}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in np.nonzero(W[u] > 0)[0]:
-            v = int(v)
+        for v in succ[u]:
             if v not in seen:
                 seen.add(v)
                 A[v, u] = 1.0
@@ -191,11 +191,11 @@ def circulant(n, offsets, directed=True):
     if offs[0] < 1 or offs[-1] > n - 1:
         raise ValueError(f"offsets must lie in [1, {n - 1}]")
     W = np.zeros((n, n))
-    for i in range(n):
-        for k in offs:
-            W[i, (i + k) % n] = 1.0
-    if not directed:
-        W = np.maximum(W, W.T)
+    i = np.arange(n)
+    for k in offs:
+        W[i, (i + k) % n] = 1.0
+        if not directed:
+            W[(i + k) % n, i] = 1.0
     return WeightedDigraph(W)
 
 
@@ -236,12 +236,10 @@ def write_edge_list(g, path):
     First line is ``nodes N``; each edge follows as ``from to weight``
     with 1-based indices.
     """
-    lines = [f"nodes {g.n_nodes}"]
     W = g.weights
-    for i in range(g.n_nodes):
-        for j in range(g.n_nodes):
-            if W[i, j] > 0:
-                lines.append(f"{j + 1} {i + 1} {W[i, j].item()!r}")
+    lines = [f"nodes {g.n_nodes}"]
+    # nonzero scans row-major, so edges come out by receiver, then sender
+    lines += [f"{j + 1} {i + 1} {W[i, j].item()!r}" for i, j in zip(*np.nonzero(W > 0))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

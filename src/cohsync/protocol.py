@@ -57,11 +57,11 @@ def minimal_delta(d, P):
 
 
 class ProtocolParams:
-    """Precomputed gain matrices of the protocol.
+    """Precomputed gain matrix of the protocol.
 
-    BtP = B'P steers the control, PBBtP = P B B' P drives gain growth;
-    both are cached so the inner simulation loop touches no matrix
-    products beyond one matvec per agent.
+    BtP = B'P steers the control, and its output's squared norm drives
+    gain growth; it is cached so the inner simulation loop touches no
+    matrix products beyond one matvec per agent.
     """
 
     def __init__(self, P, B, spec):
@@ -75,7 +75,6 @@ class ProtocolParams:
             raise ValueError("spec must be a CoherenceSpec")
         self.P = P
         self.BtP = B.T @ P
-        self.PBBtP = self.BtP.T @ self.BtP
         self.spec = spec
 
     @property
@@ -105,16 +104,21 @@ def zeta(L, x):
     return L @ x
 
 
+def levels(zetas, params):
+    """Levels zeta_i' P zeta_i over the last axis; leading axes are kept."""
+    return np.einsum("...j,...j->...", zetas, zetas @ params.P)
+
+
 def gain_rates(zetas, params):
     """Adaptation rates for all agents at once.
 
-    Row i yields zeta_i' PBB'P zeta_i while zeta_i' P zeta_i >= d (the
-    boundary counts as active) and exactly 0.0 inside the deadzone.
+    Row i yields |B'P zeta_i|^2 while zeta_i' P zeta_i >= d (the boundary
+    counts as active) and exactly 0.0 inside the deadzone; as a sum of
+    squares a rate is never negative.
     """
     Z = np.atleast_2d(np.asarray(zetas, dtype=float))
-    V = np.einsum("ij,ij->i", Z, Z @ params.P)
-    growth = np.einsum("ij,ij->i", Z, Z @ params.PBBtP)
-    return np.where(V >= params.spec.d, growth, 0.0)
+    Y = Z @ params.BtP.T
+    return np.where(levels(Z, params) >= params.spec.d, (Y * Y).sum(axis=-1), 0.0)
 
 
 def control_all(rho, zetas, params):

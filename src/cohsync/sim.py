@@ -8,7 +8,7 @@ import yaml
 from . import signals as sigs
 from .graph import WeightedDigraph, has_directed_spanning_tree, laplacian
 from .linalg import AgentModel, AssumptionError, is_stabilizable
-from .protocol import ProtocolParams, control_all, gain_rates
+from .protocol import ProtocolParams, control_all, gain_rates, levels
 
 STATE_LIMIT = 1e12  # abort threshold for any state entry
 
@@ -52,6 +52,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step dt")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is not a finite step count")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be >= 1")
         N = self.graph.n_nodes
@@ -71,9 +73,9 @@ class SimConfig:
             raise ValueError("protocol matrices do not match the model state dimension")
         sig = self.disturbance
         if sig.table_times is not None:
-            # simulate integrates to round(t_end / dt) steps and asks for labels 1..N
+            # simulate integrates self.steps steps and asks for labels 1..N
             t0, t1 = float(sig.table_times[0]), float(sig.table_times[-1])
-            horizon = int(round(self.t_end / self.dt)) * float(self.dt)
+            horizon = self.steps * float(self.dt)
             cols = sig.table_values.shape[1]
             label = N if sig.index_map is None else int(max(sig.index_map))
             if t0 > 0 or t1 < horizon or cols < label:
@@ -87,6 +89,11 @@ class SimConfig:
             raise AssumptionError("disturbance signal must have a finite amplitude bound")
         if not has_directed_spanning_tree(self.graph):
             raise AssumptionError("the communication graph has no directed spanning tree")
+
+    @property
+    def steps(self):
+        """Number of fixed steps simulate takes: t_end / dt, rounded."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -125,8 +132,7 @@ class Trajectory:
     @property
     def vi_values(self):
         """Levels zeta_i' P zeta_i, shape (S, N)."""
-        Z = self.zetas
-        return np.einsum("sij,sij->si", Z, Z @ self.config.params.P)
+        return levels(self.zetas, self.config.params)
 
 
 def default_initial_state(n_agents, n_states, seed, span=5.0):
@@ -156,14 +162,13 @@ def simulate(cfg):
     event detection is attempted (the gain rate is bounded, and the
     discontinuity enters the state dynamics only through the continuous
     gains, so the per-crossing error is O(dt) on a measure-zero set).
-    Gains are clamped at zero after each step to guard round-off.
+    Every rate is a sum of squares or zero, so no step lowers a gain.
     Samples are recorded every record_every steps plus the final state.
     """
     N = cfg.graph.n_nodes
     L = laplacian(cfg.graph)
     dt = float(cfg.dt)
     half = 0.5 * dt
-    steps = int(round(cfg.t_end / dt))
     every = int(cfg.record_every)
 
     x = np.asarray(cfg.x0, dtype=float).reshape(N, cfg.model.n).copy()
@@ -173,7 +178,7 @@ def simulate(cfg):
     # each step rebinds x and rho to fresh arrays, so the record keeps references
     times, states, gains = [], [], []
     t = 0.0
-    for k in range(steps):
+    for k in range(cfg.steps):
         if k % every == 0:
             times.append(t)
             states.append(x)
@@ -183,7 +188,7 @@ def simulate(cfg):
         k3x, k3r = rhs(cfg, L, t + half, x + half * k2x, rho + half * k2r)
         k4x, k4r = rhs(cfg, L, t + dt, x + dt * k3x, rho + dt * k3r)
         x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        rho = np.maximum(rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r), 0.0)
+        rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         t = (k + 1) * dt
         bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
         if bad.any():

@@ -181,6 +181,17 @@ def test_summarize_failing_run(bench_params):
     assert s.T is None
 
 
+def test_require_settled_joins_the_verdict(bench_params):
+    # the bound and the gains pass, but |zeta| = 2 sqrt(3) never settles below delta
+    traj = make_traj(np.arange(10.0), np.full((10, 1, 3), 2.0), params=bench_params, gains=np.ones((10, 1)))
+    loose = analysis.summarize(traj, bound=1e6)
+    strict = analysis.summarize(traj, bound=1e6, require_settled=True)
+    assert loose.passed and not loose.settled
+    assert not strict.passed
+    assert analysis.summary_text(strict).startswith("run run: FAIL")
+    assert analysis.summary_csv_row(strict)[analysis.REPORT_CSV_HEADER.index("passed")] == "0"
+
+
 def test_summary_text(bench_params):
     zetas = np.zeros((10, 2, 3))
     gains = np.full((10, 2), 1.0)

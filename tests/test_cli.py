@@ -237,6 +237,7 @@ def test_table_disturbance_runs_when_range_covers(tmp_path):
     assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 0
 
 
+OVERFLOWING_STEPS = {"dt": 1e-300, "t_end": 1e10}  # t_end / dt overflows to inf
 # inputs that must exit 2, as overrides of EDGE_LIST_CONFIG plus flags, with the
 # error each must name; the files they point to are written by `input_files`
 REFUSED_INPUTS = {
@@ -252,6 +253,18 @@ REFUSED_INPUTS = {
     ),
     "table short of an agent": (
         {"disturbance": {"kind": "custom-table", "path": "two_agents.csv"}}, [], "extrapolation is refused",
+    ),
+    "edge list is a directory": ({"graph": {"path": "a_directory"}}, [], "graph.path: [Errno 21] Is a directory"),
+    "table is a directory": (
+        {"disturbance": {"kind": "custom-table", "path": "a_directory"}},
+        [],
+        "disturbance.path: [Errno 21] Is a directory",
+    ),
+    "step count overflows": ({"integration": OVERFLOWING_STEPS}, [], "config: t_end / dt = "),
+    "step count overflows with a table": (
+        {"integration": OVERFLOWING_STEPS, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
+        [],
+        "not a finite step count",
     ),
 }
 EDGE_LIST_CONFIG = fast_passing_config(graph={"kind": "edge-list", "path": "chain_1.0.txt"})
@@ -269,6 +282,7 @@ def input_files(tmp_path, monkeypatch):
         (tmp_path / f"chain_{weight}.txt").write_text(f"nodes 3\n1 2 1.0\n2 3 {weight}\n")
     (tmp_path / "ends_0.0015.csv").write_text("t,w1,w2,w3\n0,0,0,0\n0.0015,0,0,0\n")
     (tmp_path / "two_agents.csv").write_text("t,w1,w2\n0,0,0\n6,0,0\n")
+    (tmp_path / "a_directory").mkdir()
     return tmp_path
 
 
@@ -304,6 +318,82 @@ def test_sweep_records_refused_inputs_and_runs_the_rest(input_files):
         assert got.startswith("error: ") and message in got
     last = f"exp_{len(cases) + 1:02d}"
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["exp_00", last]
+
+
+def test_config_with_a_bad_encoding_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_bytes(yaml.safe_dump(fast_passing_config()).encode() + b"name\xff\xfe: x\n")
+    assert cli.main(["check", str(path)]) == 2
+    assert "config error: config: not valid YAML" in capsys.readouterr().err
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "config error: config: not valid YAML" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_directory_named_like_a_preset_loads_the_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig3a").mkdir()
+    (tmp_path / "not_a_preset").mkdir()
+    assert cli.main(["check", "fig3a"]) == 0
+    assert "config ok: fig3a" in capsys.readouterr().out
+    # 0.05 s is too short for the checks to pass, but the preset runs
+    assert cli.main(["run", "fig3a", "--t-end", "0.05", "--out", "o", "--quiet"]) == 1
+    assert "run fig3a: FAIL" in (tmp_path / "o" / "report.txt").read_text()
+    assert cli.main(["check", "not_a_preset"]) == 2
+    assert "is neither a config file nor a preset name" in capsys.readouterr().err
+
+
+# bound and gains pass after 0.1 s, but the levels have not settled yet
+REQUIRE_SETTLED_CONFIG = {
+    "graph": {"kind": "vicsek", "generation": 1},
+    "protocol": {"d": 0.5},
+    "integration": {"t_end": 0.1},
+    "checks": {"bound": 1.0e6, "tol": 1.0e6, "require_settled": True},
+}
+
+
+def test_require_settled_verdict_agrees_everywhere(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, REQUIRE_SETTLED_CONFIG), "--out", str(out), "--quiet"]) == 1
+    assert (out / "report.txt").read_text().startswith("run exp: FAIL")
+    with open(out / "report.csv", newline="") as fh:
+        rec = next(csv.DictReader(fh))
+    assert (rec["bound_ok"], rec["gains_converged"], rec["settled"], rec["passed"]) == ("1", "1", "0", "0")
+    # the same run without require_settled passes, and the sweep reports both verdicts
+    cfg = dict(REQUIRE_SETTLED_CONFIG, sweep=[{}, {"checks": {"require_settled": False}}])
+    assert cli.main(["sweep", write_config(tmp_path, cfg, "sweep.yaml"), "--out", str(tmp_path / "s"), "--quiet"]) == 1
+    with open(tmp_path / "s" / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["status"], r["passed"]) for r in rows] == [("fail", "0"), ("pass", "1")]
+
+
+def script_env(**overrides):
+    """Environment for running the package from its source tree as `python -m cohsync.cli`."""
+    src = str(Path(cohsync.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **overrides}
+
+
+@pytest.mark.parametrize(
+    "cfg, status, env",
+    [
+        (fast_passing_config(), 0, {}),  # block-buffered stdout: the failure comes at the flush
+        (REQUIRE_SETTLED_CONFIG, 1, {"PYTHONUNBUFFERED": "1"}),  # unbuffered: it comes at the print
+    ],
+)
+def test_closed_stdout_keeps_the_verdict(tmp_path, cfg, status, env):
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cohsync.cli", "run", write_config(tmp_path, cfg), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=script_env(**env),
+    )
+    proc.stdout.close()  # the reader goes away before the run prints, as in `cohsync run ... | head -0`
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == status, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert (out / "report.txt").read_text().startswith(f"run exp: {'PASS' if status == 0 else 'FAIL'}")
 
 
 def test_sweep_without_entries_is_a_config_error(tmp_path, capsys):
@@ -344,11 +434,9 @@ def test_unreachable_one_state_mode_exits_3(tmp_path, capsys):
 
 
 def test_module_runs_as_a_script():
-    src = str(Path(cohsync.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cohsync.cli", "check", "fig3a"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=script_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "config ok: fig3a" in proc.stdout

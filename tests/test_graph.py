@@ -235,10 +235,18 @@ def test_relabel_rejects_non_permutation():
 
 
 def test_edge_list_file_round_trip(tmp_path):
-    for g in [graph.vicsek_fractal(2, directed=True), graph.circulant(5, [1, 2])]:
-        path = tmp_path / "g.txt"
+    path = tmp_path / "g.txt"
+    # the directed star: center node 3 sends to every other node
+    graph.write_edge_list(graph.vicsek_fractal(1, directed=True), path)
+    assert path.read_text() == "nodes 5\n3 1 1.0\n3 2 1.0\n3 4 1.0\n3 5 1.0\n"
+    weighted = graph.from_edge_list(3, [(2, 1, 0.5), (3, 1, 2.0), (1, 3, 1e-3)])
+    for g in [graph.vicsek_fractal(2, directed=True), graph.circulant(5, [1, 2]), weighted]:
         graph.write_edge_list(g, path)
         assert np.array_equal(graph.read_edge_list(path).weights, g.weights)
+        # edges are listed by receiver, then by sender, weights in repr
+        W, n = g.weights, g.n_nodes
+        edges = [f"{j + 1} {i + 1} {W[i, j].item()!r}" for i in range(n) for j in range(n) if W[i, j] > 0]
+        assert path.read_text() == "\n".join([f"nodes {g.n_nodes}", *edges]) + "\n"
 
 
 def test_edge_list_file_format(tmp_path):

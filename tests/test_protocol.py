@@ -59,11 +59,7 @@ def test_minimal_delta(benchmark_P):
 
 def test_params_cache_matches_definitions(benchmark_model, benchmark_P, bench_params):
     assert np.array_equal(bench_params.BtP, benchmark_model.B.T @ benchmark_P)
-    assert np.array_equal(bench_params.PBBtP, bench_params.BtP.T @ bench_params.BtP)
     assert (bench_params.n, bench_params.m) == (3, 1)
-    # the cached growth matrix is symmetric positive semidefinite
-    assert np.array_equal(bench_params.PBBtP, bench_params.PBBtP.T)
-    assert np.linalg.eigvalsh(bench_params.PBBtP)[0] >= -1e-12
 
 
 def test_params_validation(benchmark_P):
@@ -177,6 +173,16 @@ def test_control_example_and_linearity(bench_params):
     assert u[0] == pytest.approx(-2.0, abs=1e-9)
     # doubling the gain doubles the input bit for bit
     assert np.array_equal(protocol.control_all([4.0], z, bench_params)[0], 2.0 * u)
+
+
+def test_levels_keep_leading_axes(bench_params):
+    rng = np.random.default_rng(45)
+    Z = rng.normal(scale=2.0, size=(4, 6, 3))
+    V = protocol.levels(Z, bench_params)
+    assert V.shape == (4, 6)
+    expected = [[z @ bench_params.P @ z for z in sample] for sample in Z]
+    assert np.allclose(V, expected, rtol=1e-13, atol=0.0)
+    assert np.array_equal(V[2], protocol.levels(Z[2], bench_params))
 
 
 def test_vectorized_and_scalar_routes_agree(bench_params):

@@ -134,7 +134,8 @@ def test_permutation_equivariance(bench_setup):
 def test_gains_never_decrease(bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
     traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=5.0))
-    assert np.diff(traj.gains, axis=0).min() >= -1e-12
+    # every rate is a sum of squares or zero, so no step lowers a gain, not even by round-off
+    assert np.diff(traj.gains, axis=0).min() >= 0.0
     assert np.all(traj.gains >= 0.0)
 
 
@@ -187,6 +188,9 @@ def test_validate_rejections(bench_setup):
         sim.SimConfig(**{**ok, "dt": 0.0})
     with pytest.raises(ValueError, match="t_end"):
         sim.SimConfig(**{**ok, "t_end": 1e-4})
+    # 1e10 / 1e-300 overflows: refused when built, not as an OverflowError in simulate
+    with pytest.raises(ValueError, match="not a finite step count"):
+        sim.SimConfig(**{**ok, "t_end": 1e10, "dt": 1e-300})
     with pytest.raises(ValueError, match="record_every"):
         sim.SimConfig(**{**ok, "record_every": 0})
     with pytest.raises(ValueError, match="x0"):
@@ -215,6 +219,7 @@ def test_table_disturbance_must_cover_the_run(bench_setup):
     covers = signals.table_signal([0.0, 0.002], np.zeros((2, 5)))
     short = signals.table_signal([0.0, 0.0015], np.zeros((2, 5)))
     cfg = dict(model=bench_setup[0], graph=g, params=bench_setup[1], x0=np.zeros(15), t_end=0.0015)
+    assert sim.SimConfig(disturbance=covers, **cfg).steps == 2
     assert sim.simulate(sim.SimConfig(disturbance=covers, **cfg)).times[-1] == 0.002
     with pytest.raises(ValueError, match="extrapolation is refused"):
         sim.SimConfig(disturbance=short, **cfg)
