@@ -413,18 +413,22 @@ def _with_flags(raw, args):
 
 
 def _resolve_outdir(args, name, output_cfg):
+    """The output directory and the setting it comes from, for error messages."""
     if getattr(args, "out", None):
-        return Path(args.out)
+        return Path(args.out), "--out"
     env = os.environ.get(ENV_OUT)
     if env:
-        return Path(env) / name
-    if output_cfg.get("directory"):
-        return Path(output_cfg["directory"])
-    return Path("out") / name
+        return Path(env) / name, ENV_OUT
+    return Path(output_cfg.get("directory") or Path("out") / name), "output.directory"
+
+
+def _make_dir(path, source):
+    """Create an output directory; one that cannot be made (say, a file is in the way) is refused."""
+    with _refused(source):
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def _write_artifacts(outdir, norm, traj, summary):
-    outdir.mkdir(parents=True, exist_ok=True)
     formats = norm["output"]["formats"]
     if "trajectory" in formats:
         sim.write_trajectory_csv(traj, outdir / "trajectory.csv")
@@ -439,19 +443,22 @@ def _write_artifacts(outdir, norm, traj, summary):
     )
 
 
-def _run_one(norm):
+def _run_one(norm, outdir, source):
+    """Build the experiment and its output directory, then simulate, judge and write the artifacts."""
     cfg, checks, name = build_experiment(norm)
+    _make_dir(outdir, source)
     traj = sim.simulate(cfg)
-    return traj, analysis.summarize(traj, label=name, **checks)
+    summary = analysis.summarize(traj, label=name, **checks)
+    _write_artifacts(outdir, norm, traj, summary)
+    return summary
 
 
 def cmd_run(args):
     raw, default_name = load_config(args.config)
     norm = normalize_config(_with_flags(raw, args), default_name)
     norm.pop("sweep", None)
-    traj, summary = _run_one(norm)
-    outdir = _resolve_outdir(args, norm["name"], norm["output"])
-    _write_artifacts(outdir, norm, traj, summary)
+    outdir, source = _resolve_outdir(args, norm["name"], norm["output"])
+    summary = _run_one(norm, outdir, source)
     if not args.quiet:
         _say(analysis.summary_text(summary), f"artifacts written to {outdir}")
     return 0 if summary.passed else 1
@@ -465,8 +472,8 @@ def cmd_sweep(args):
         raise SchemaError("sweep", "cohsync sweep needs a nonempty list of override mappings")
     # an entry without its own name runs as <name>_<idx>, never under the base name
     base_raw = {k: v for k, v in raw.items() if k not in ("sweep", "name")}
-    outdir = _resolve_outdir(args, base_norm["name"], base_norm["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, source = _resolve_outdir(args, base_norm["name"], base_norm["output"])
+    _make_dir(outdir, source)
 
     rows = []
     lines = []
@@ -475,8 +482,7 @@ def cmd_sweep(args):
             merged = _with_flags(_deep_merge(base_raw, overrides), args)
             norm = normalize_config(merged, f"{base_norm['name']}_{idx:02d}")
             norm.pop("sweep", None)
-            traj, summary = _run_one(norm)
-            _write_artifacts(outdir / norm["name"], norm, traj, summary)
+            summary = _run_one(norm, outdir / norm["name"], source)
             rows.append([str(idx), "pass" if summary.passed else "fail"] + analysis.summary_csv_row(summary))
             lines.append(f"[{idx}] {norm['name']}: {'PASS' if summary.passed else 'FAIL'}")
         except tuple(REFUSALS) as exc:

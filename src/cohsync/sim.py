@@ -1,12 +1,13 @@
 """Closed-loop network simulation: fixed-step integration, stage-wise deadzone."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
 
 from . import signals as sigs
-from .graph import WeightedDigraph, has_directed_spanning_tree, laplacian
+from .graph import LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
 from .linalg import AgentModel, AssumptionError, is_stabilizable
 from .protocol import ProtocolParams, control_all, gain_rates, levels
 
@@ -95,6 +96,13 @@ class SimConfig:
         """Number of fixed steps simulate takes: t_end / dt, rounded."""
         return int(round(self.t_end / self.dt))
 
+    @cached_property
+    def agents(self):
+        """The 1-based agent labels 1..N, the disturbance's row index; built once."""
+        labels = np.arange(1, self.graph.n_nodes + 1)
+        labels.setflags(write=False)
+        return labels
+
 
 @dataclass
 class Trajectory:
@@ -122,7 +130,7 @@ class Trajectory:
     @property
     def zetas(self):
         """Disagreements zeta_i = sum_j l_ij x_j, shape (S, N, n)."""
-        return laplacian(self.config.graph) @ self.states
+        return LaplacianOperator(self.config.graph)(self.states)
 
     @property
     def controls(self):
@@ -145,12 +153,12 @@ def rhs(cfg, L, t, x, rho):
     """Time derivative (xdot, rho rates) of the closed loop at time t.
 
     x holds one agent state per row, shape (N, n), rho the N gains; L is
-    the graph Laplacian, built once by the caller.
+    the graph's LaplacianOperator, built once by the caller.
     """
-    Z = L @ x
+    Z = L(x)
     rates = gain_rates(Z, cfg.params)
     U = control_all(rho, Z, cfg.params)
-    w = sigs.evaluate_all(cfg.disturbance, np.arange(1, x.shape[0] + 1), t)
+    w = sigs.evaluate_all(cfg.disturbance, cfg.agents, t)
     model = cfg.model
     return x @ model.A.T + U @ model.B.T + w[:, None] * model.E.T, rates
 
@@ -163,10 +171,12 @@ def simulate(cfg):
     discontinuity enters the state dynamics only through the continuous
     gains, so the per-crossing error is O(dt) on a measure-zero set).
     Every rate is a sum of squares or zero, so no step lowers a gain.
+    The coupling L x is applied by one graph.LaplacianOperator, built here
+    once: a dense product on small graphs, per edge on large ones.
     Samples are recorded every record_every steps plus the final state.
     """
     N = cfg.graph.n_nodes
-    L = laplacian(cfg.graph)
+    L = LaplacianOperator(cfg.graph)
     dt = float(cfg.dt)
     half = 0.5 * dt
     every = int(cfg.record_every)
@@ -190,8 +200,8 @@ def simulate(cfg):
         x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         t = (k + 1) * dt
-        bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
-        if bad.any():
+        if not np.abs(x).max() <= STATE_LIMIT:  # NaN fails the comparison too
+            bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
             agent = int(np.argmax(bad)) + 1
             raise DivergenceError(
                 f"state diverged for agent {agent} at t={t:.6g} "

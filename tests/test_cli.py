@@ -113,6 +113,21 @@ def test_outdir_resolution(tmp_path, monkeypatch):
     assert (env_base / "envrun" / "trajectory.csv").exists()
 
 
+def test_out_naming_a_file_is_refused_before_simulating(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.sim, "simulate", never)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    cfg_path = write_config(tmp_path, fast_passing_config(sweep=[{}]))
+    for verb in ("run", "sweep"):
+        assert cli.main([verb, cfg_path, "--out", str(afile), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
 def test_outdir_from_config(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_OUT, raising=False)
     target = tmp_path / "fromcfg"
@@ -261,6 +276,8 @@ REFUSED_INPUTS = {
         "disturbance.path: [Errno 21] Is a directory",
     ),
     "step count overflows": ({"integration": OVERFLOWING_STEPS}, [], "config: t_end / dt = "),
+    # numpy refuses a 71 PiB matrix at once, without touching memory
+    "huge node count": ({"graph": {"path": "huge.txt"}}, [], "graph.path: 100000000 nodes need a dense"),
     "step count overflows with a table": (
         {"integration": OVERFLOWING_STEPS, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
         [],
@@ -283,6 +300,7 @@ def input_files(tmp_path, monkeypatch):
     (tmp_path / "ends_0.0015.csv").write_text("t,w1,w2,w3\n0,0,0,0\n0.0015,0,0,0\n")
     (tmp_path / "two_agents.csv").write_text("t,w1,w2\n0,0,0\n6,0,0\n")
     (tmp_path / "a_directory").mkdir()
+    (tmp_path / "huge.txt").write_text("nodes 100000000\n1 2 1.0\n")
     return tmp_path
 
 

@@ -30,6 +30,91 @@ def test_laplacian_row_sums_exactly_zero():
         assert np.all(graph.laplacian(g).sum(axis=1) == 0.0)
 
 
+# L x summed per edge against the dense row order: the two may differ by
+# rounding wherever a node has more than one in-neighbour
+ORDER_TOL = 1e-14
+
+
+def both_paths(g, monkeypatch):
+    """The operator of g built densely, then per edge."""
+    ops = []
+    for threshold in (g.n_nodes + 1, g.n_nodes):
+        monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
+        ops.append(graph.LaplacianOperator(g))
+    assert ops[0].dense is not None and ops[1].dense is None
+    return ops
+
+
+def assert_applies_laplacian(g, x, monkeypatch, exact):
+    ref = graph.laplacian(g) @ x
+    for op in both_paths(g, monkeypatch):
+        got = op(x)
+        assert got.shape == x.shape
+        if exact:
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))  # zeros keep their sign too
+        else:
+            assert np.abs(got - ref).max() <= ORDER_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("generation", [2, 3, 4])
+def test_operator_is_bit_identical_on_directed_fractals(monkeypatch, generation):
+    g = graph.vicsek_fractal(generation, directed=True)
+    x = np.random.default_rng(generation).uniform(-5, 5, (g.n_nodes, 3))
+    assert_applies_laplacian(g, x, monkeypatch, exact=True)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph.vicsek_fractal(3), graph.vicsek_fractal(4), graph.circulant(601, [1, 2], directed=False)],
+    ids=["undirected-3", "undirected-4", "circulant-601"],
+)
+def test_operator_within_order_tolerance_on_undirected_graphs(monkeypatch, g):
+    x = np.random.default_rng(g.n_nodes).uniform(-5, 5, (g.n_nodes, 3))
+    assert_applies_laplacian(g, x, monkeypatch, exact=False)
+
+
+def test_operator_on_a_weighted_edge_list(monkeypatch):
+    edges = [(1, 2, 0.5), (3, 2, 2.5), (2, 4, 1e-3), (5, 6, 7.0), (4, 6, 0.25), (1, 5, 3.0), (6, 1, 1.5)]
+    g = graph.from_edge_list(6, edges)
+    x = np.random.default_rng(6).uniform(-5, 5, (6, 2))
+    assert_applies_laplacian(g, x, monkeypatch, exact=False)
+
+
+def test_operator_root_without_in_edges_is_plus_zero(monkeypatch):
+    # the directed star's center (node 3) listens to nobody; negative
+    # states make 0 * x a negative zero, which must not surface
+    g = graph.vicsek_fractal(1, directed=True)
+    x = -np.arange(1.0, 16.0).reshape(5, 3)
+    assert_applies_laplacian(g, x, monkeypatch, exact=True)
+    for op in both_paths(g, monkeypatch):
+        assert np.all(op(x)[2] == 0.0) and not np.signbit(op(x)[2]).any()
+
+
+def test_operator_node_hearing_every_other(monkeypatch):
+    # node 1 has in-degree N - 1; the rest hear only node 1
+    N = 40
+    edges = [(j, 1, 1.0 + j / N) for j in range(2, N + 1)] + [(1, j, 0.5) for j in range(2, N + 1)]
+    g = graph.from_edge_list(N, edges)
+    x = np.random.default_rng(N).uniform(-5, 5, (N, 3))
+    assert_applies_laplacian(g, x, monkeypatch, exact=False)
+
+
+def test_operator_on_stacked_states(monkeypatch):
+    for g, exact in ((graph.vicsek_fractal(4, directed=True), True), (graph.vicsek_fractal(3), False)):
+        x = np.random.default_rng(1).uniform(-5, 5, (2, 4, g.n_nodes, 3))
+        assert_applies_laplacian(g, x, monkeypatch, exact)
+        for op in both_paths(g, monkeypatch):
+            stacked = op(x)
+            for idx in np.ndindex(2, 4):
+                assert np.array_equal(stacked[idx], op(x[idx]))
+
+
+def test_operator_path_follows_the_node_count():
+    assert graph.LaplacianOperator(graph.vicsek_fractal(3)).dense is not None
+    assert graph.LaplacianOperator(graph.vicsek_fractal(4)).dense is None
+
+
 def test_digraph_validation():
     with pytest.raises(ValueError):
         graph.WeightedDigraph([[0.0, -1.0], [0.0, 0.0]])

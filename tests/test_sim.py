@@ -37,7 +37,7 @@ def test_rhs_hand_checked_two_node_chain():
     g = graph.from_edge_list(2, [(1, 2, 1.0)])
     cfg = sim.SimConfig(model=model, graph=g, params=params,
                         disturbance=signals.zero_signal(), x0=[0.0, 1.0])
-    L = graph.laplacian(g)
+    L = graph.LaplacianOperator(g)
     xdot, rates = sim.rhs(cfg, L, 0.0, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     # agent 2 sees zeta = 1: u = -1, xdot = -1, gain grows at 1
     assert np.array_equal(xdot, np.array([[0.0], [-1.0]]))
@@ -50,7 +50,7 @@ def test_rhs_equal_states_coast(bench_setup):
     x = np.tile(np.array([3.0, -2.0, 5.0]), (5, 1))
     cfg = sim.SimConfig(model=model, graph=g, params=params,
                         disturbance=signals.zero_signal(), x0=x.reshape(-1))
-    xdot, rates = sim.rhs(cfg, graph.laplacian(g), 0.0, x, np.zeros(5))
+    xdot, rates = sim.rhs(cfg, graph.LaplacianOperator(g), 0.0, x, np.zeros(5))
     expected = np.tile(model.A @ np.array([3.0, -2.0, 5.0]), (5, 1))
     assert np.array_equal(xdot, expected)
     assert np.all(rates == 0.0)
@@ -169,6 +169,40 @@ def test_divergence_guard_reports_agent_and_keeps_partial():
     assert part is not None
     assert part.n_samples >= 1
     assert part.times[-1] < err.value.time
+
+
+def test_edge_path_simulation_matches_a_dense_loop(bench_setup):
+    # 601 agents take the per-edge Laplacian; on a tree it rounds as L @ x does
+    g = graph.vicsek_fractal(4, directed=True)
+    assert g.n_nodes >= graph.EDGE_PATH_NODES
+    cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.05, record_every=10)
+    traj = sim.simulate(cfg)
+
+    model, params = bench_setup
+    L = graph.laplacian(g)
+    agents = np.arange(1, g.n_nodes + 1)
+
+    def f(t, x, rho):
+        Z = L @ x
+        u = protocol.control_all(rho, Z, params)
+        w = signals.evaluate_all(cfg.disturbance, agents, t)
+        return x @ model.A.T + u @ model.B.T + w[:, None] * model.E.T, protocol.gain_rates(Z, params)
+
+    dt = cfg.dt
+    x = cfg.x0.reshape(g.n_nodes, model.n)
+    rho = np.zeros(g.n_nodes)
+    for k in range(cfg.steps):
+        t = k * dt
+        k1x, k1r = f(t, x, rho)
+        k2x, k2r = f(t + 0.5 * dt, x + 0.5 * dt * k1x, rho + 0.5 * dt * k1r)
+        k3x, k3r = f(t + 0.5 * dt, x + 0.5 * dt * k2x, rho + 0.5 * dt * k2r)
+        k4x, k4r = f(t + dt, x + dt * k3x, rho + dt * k3r)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
+    assert np.array_equal(traj.states[-1], x)
+    assert np.array_equal(traj.gains[-1], rho)
+    assert np.array_equal(traj.zetas, L @ traj.states)
 
 
 def test_validate_rejections(bench_setup):
