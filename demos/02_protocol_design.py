@@ -24,13 +24,14 @@ def main():
     lam = linalg.min_eigenvalue_sym(sol.P)
     print(f"lambda_min(P): {lam:.12f}")
 
-    # pick the threshold, read off the level the analysis guarantees
-    spec = protocol.spec_from_deadzone(0.5, sol.P)
+    # pick the threshold, read off the level the analysis guarantees;
+    # the params form the spec from the P they run with
+    spec = protocol.ProtocolParams(sol.P, model.B, d=0.5).spec
     print(f"\nd=0.5 gives delta={spec.delta:.6f} (delta_bar={spec.delta_bar:.6f})")
 
     # or go the other way: a target level bounds the usable threshold
     target = 1.5
-    spec2 = protocol.make_spec(target, sol.P, d=0.5)
+    spec2 = protocol.ProtocolParams(sol.P, model.B, delta=target, d=0.5).spec
     print(f"delta={target} admits d up to {spec2.delta_bar:.6f}, using d={spec2.d}")
 
     # the smallest level any threshold can certify

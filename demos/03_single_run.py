@@ -16,8 +16,7 @@ def main():
     g = graph.vicsek_fractal(1, directed=True)
     model = linalg.triple_integrator()
     P = linalg.solve_care(model.A, model.B).P
-    spec = protocol.spec_from_deadzone(0.5, P)
-    params = protocol.ProtocolParams(P, model.B, spec)
+    params = protocol.ProtocolParams(P, model.B, d=0.5)
 
     cfg = sim.SimConfig(
         model=model,
@@ -38,6 +37,7 @@ def main():
     print(f"samples recorded:    {traj.times.size}")
     print(f"final gains:         {np.round(traj.gains[-1], 4)}")
     vi = traj.vi_values[-1]
+    spec = params.spec
     print(f"final max V_i:       {vi.max():.6f}  (deadzone d={spec.d}, delta_bar={spec.delta_bar})")
     print(f"final max |zeta_i|:  {np.linalg.norm(traj.zetas[-1], axis=1).max():.6f}  "
           f"(guaranteed level delta={spec.delta:.4f})")

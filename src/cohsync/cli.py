@@ -381,12 +381,8 @@ def build_experiment(norm):
             f"no certified stabilizing Riccati solution (residual {exc.residual:.3e})"
         ) from None
     proto = norm["protocol"]
-    if proto.get("delta") is None:
-        spec = protocol.spec_from_deadzone(proto["d"], riccati.P)
-    else:
-        with _refused("protocol.d"):
-            spec = protocol.make_spec(proto["delta"], riccati.P, proto.get("d"))
-    params = protocol.ProtocolParams(riccati.P, model.B, spec)
+    with _refused("protocol.d"):
+        params = protocol.ProtocolParams(riccati.P, model.B, d=proto.get("d"), delta=proto.get("delta"))
     integ = norm["integration"]
     signal = _build_signal(norm["disturbance"])
     with _refused("config"):
@@ -477,11 +473,15 @@ def cmd_sweep(args):
 
     rows = []
     lines = []
+    owners = {}  # entry directory -> the first entry to claim it
     for idx, overrides in enumerate(entries):
         try:
             merged = _with_flags(_deep_merge(base_raw, overrides), args)
             norm = normalize_config(merged, f"{base_norm['name']}_{idx:02d}")
             norm.pop("sweep", None)
+            owner = owners.setdefault((outdir / norm["name"]).resolve(), idx)
+            if owner != idx:
+                raise SchemaError(f"sweep[{idx}].name", f"{norm['name']!r} is already the directory of entry {owner}")
             summary = _run_one(norm, outdir / norm["name"], source)
             rows.append([str(idx), "pass" if summary.passed else "fail"] + analysis.summary_csv_row(summary))
             lines.append(f"[{idx}] {norm['name']}: {'PASS' if summary.passed else 'FAIL'}")

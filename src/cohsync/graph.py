@@ -110,27 +110,38 @@ def _successors(W):
     return out
 
 
+def _search(succ, root, seen):
+    # breadth-first from root through nodes not yet seen: marks each node
+    # it reaches and returns the tree edges (child, parent) in visiting order
+    seen[root] = 1
+    edges = []
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if not seen[v]:
+                seen[v] = 1
+                edges.append((v, u))
+                queue.append(v)
+    return edges
+
+
 def has_directed_spanning_tree(g):
-    """True if some root node has a directed path to every other node."""
+    """True if some root node has a directed path to every other node.
+
+    Searches from each node not yet reached, in turn. The reached set stays
+    closed under successors, so if any node reaches every other, the last
+    start does; one more search from it decides, in O(N + E).
+    """
     n = g.n_nodes
-    if n == 1:
-        return True
     succ = _successors(g.weights)
+    seen = bytearray(n)
+    last = 0
     for root in range(n):
-        seen = bytearray(n)
-        seen[root] = 1
-        count = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in succ[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        if count == n:
-            return True
-    return False
+        if not seen[root]:
+            _search(succ, root, seen)
+            last = root
+    return len(_search(succ, last, bytearray(n))) == n - 1
 
 
 def algebraic_connectivity(g):
@@ -173,17 +184,9 @@ def _orient_from(W, root):
     # breadth-first arborescence: keep only tree edges, pointed away from
     # the root; receiver convention puts W[child, parent] = 1. W is
     # symmetric, so each node's successors are its neighbours, ascending
-    succ = _successors(W)
     A = np.zeros_like(W)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                A[v, u] = 1.0
-                queue.append(v)
+    for child, parent in _search(_successors(W), root, bytearray(W.shape[0])):
+        A[child, parent] = 1.0
     return A
 
 

@@ -16,11 +16,14 @@ def _as_matrix(M, name):
     return M
 
 
-def is_stabilizable(A, B, tol=1e-8):
+PBH_TOL = 1e-8  # relative rank tolerance of the PBH test (see is_stabilizable)
+
+
+def is_stabilizable(A, B):
     """Eigenvector (PBH) test for stabilizability of the pair (A, B).
 
     For every eigenvalue of A with nonnegative real part, [A - lambda I, B]
-    must have full row rank. Singular values below ``tol`` times the
+    must have full row rank. Singular values at or below PBH_TOL times the
     larger of the largest one and the 2-norm of [A, B] count as zero; the
     norm keeps a one-state pair, whose [A - lambda I, B] has a single
     singular value, from passing for any nonzero B. A small guard band
@@ -32,10 +35,10 @@ def is_stabilizable(A, B, tol=1e-8):
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError("A must be square and B must have matching row count")
-    return not _pbh_defects(A, B, tol)
+    return not _pbh_defects(A, B)
 
 
-def _pbh_defects(A, B, tol=1e-8):
+def _pbh_defects(A, B):
     # eigenvalues at which [A - lambda I, B] loses row rank
     n = A.shape[0]
     scale = np.linalg.norm(np.hstack([A, B]), 2)
@@ -45,7 +48,7 @@ def _pbh_defects(A, B, tol=1e-8):
             continue
         M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
         s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= tol * max(s[0], scale):
+        if s[-1] <= PBH_TOL * max(s[0], scale):
             bad.append(complex(lam))
     return bad
 

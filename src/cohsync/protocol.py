@@ -16,39 +16,6 @@ class CoherenceSpec:
     d: float
 
 
-def make_spec(delta, P, d=None):
-    """Coherency spec from the target level delta and the design matrix P.
-
-    delta_bar = delta^2 * lambda_min(P); whenever zeta' P zeta <= delta_bar,
-    also |zeta| <= delta. A supplied threshold must satisfy
-    0 < d < delta_bar; when omitted it defaults to the midpoint delta_bar/2.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    lam = min_eigenvalue_sym(P)
-    delta_bar = float(delta) * float(delta) * lam
-    if d is None:
-        d = 0.5 * delta_bar
-    if not 0 < d < delta_bar:
-        raise ValueError(
-            f"deadzone threshold requires 0 < d < delta_bar, got d={d} with delta_bar={delta_bar:.6g}"
-        )
-    return CoherenceSpec(delta=float(delta), delta_bar=delta_bar, d=float(d))
-
-
-def spec_from_deadzone(d, P):
-    """Coherency spec for experiments that fix only the threshold d.
-
-    Picks the target level so the ellipsoid level sits at twice the
-    threshold (delta_bar = 2 d), which is the bound the tail checks use;
-    any delta at or above minimal_delta(d, P) would be admissible.
-    """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    lam = min_eigenvalue_sym(P)
-    return CoherenceSpec(delta=float(np.sqrt(2.0 * d / lam)), delta_bar=2.0 * float(d), d=float(d))
-
-
 def minimal_delta(d, P):
     """Smallest target level for which the threshold d is admissible."""
     if d <= 0:
@@ -57,25 +24,46 @@ def minimal_delta(d, P):
 
 
 class ProtocolParams:
-    """Precomputed gain matrix of the protocol.
+    """Precomputed gain matrix of the protocol, and the coherency spec of its P.
 
     BtP = B'P steers the control, and its output's squared norm drives
     gain growth; it is cached so the inner simulation loop touches no
     matrix products beyond one matvec per agent.
+
+    The spec is formed from this P: delta_bar = delta^2 lambda_min(P), so
+    zeta' P zeta <= delta_bar implies |zeta| <= delta, and 0 < d < delta_bar.
+    Given only d, delta_bar = 2 d, the bound the tail checks use; given
+    delta without d, d = delta_bar / 2.
     """
 
-    def __init__(self, P, B, spec):
+    def __init__(self, P, B, *, d=None, delta=None):
         P = np.asarray(P, dtype=float)
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be square")
         if B.shape[0] != P.shape[0]:
             raise ValueError("B must have as many rows as P")
-        if not isinstance(spec, CoherenceSpec):
-            raise ValueError("spec must be a CoherenceSpec")
+        lam = min_eigenvalue_sym(P)
+        if delta is None:
+            if d is None:
+                raise ValueError("the protocol needs d, delta, or both")
+            if d <= 0:
+                raise ValueError("d must be positive")
+            delta_bar = 2.0 * float(d)
+            delta = float(np.sqrt(2.0 * d / lam))
+        else:
+            if delta <= 0:
+                raise ValueError("delta must be positive")
+            delta_bar = float(delta) * float(delta) * lam
+            if d is None:
+                d = 0.5 * delta_bar
+            if not 0 < d < delta_bar:
+                raise ValueError(
+                    f"deadzone threshold requires 0 < d < delta_bar, got d={d} with delta_bar={delta_bar:.6g}"
+                )
         self.P = P
         self.BtP = B.T @ P
-        self.spec = spec
+        self.spec = CoherenceSpec(delta=float(delta), delta_bar=delta_bar, d=float(d))
 
     @property
     def n(self):

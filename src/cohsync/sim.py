@@ -143,10 +143,13 @@ class Trajectory:
         return levels(self.zetas, self.config.params)
 
 
-def default_initial_state(n_agents, n_states, seed, span=5.0):
-    """Seeded uniform initial states in [-span, span], stacked agent by agent."""
+INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
+
+
+def default_initial_state(n_agents, n_states, seed):
+    """Seeded uniform initial states in [-INITIAL_SPAN, INITIAL_SPAN], stacked agent by agent."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-span, span, size=(n_agents, n_states)).reshape(-1)
+    return rng.uniform(-INITIAL_SPAN, INITIAL_SPAN, size=(n_agents, n_states)).reshape(-1)
 
 
 def rhs(cfg, L, t, x, rho):

@@ -119,7 +119,7 @@ def _short_cfg(seed=7, t_end=2.0):
     g = graph.vicsek_fractal(1, directed=True)
     model = linalg.triple_integrator()
     P = linalg.solve_care(model.A, model.B).P
-    params = protocol.ProtocolParams(P, model.B, protocol.spec_from_deadzone(0.5, P))
+    params = protocol.ProtocolParams(P, model.B, d=0.5)
     return sim.SimConfig(
         model=model,
         graph=g,

@@ -11,14 +11,14 @@ from cohsync import analysis, graph, protocol, signals, sim
 def make_traj(times, zetas, gains=None, params=None, delta=1.0):
     """Stand-in with the attributes summarize reads, built from given disagreements.
 
-    Without params, P = I and the spec is make_spec(delta, I), so delta_bar = delta^2.
+    Without params, P = I and the spec is formed from delta alone, so delta_bar = delta^2.
     """
     times = np.asarray(times, dtype=float)
     zetas = np.asarray(zetas, dtype=float)
     S, N, n = zetas.shape
     gains = np.zeros((S, N)) if gains is None else np.asarray(gains, dtype=float)
     if params is None:
-        params = SimpleNamespace(P=np.eye(n), spec=protocol.make_spec(delta, np.eye(n)))
+        params = protocol.ProtocolParams(np.eye(n), np.eye(n), delta=delta)
     return SimpleNamespace(
         times=times, gains=gains, config=SimpleNamespace(params=params),
         n_samples=S, n_agents=N, zetas=zetas,
@@ -27,8 +27,7 @@ def make_traj(times, zetas, gains=None, params=None, delta=1.0):
 
 @pytest.fixture(scope="module")
 def bench_params(benchmark_model, benchmark_P):
-    spec = protocol.spec_from_deadzone(0.5, benchmark_P)
-    return protocol.ProtocolParams(benchmark_P, benchmark_model.B, spec)
+    return protocol.ProtocolParams(benchmark_P, benchmark_model.B, d=0.5)
 
 
 def test_coherence_levels_345():

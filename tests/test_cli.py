@@ -514,6 +514,30 @@ def test_sweep_entries_under_a_top_level_name_get_their_own_directories(tmp_path
     assert meta["config"]["integration"]["record_every"] == 25
 
 
+def test_sweep_entries_sharing_a_directory_are_refused(tmp_path):
+    # entry 2 runs as base_02 by default, so entry 3's explicit name collides with it;
+    # ./same names the same directory as same
+    cfg = fast_passing_config(name="base")
+    cfg["sweep"] = [
+        {"name": "same", "integration": {"seed": 1}},
+        {"name": "same", "integration": {"seed": 2}},
+        {"integration": {"seed": 3}},
+        {"name": "base_02", "integration": {"seed": 4}},
+        {"name": "./same", "integration": {"seed": 5}},
+    ]
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [r[1] for r in list(csv.reader(fh))[1:]]
+    assert status[1] == "error: sweep[1].name: 'same' is already the directory of entry 0"
+    assert status[3] == "error: sweep[3].name: 'base_02' is already the directory of entry 2"
+    assert status[4] == "error: sweep[4].name: './same' is already the directory of entry 0"
+    assert not status[0].startswith("error") and not status[2].startswith("error")
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["base_02", "same"]
+    for name, seed in (("same", 1), ("base_02", 3)):
+        assert yaml.safe_load((out / name / "metadata.yaml").read_text())["seed"] == seed
+
+
 def test_full_benchmark_preset_passes(tmp_path):
     out = tmp_path / "fig3a"
     assert cli.main(["run", "fig3a", "--out", str(out), "--quiet"]) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsync import graph
 
@@ -141,6 +143,11 @@ def test_spanning_tree_simple_cases():
     # two disjoint pairs: locally rooted but no global root
     g = graph.from_edge_list(4, [(1, 2, 1.0), (3, 4, 1.0)])
     assert not graph.has_directed_spanning_tree(g)
+    # two disjoint undirected 1,500-node rings, which a search per root took seconds to refuse
+    ring = [(k + 1, (k + 1) % 1500 + 1, 1.0) for k in range(1500)]
+    edges = ring + [(j, i, w) for i, j, w in ring]
+    edges += [(i + 1500, j + 1500, w) for i, j, w in edges]
+    assert not graph.has_directed_spanning_tree(graph.from_edge_list(3000, edges))
 
 
 def _reachability_has_root(g):
@@ -160,6 +167,40 @@ def test_spanning_tree_matches_reachability_oracle():
         np.fill_diagonal(W, 0.0)
         g = graph.WeightedDigraph(W)
         assert graph.has_directed_spanning_tree(g) == _reachability_has_root(g)
+
+
+def _rooted_by_some_search(W):
+    # reference: the earlier test, one depth-first search per candidate root, O(N (N + E))
+    n = W.shape[0]
+    succ = [np.flatnonzero(W[:, j] > 0).tolist() for j in range(n)]
+    for root in range(n):
+        seen = {root}
+        stack = [root]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) == n:
+            return True
+    return False
+
+
+@st.composite
+def weighted_digraphs(draw):
+    n = draw(st.integers(1, 10))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.1, 10.0))
+    W = np.zeros((n, n))
+    for i, j, w in draw(st.lists(edge, max_size=3 * n)):
+        if i != j:
+            W[i, j] = w
+    return W
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_digraphs())
+def test_spanning_tree_matches_the_search_from_every_root(W):
+    assert graph.has_directed_spanning_tree(graph.WeightedDigraph(W)) == _rooted_by_some_search(W)
 
 
 def test_spanning_tree_implies_single_zero_eigenvalue():

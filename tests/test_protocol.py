@@ -8,43 +8,47 @@ LAMBDA_MIN_REF = 0.6346522708156397
 
 @pytest.fixture(scope="module")
 def bench_params(benchmark_model, benchmark_P):
-    spec = protocol.spec_from_deadzone(0.5, benchmark_P)
-    return protocol.ProtocolParams(benchmark_P, benchmark_model.B, spec)
+    return protocol.ProtocolParams(benchmark_P, benchmark_model.B, d=0.5)
 
 
-def test_make_spec_identity_example():
-    spec = protocol.make_spec(2.0, np.eye(3))
+def spec_of(P, **given):
+    # the spec ProtocolParams forms from P, with a B that fits any P
+    return protocol.ProtocolParams(P, np.ones((len(P), 1)), **given).spec
+
+
+def test_spec_from_delta_identity_example():
+    spec = spec_of(np.eye(3), delta=2.0)
     assert spec.delta == 2.0
     assert spec.delta_bar == 4.0
     assert spec.d == 2.0  # defaults to the midpoint
 
 
-def test_make_spec_accepts_valid_threshold(benchmark_P):
-    spec = protocol.make_spec(1.0, benchmark_P, d=0.5)
+def test_spec_from_delta_accepts_valid_threshold(benchmark_P):
+    spec = spec_of(benchmark_P, delta=1.0, d=0.5)
     assert spec.d == 0.5
     assert spec.delta_bar == pytest.approx(LAMBDA_MIN_REF, abs=1e-9)
 
 
-def test_make_spec_rejections(benchmark_P):
+def test_spec_from_delta_rejections(benchmark_P):
     with pytest.raises(ValueError, match="delta must be positive"):
-        protocol.make_spec(0.0, benchmark_P)
+        spec_of(benchmark_P, delta=0.0)
     with pytest.raises(ValueError, match="0 < d < delta_bar"):
-        protocol.make_spec(1.0, benchmark_P, d=0.7)
+        spec_of(benchmark_P, delta=1.0, d=0.7)
     with pytest.raises(ValueError, match="0 < d < delta_bar"):
-        protocol.make_spec(1.0, benchmark_P, d=0.0)
+        spec_of(benchmark_P, delta=1.0, d=0.0)
     with pytest.raises(ValueError, match="0 < d < delta_bar"):
-        protocol.make_spec(1.0, benchmark_P, d=-0.1)
+        spec_of(benchmark_P, delta=1.0, d=-0.1)
 
 
-def test_spec_from_deadzone_level_convention(benchmark_P):
-    spec = protocol.spec_from_deadzone(0.5, benchmark_P)
+def test_spec_from_d_level_convention(benchmark_P):
+    spec = spec_of(benchmark_P, d=0.5)
     assert spec.delta_bar == 1.0  # exactly 2 d
     assert spec.d == 0.5
     # consistency with the forward construction
-    again = protocol.make_spec(spec.delta, benchmark_P, d=0.5)
+    again = spec_of(benchmark_P, delta=spec.delta, d=0.5)
     assert again.delta_bar == pytest.approx(spec.delta_bar, rel=1e-12)
-    with pytest.raises(ValueError):
-        protocol.spec_from_deadzone(0.0, benchmark_P)
+    with pytest.raises(ValueError, match="d must be positive"):
+        spec_of(benchmark_P, d=0.0)
 
 
 def test_minimal_delta(benchmark_P):
@@ -53,8 +57,8 @@ def test_minimal_delta(benchmark_P):
     assert got == pytest.approx(0.8876, abs=1e-4)
     # the smallest admissible level: anything below it rejects d
     with pytest.raises(ValueError):
-        protocol.make_spec(got * 0.999, benchmark_P, d=0.5)
-    assert protocol.make_spec(got * 1.001, benchmark_P, d=0.5).d == 0.5
+        spec_of(benchmark_P, delta=got * 0.999, d=0.5)
+    assert spec_of(benchmark_P, delta=got * 1.001, d=0.5).d == 0.5
 
 
 def test_params_cache_matches_definitions(benchmark_model, benchmark_P, bench_params):
@@ -63,13 +67,16 @@ def test_params_cache_matches_definitions(benchmark_model, benchmark_P, bench_pa
 
 
 def test_params_validation(benchmark_P):
-    spec = protocol.spec_from_deadzone(0.5, benchmark_P)
     with pytest.raises(ValueError):
-        protocol.ProtocolParams(np.ones((2, 3)), np.ones((2, 1)), spec)
+        protocol.ProtocolParams(np.ones((2, 3)), np.ones((2, 1)), d=0.5)
     with pytest.raises(ValueError):
-        protocol.ProtocolParams(benchmark_P, np.ones((2, 1)), spec)
+        protocol.ProtocolParams(benchmark_P, np.ones((2, 1)), d=0.5)
     with pytest.raises(ValueError):
-        protocol.ProtocolParams(benchmark_P, np.ones((3, 1)), spec="nope")
+        protocol.ProtocolParams(benchmark_P, np.ones((3, 1)), d=-0.5)
+    with pytest.raises(ValueError, match="needs d, delta, or both"):
+        protocol.ProtocolParams(benchmark_P, np.ones((3, 1)))
+    with pytest.raises(TypeError):  # a spec cannot be passed in, only d and delta by keyword
+        protocol.ProtocolParams(benchmark_P, np.ones((3, 1)), 0.5)
 
 
 def test_zeta_two_node_chain():
@@ -122,13 +129,11 @@ def test_gain_rate_active_example(bench_params):
 
 
 def test_gain_rate_boundary_counts_as_active():
-    spec = protocol.make_spec(2.0, np.eye(3), d=1.0)
-    params = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), spec)
+    params = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), delta=2.0, d=1.0)
     e1 = np.array([1.0, 0.0, 0.0])
     # V = 1.0 equals d exactly: the boundary belongs to the active side
     assert protocol.gain_rates(e1, params)[0] == 1.0
-    spec_above = protocol.make_spec(2.0, np.eye(3), d=1.0 + 1e-9)
-    params_above = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), spec_above)
+    params_above = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), delta=2.0, d=1.0 + 1e-9)
     assert protocol.gain_rates(e1, params_above)[0] == 0.0
 
 
@@ -147,7 +152,7 @@ def test_gain_rate_quadratic_identity(bench_params):
 def test_level_set_implies_norm_bound(benchmark_P):
     # inside the V ellipsoid at level delta_bar, the plain norm is at most delta
     rng = np.random.default_rng(17)
-    spec = protocol.spec_from_deadzone(0.5, benchmark_P)
+    spec = spec_of(benchmark_P, d=0.5)
     lam, U = np.linalg.eigh(benchmark_P)
     P_inv_half = U @ np.diag(lam ** -0.5) @ U.T
     for _ in range(500):

@@ -13,14 +13,12 @@ def scalar_params(d=0.5):
     # A=0, B=E=1: the Riccati solution is P=[1], everything hand-checkable
     model = linalg.AgentModel([[0.0]], [[1.0]], [[1.0]])
     P = np.array([[1.0]])
-    spec = protocol.spec_from_deadzone(d, P)
-    return model, protocol.ProtocolParams(P, model.B, spec)
+    return model, protocol.ProtocolParams(P, model.B, d=d)
 
 
 @pytest.fixture(scope="module")
 def bench_setup(benchmark_model, benchmark_P):
-    spec = protocol.spec_from_deadzone(0.5, benchmark_P)
-    return benchmark_model, protocol.ProtocolParams(benchmark_P, benchmark_model.B, spec)
+    return benchmark_model, protocol.ProtocolParams(benchmark_P, benchmark_model.B, d=0.5)
 
 
 def bench_cfg(bench_setup, g, signal, t_end=5.0, seed=7, record_every=10, **kw):
@@ -155,7 +153,7 @@ def test_divergence_guard_reports_agent_and_keeps_partial():
     # single unstable agent, no neighbours: x = 2 e^{5t} crosses 1e12 near t=5.4
     model = linalg.AgentModel([[5.0]], [[1.0]], [[1.0]])
     P = linalg.solve_care(model.A, model.B).P
-    params = protocol.ProtocolParams(P, model.B, protocol.spec_from_deadzone(0.5, P))
+    params = protocol.ProtocolParams(P, model.B, d=0.5)
     cfg = sim.SimConfig(
         model=model, graph=graph.WeightedDigraph(np.zeros((1, 1))), params=params,
         disturbance=signals.zero_signal(), x0=[2.0], t_end=10.0, dt=1e-3,
