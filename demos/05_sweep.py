@@ -1,10 +1,13 @@
 """Sweep the benchmark across fractal generations and compare reports.
 
 `cohsync sweep` is the one sweep path. A config's `sweep:` list holds
-override mappings; each is deep-merged onto the base config and run in
-order, into its own artifact directory, and a failing entry is recorded in
-the aggregate report instead of aborting the batch. This demo writes such a
-config to a temporary directory and runs it through the CLI entry point.
+override mappings; each is deep-merged onto the base config and checked,
+then the entries that differ only in graph, initial state and gains run
+as one closed loop over the union of their graphs (here the three
+generations, 151 agents). Each writes its own artifact directory, the
+aggregate report keeps entry order, and a failing entry is recorded there
+instead of aborting the batch. This demo writes such a config to a
+temporary directory and runs it through the CLI entry point.
 Short horizon here so the demo stays quick; the gains have not converged
 yet at t=3, which the reports dutifully flag.
 """

@@ -13,6 +13,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -408,14 +409,24 @@ def _with_flags(raw, args):
     return {**raw, "integration": {**_require_mapping(raw.get("integration"), "integration"), **flags}}
 
 
+def _inside(base, name, path):
+    """The directory base / name, refused (a SchemaError on path) unless it lies inside base."""
+    outdir = base / name
+    if base.resolve() not in outdir.resolve().parents:
+        raise SchemaError(path, f"{name!r} names a directory outside {str(base)!r}")
+    return outdir
+
+
 def _resolve_outdir(args, name, output_cfg):
     """The output directory and the setting it comes from, for error messages."""
     if getattr(args, "out", None):
         return Path(args.out), "--out"
     env = os.environ.get(ENV_OUT)
     if env:
-        return Path(env) / name, ENV_OUT
-    return Path(output_cfg.get("directory") or Path("out") / name), "output.directory"
+        return _inside(Path(env), name, "name"), ENV_OUT
+    if output_cfg.get("directory"):
+        return Path(output_cfg["directory"]), "output.directory"
+    return _inside(Path("out"), name, "name"), "output.directory"
 
 
 def _make_dir(path, source):
@@ -424,7 +435,9 @@ def _make_dir(path, source):
         path.mkdir(parents=True, exist_ok=True)
 
 
-def _write_artifacts(outdir, norm, traj, summary):
+def _finish(outdir, norm, checks, traj):
+    """Judge a simulated run and write the artifacts its formats ask for; returns the summary."""
+    summary = analysis.summarize(traj, label=norm["name"], **checks)
     formats = norm["output"]["formats"]
     if "trajectory" in formats:
         sim.write_trajectory_csv(traj, outdir / "trajectory.csv")
@@ -437,15 +450,6 @@ def _write_artifacts(outdir, norm, traj, summary):
         outdir / "metadata.yaml",
         {"version": __version__, "seed": norm["integration"]["seed"], "config": norm},
     )
-
-
-def _run_one(norm, outdir, source):
-    """Build the experiment and its output directory, then simulate, judge and write the artifacts."""
-    cfg, checks, name = build_experiment(norm)
-    _make_dir(outdir, source)
-    traj = sim.simulate(cfg)
-    summary = analysis.summarize(traj, label=name, **checks)
-    _write_artifacts(outdir, norm, traj, summary)
     return summary
 
 
@@ -454,10 +458,75 @@ def cmd_run(args):
     norm = normalize_config(_with_flags(raw, args), default_name)
     norm.pop("sweep", None)
     outdir, source = _resolve_outdir(args, norm["name"], norm["output"])
-    summary = _run_one(norm, outdir, source)
+    cfg, checks, _ = build_experiment(norm)
+    _make_dir(outdir, source)
+    summary = _finish(outdir, norm, checks, sim.simulate(cfg))
     if not args.quiet:
         _say(analysis.summary_text(summary), f"artifacts written to {outdir}")
     return 0 if summary.passed else 1
+
+
+class _Entry(NamedTuple):
+    """A sweep entry that was built and may run: index, normalized config, directory, SimConfig, checks."""
+
+    idx: int
+    norm: dict
+    outdir: Path
+    cfg: sim.SimConfig
+    checks: dict
+
+
+def _unions(entries):
+    """Group entries into closed loops, in entry order.
+
+    Each entry joins the first union whose runs it can join (sim.can_join)
+    while the union stays below graph.EDGE_PATH_NODES agents, where the
+    dense coupling still pays; otherwise it starts a union of its own.
+    """
+    unions = []
+    for entry in entries:
+        for union in unions:
+            agents = sum(member.cfg.graph.n_nodes for member in union) + entry.cfg.graph.n_nodes
+            if agents < graphmod.EDGE_PATH_NODES and sim.can_join(union[0].cfg, entry.cfg):
+                union.append(entry)
+                break
+        else:
+            unions.append([entry])
+    return unions
+
+
+def _simulate_union(cfgs):
+    """Each run's trajectory, or the DivergenceError it raises alone.
+
+    A union that diverges is run again member by member, so every run
+    reports exactly what its lone simulation does.
+    """
+    try:
+        return sim.simulate_union(cfgs)
+    except sim.DivergenceError as exc:
+        if len(cfgs) == 1:
+            return [exc]
+    return [_simulate_union([cfg])[0] for cfg in cfgs]
+
+
+def _error_result(idx, exc):
+    return [str(idx), f"error: {exc}"] + [""] * len(analysis.REPORT_CSV_HEADER), f"[{idx}] error: {exc}"
+
+
+def _run_union(union):
+    """Simulate one union and write its entries' artifacts; returns {entry index: (row, line)}."""
+    results = {}
+    for entry, outcome in zip(union, _simulate_union([entry.cfg for entry in union])):
+        if isinstance(outcome, sim.DivergenceError):
+            results[entry.idx] = _error_result(entry.idx, outcome)
+            continue
+        summary = _finish(entry.outdir, entry.norm, entry.checks, outcome)
+        verdict = "pass" if summary.passed else "fail"
+        results[entry.idx] = (
+            [str(entry.idx), verdict] + analysis.summary_csv_row(summary),
+            f"[{entry.idx}] {entry.norm['name']}: {verdict.upper()}",
+        )
+    return results
 
 
 def cmd_sweep(args):
@@ -471,25 +540,30 @@ def cmd_sweep(args):
     outdir, source = _resolve_outdir(args, base_norm["name"], base_norm["output"])
     _make_dir(outdir, source)
 
-    rows = []
-    lines = []
+    # every entry is built, claimed and given its directory first; refusals become error rows
+    results = {}  # entry index -> (report row, stdout line)
+    built = []
     owners = {}  # entry directory -> the first entry to claim it
     for idx, overrides in enumerate(entries):
         try:
             merged = _with_flags(_deep_merge(base_raw, overrides), args)
             norm = normalize_config(merged, f"{base_norm['name']}_{idx:02d}")
             norm.pop("sweep", None)
-            owner = owners.setdefault((outdir / norm["name"]).resolve(), idx)
+            entry_dir = _inside(outdir, norm["name"], f"sweep[{idx}].name")
+            owner = owners.setdefault(entry_dir.resolve(), idx)
             if owner != idx:
                 raise SchemaError(f"sweep[{idx}].name", f"{norm['name']!r} is already the directory of entry {owner}")
-            summary = _run_one(norm, outdir / norm["name"], source)
-            rows.append([str(idx), "pass" if summary.passed else "fail"] + analysis.summary_csv_row(summary))
-            lines.append(f"[{idx}] {norm['name']}: {'PASS' if summary.passed else 'FAIL'}")
+            cfg, checks, _ = build_experiment(norm)
+            _make_dir(entry_dir, source)
+            built.append(_Entry(idx, norm, entry_dir, cfg, checks))
         except tuple(REFUSALS) as exc:
-            rows.append([str(idx), f"error: {exc}"] + [""] * len(analysis.REPORT_CSV_HEADER))
-            lines.append(f"[{idx}] error: {exc}")
+            results[idx] = _error_result(idx, exc)
+    for union in _unions(built):
+        results.update(_run_union(union))
+
+    rows, lines = zip(*(results[idx] for idx in sorted(results)))
     with open(outdir / "report.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows([["entry", "status"] + analysis.REPORT_CSV_HEADER] + rows)
+        csv.writer(fh).writerows([["entry", "status"] + analysis.REPORT_CSV_HEADER, *rows])
     with open(outdir / "report.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if not args.quiet:

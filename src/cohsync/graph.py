@@ -60,7 +60,11 @@ EDGE_PATH_NODES = 450
 class LaplacianOperator:
     """The map x -> L x of one graph, for states of shape (..., N, n).
 
-    Below EDGE_PATH_NODES nodes it is the dense product with laplacian(g).
+    Given several graphs it is the map of their disjoint union: node i of
+    the k-th graph is node i plus the earlier graphs' node count, so L is
+    block-diagonal and each block acts on its own graph's rows alone.
+    Below EDGE_PATH_NODES nodes in all it is the dense product with that
+    L, whose zeros off the blocks are -0.0 like laplacian's own.
     From there on it costs O(E n) whatever the in-degrees: it gathers the
     senders' rows times the negated weights, scatters them onto the
     receivers with one np.bincount per state column, and adds the row
@@ -69,14 +73,27 @@ class LaplacianOperator:
     different order.
     """
 
-    def __init__(self, g):
-        W = g.weights
-        self.n_nodes = W.shape[0]
-        self.dense = laplacian(g) if self.n_nodes < EDGE_PATH_NODES else None
-        if self.dense is None:
-            self.receivers, self.senders = np.nonzero(W)
-            self.neg_weights = -W[self.receivers, self.senders][:, None]
-            self.row_sums = W.sum(axis=1)[:, None]
+    def __init__(self, *graphs):
+        offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
+        self.n_nodes = N = int(offsets[-1])
+        if N < EDGE_PATH_NODES:
+            self.dense = np.full((N, N), -0.0)
+            for g, lo in zip(graphs, offsets):
+                self.dense[lo : lo + g.n_nodes, lo : lo + g.n_nodes] = laplacian(g)
+            return
+        self.dense = None
+        receivers, senders, neg_weights, row_sums = [], [], [], []
+        for g, lo in zip(graphs, offsets):
+            W = g.weights
+            r, s = np.nonzero(W)
+            receivers.append(r + lo)
+            senders.append(s + lo)
+            neg_weights.append(-W[r, s])
+            row_sums.append(W.sum(axis=1))
+        self.receivers = np.concatenate(receivers)
+        self.senders = np.concatenate(senders)
+        self.neg_weights = np.concatenate(neg_weights)[:, None]
+        self.row_sums = np.concatenate(row_sums)[:, None]
 
     def __call__(self, x):
         if self.dense is not None:

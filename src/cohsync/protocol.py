@@ -16,10 +16,14 @@ class CoherenceSpec:
     d: float
 
 
+def _require_positive(value, name):
+    if not 0 < value < np.inf:  # NaN fails the comparison too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def minimal_delta(d, P):
     """Smallest target level for which the threshold d is admissible."""
-    if d <= 0:
-        raise ValueError("d must be positive")
+    _require_positive(d, "d")
     return float(np.sqrt(d / min_eigenvalue_sym(P)))
 
 
@@ -43,17 +47,19 @@ class ProtocolParams:
             raise ValueError("P must be square")
         if B.shape[0] != P.shape[0]:
             raise ValueError("B must have as many rows as P")
+        if not np.isfinite(P).all():
+            raise ValueError("P must be finite")
         lam = min_eigenvalue_sym(P)
+        if not lam > 0:
+            raise ValueError(f"P must be positive definite, got lambda_min(P) = {lam}")
         if delta is None:
             if d is None:
                 raise ValueError("the protocol needs d, delta, or both")
-            if d <= 0:
-                raise ValueError("d must be positive")
+            _require_positive(d, "d")
             delta_bar = 2.0 * float(d)
             delta = float(np.sqrt(2.0 * d / lam))
         else:
-            if delta <= 0:
-                raise ValueError("delta must be positive")
+            _require_positive(delta, "delta")
             delta_bar = float(delta) * float(delta) * lam
             if d is None:
                 d = 0.5 * delta_bar

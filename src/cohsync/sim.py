@@ -1,5 +1,6 @@
 """Closed-loop network simulation: fixed-step integration, stage-wise deadzone."""
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,8 +156,11 @@ def default_initial_state(n_agents, n_states, seed):
 def rhs(cfg, L, t, x, rho):
     """Time derivative (xdot, rho rates) of the closed loop at time t.
 
-    x holds one agent state per row, shape (N, n), rho the N gains; L is
-    the graph's LaplacianOperator, built once by the caller.
+    cfg gives the model, params, disturbance and the agents' 1-based
+    disturbance labels: a SimConfig, or simulate_union's loop over several
+    runs. x holds one agent state per row, shape (N, n), rho the N gains;
+    L is the LaplacianOperator of the graph (or graphs), built once by the
+    caller.
     """
     Z = L(x)
     rates = gain_rates(Z, cfg.params)
@@ -166,62 +170,134 @@ def rhs(cfg, L, t, x, rho):
     return x @ model.A.T + U @ model.B.T + w[:, None] * model.E.T, rates
 
 
-def simulate(cfg):
-    """Integrate the closed loop with the classical fixed-step 4th-order scheme.
+def can_join(a, b):
+    """Whether runs a and b can share one closed loop: they differ at most in graph, x0 and rho0.
 
-    The deadzone condition is re-evaluated at every integrator stage; no
-    event detection is attempted (the gain rate is bounded, and the
-    discontinuity enters the state dynamics only through the continuous
-    gains, so the per-crossing error is O(dt) on a measure-zero set).
-    Every rate is a sum of squares or zero, so no step lowers a gain.
-    The coupling L x is applied by one graph.LaplacianOperator, built here
-    once: a dense product on small graphs, per edge on large ones.
-    Samples are recorded every record_every steps plus the final state.
+    That takes the same model, P and spec (so one deadzone d), the same
+    step, step count and recording grid, and the same disturbance kind
+    and bound. A table disturbance is read by column per run, so a run
+    that has one never joins another.
     """
-    N = cfg.graph.n_nodes
-    L = LaplacianOperator(cfg.graph)
-    dt = float(cfg.dt)
+    return (
+        a.disturbance.table_times is None
+        and b.disturbance.table_times is None
+        and (a.disturbance.kind, a.disturbance.bound) == (b.disturbance.kind, b.disturbance.bound)
+        and all(np.array_equal(getattr(a.model, k), getattr(b.model, k)) for k in "ABE")
+        and np.array_equal(a.params.P, b.params.P)
+        and a.params.spec == b.params.spec
+        and (a.dt, a.steps, a.record_every) == (b.dt, b.steps, b.record_every)
+    )
+
+
+@dataclass(frozen=True)
+class _Loop:
+    """What rhs reads of a closed loop over several runs: one design, their agents' labels in order."""
+
+    model: AgentModel
+    params: ProtocolParams
+    disturbance: sigs.DisturbanceSignal
+    agents: np.ndarray
+
+
+def simulate_union(cfgs):
+    """Integrate runs that can_join as one closed loop; return one Trajectory per run, in order.
+
+    The protocol is fully distributed and its design (P, d) does not
+    depend on the graph, so runs that share it are one closed loop over
+    the disjoint union of their graphs, whose Laplacian is block-diagonal;
+    agent i of run k is row i of that run's block. This is the one
+    integrator: the classical fixed-step 4th-order scheme, with the
+    deadzone condition re-evaluated at every stage and no event detection
+    (the gain rate is bounded, and the discontinuity enters the state
+    dynamics only through the continuous gains, so the per-crossing error
+    is O(dt) on a measure-zero set). Every rate is a sum of squares or
+    zero, so no step lowers a gain. The coupling is one
+    graph.LaplacianOperator over all the graphs, built here once, and the
+    disturbance is evaluated at each run's own labels, concatenated.
+
+    Samples are recorded every record_every steps plus the final state,
+    into one preallocated record; each run's trajectory holds views of its
+    agents' columns. The union only adds zeros to each row's sums, so a
+    run's values agree with its lone simulate to round-off, and on the
+    directed fractals (one in-neighbour per node) bit for bit. A state
+    entry beyond STATE_LIMIT, or not finite, raises DivergenceError naming
+    the agent (and, in a union of several runs, the run's index) with
+    that run's partial trajectory.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("simulate_union needs at least one run")
+    head = cfgs[0]
+    for k, cfg in enumerate(cfgs[1:], 1):
+        if not can_join(head, cfg):
+            raise ValueError(f"run {k} differs from run 0 in more than its graph, x0 and rho0")
+    n = head.model.n
+    sizes = [cfg.graph.n_nodes for cfg in cfgs]
+    offsets = np.cumsum([0] + sizes)
+    N = int(offsets[-1])
+    L = LaplacianOperator(*(cfg.graph for cfg in cfgs))
+    labels = [cfg.agents if cfg.disturbance.index_map is None else cfg.disturbance.index_map for cfg in cfgs]
+    signal = dataclasses.replace(head.disturbance, index_map=None)
+    loop = _Loop(head.model, head.params, signal, np.concatenate(labels))
+    dt = float(head.dt)
     half = 0.5 * dt
-    every = int(cfg.record_every)
+    every = int(head.record_every)
+    steps = head.steps
 
-    x = np.asarray(cfg.x0, dtype=float).reshape(N, cfg.model.n).copy()
-    rho0 = np.asarray(cfg.rho0, dtype=float).reshape(-1)
-    rho = np.full(N, rho0[0]) if rho0.size == 1 else rho0.copy()
+    x = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs])
+    rho = np.concatenate(
+        [np.broadcast_to(np.asarray(cfg.rho0, dtype=float).reshape(-1), (size,)) for cfg, size in zip(cfgs, sizes)]
+    )
 
-    # each step rebinds x and rho to fresh arrays, so the record keeps references
-    times, states, gains = [], [], []
+    S = (steps - 1) // every + 2  # samples at k = 0, every, ... below steps, and the final state
+    times = np.empty(S)
+    states = np.empty((S, N, n))
+    gains = np.empty((S, N))
+
+    def runs(s):
+        # each run's trajectory over the first s samples: views of its columns
+        return [
+            Trajectory(times[:s], states[:s, lo:hi], gains[:s, lo:hi], cfg)
+            for cfg, lo, hi in zip(cfgs, offsets, offsets[1:])
+        ]
+
+    s = 0
     t = 0.0
-    for k in range(cfg.steps):
+    for k in range(steps):
         if k % every == 0:
-            times.append(t)
-            states.append(x)
-            gains.append(rho)
-        k1x, k1r = rhs(cfg, L, t, x, rho)
-        k2x, k2r = rhs(cfg, L, t + half, x + half * k1x, rho + half * k1r)
-        k3x, k3r = rhs(cfg, L, t + half, x + half * k2x, rho + half * k2r)
-        k4x, k4r = rhs(cfg, L, t + dt, x + dt * k3x, rho + dt * k3r)
+            times[s], states[s], gains[s] = t, x, rho
+            s += 1
+        k1x, k1r = rhs(loop, L, t, x, rho)
+        k2x, k2r = rhs(loop, L, t + half, x + half * k1x, rho + half * k1r)
+        k3x, k3r = rhs(loop, L, t + half, x + half * k2x, rho + half * k2r)
+        k4x, k4r = rhs(loop, L, t + dt, x + dt * k3x, rho + dt * k3r)
         x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         t = (k + 1) * dt
         if not np.abs(x).max() <= STATE_LIMIT:  # NaN fails the comparison too
             bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
-            agent = int(np.argmax(bad)) + 1
+            row = int(np.argmax(bad))
+            run = int(np.searchsorted(offsets, row, side="right")) - 1
+            agent = row - int(offsets[run]) + 1
+            where = f" of run {run}" if len(cfgs) > 1 else ""
             raise DivergenceError(
-                f"state diverged for agent {agent} at t={t:.6g} "
+                f"state diverged for agent {agent}{where} at t={t:.6g} "
                 f"(non-finite or beyond {STATE_LIMIT:g})",
                 agent=agent,
                 time=t,
-                partial=Trajectory(np.array(times), np.array(states), np.array(gains), cfg),
+                partial=runs(s)[run],
             )
-    times.append(t)
-    states.append(x)
-    gains.append(rho)
+    times[s], states[s], gains[s] = t, x, rho
 
-    traj = Trajectory(np.array(times), np.array(states), np.array(gains), cfg)
-    drops = np.diff(traj.gains, axis=0).min() if traj.n_samples > 1 else 0.0
+    drops = np.diff(gains, axis=0).min()
     if drops < -1e-12:
         raise RuntimeError(f"recorded gains decreased by {-drops:.3e}; integrator invariant broken")
-    return traj
+    return runs(S)
+
+
+def simulate(cfg):
+    """Integrate one run: simulate_union([cfg])[0], the fixed-step RK4 loop described there."""
+    return simulate_union([cfg])[0]
 
 
 def write_trajectory_csv(traj, path):
@@ -231,9 +307,14 @@ def write_trajectory_csv(traj, path):
     byte-identical files; lines end in the csv module's "\\r\\n".
     """
     n = traj.states.shape[2]
-    U = traj.controls
-    V = traj.vi_values
-    znorm = np.linalg.norm(traj.zetas, axis=2)
+    # the disagreements once, and the inputs and levels from them as the properties
+    # form them; Z is dropped before the rows are written, as the properties' were
+    Z = traj.zetas
+    params = traj.config.params
+    U = control_all(traj.gains, Z, params)
+    V = levels(Z, params)
+    znorm = np.linalg.norm(Z, axis=2)
+    del Z
     m = U.shape[2]
     header = (
         ["t", "agent"]

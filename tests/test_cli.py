@@ -118,6 +118,7 @@ def test_out_naming_a_file_is_refused_before_simulating(tmp_path, monkeypatch, c
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli.sim, "simulate", never)
+    monkeypatch.setattr(cli.sim, "simulate_union", never)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     cfg_path = write_config(tmp_path, fast_passing_config(sweep=[{}]))
@@ -536,6 +537,123 @@ def test_sweep_entries_sharing_a_directory_are_refused(tmp_path):
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["base_02", "same"]
     for name, seed in (("same", 1), ("base_02", 3)):
         assert yaml.safe_load((out / name / "metadata.yaml").read_text())["seed"] == seed
+
+
+def test_names_that_leave_the_output_directory_are_refused(tmp_path, monkeypatch, capsys):
+    outside = tmp_path / "outside"
+    leaving = (str(outside), "../outside", ".")
+    env_base = tmp_path / "envbase"
+    monkeypatch.setenv(cli.ENV_OUT, str(env_base))
+    for name in leaving:
+        cfg_path = write_config(tmp_path, fast_passing_config(name=name, sweep=[{}]))
+        for verb in ("run", "sweep"):
+            assert cli.main([verb, cfg_path, "--quiet", "--t-end", "0.05"]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: name: {name!r} names a directory outside")
+    # without the environment variable the default base is out/ in the working directory
+    monkeypatch.delenv(cli.ENV_OUT)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, fast_passing_config(name="../outside"))
+    assert cli.main(["run", cfg_path, "--quiet", "--t-end", "0.05"]) == 2
+    assert "config error: name: " in capsys.readouterr().err
+    # in a sweep each such entry is an error row and the others run
+    cfg = fast_passing_config(name="base", sweep=[{"name": name} for name in leaving] + [{}])
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [r[1] for r in list(csv.reader(fh))[1:]]
+    for k, name in enumerate(leaving):
+        assert status[k] == f"error: sweep[{k}].name: {name!r} names a directory outside {str(out)!r}"
+    assert status[3] in ("pass", "fail")
+    assert sorted(p.name for p in out.iterdir()) == ["base_03", "report.csv", "report.txt"]
+    assert not outside.exists() and not env_base.exists()
+
+
+@pytest.fixture
+def union_calls(monkeypatch):
+    """The agent counts of the runs in each call of sim.simulate_union, in call order."""
+    calls = []
+    simulate_union = cli.sim.simulate_union
+
+    def counted(cfgs):
+        calls.append([cfg.graph.n_nodes for cfg in cfgs])
+        return simulate_union(cfgs)
+
+    monkeypatch.setattr(cli.sim, "simulate_union", counted)
+    return calls
+
+
+def assert_entries_write_what_run_writes(tmp_path, base, entries, out, ran=None):
+    # each entry that ran holds in its directory the bytes `cohsync run` writes for its merged config
+    for k, overrides in enumerate(entries):
+        if ran is not None and k not in ran:
+            continue
+        name = f"{base['name']}_{k:02d}"
+        cfg_path = write_config(tmp_path, dict(with_overrides(base, overrides), name=name), f"{name}.yaml")
+        lone = tmp_path / "lone" / name
+        assert cli.main(["run", cfg_path, "--out", str(lone), "--quiet"]) in (0, 1)
+        for artifact in ARTIFACTS:
+            assert (out / name / artifact).read_bytes() == (lone / artifact).read_bytes(), (name, artifact)
+
+
+def test_sweep_entries_in_one_union_write_what_run_writes(tmp_path, union_calls):
+    base = fast_passing_config(name="u", disturbance={"kind": "chirp"})
+    base["integration"] = {**base["integration"], "t_end": 1.0}
+    entries = [
+        {"integration": {"seed": 1}},
+        {"integration": {"seed": 2}, "graph": {"generation": 2}},
+        {"integration": {"seed": 3}, "protocol": {"rho0": 0.5}},
+        {"integration": {"seed": 4}, "graph": {"generation": 2}, "protocol": {"rho0": 0.5}},
+    ]
+    # directed fractals: every row has one in-neighbour and rounds as alone, so the bytes agree
+    out = tmp_path / "sweepout"
+    cfg_path = write_config(tmp_path, dict(base, sweep=entries))
+    assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
+    assert union_calls == [[5, 25, 5, 25]]
+    assert_entries_write_what_run_writes(tmp_path, base, entries, out)
+
+
+def test_sweep_groups_entries_by_design_up_to_the_edge_path(tmp_path, monkeypatch, union_calls, capsys):
+    # the two deadzones alternate: each union gathers the entries of one d, in entry order
+    entries = [{"integration": {"seed": s}, "protocol": {"d": d}} for s in range(4) for d in (0.5, 0.2)]
+    cfg = fast_passing_config(sweep=entries)
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--t-end", "0.05"]) in (0, 1)
+    assert union_calls == [[5] * 4, [5] * 4]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [f"[{k}]" for k in range(8)]
+    # a union stays below EDGE_PATH_NODES agents, and an entry that large runs alone
+    union_calls.clear()
+    monkeypatch.setattr(cli.graphmod, "EDGE_PATH_NODES", 25)
+    large = {"graph": {"generation": 2}}
+    cfg = fast_passing_config(sweep=[large] + [{"integration": {"seed": s}} for s in range(6)] + [large])
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) in (0, 1)
+    assert union_calls == [[25], [5] * 4, [5] * 2, [25]]
+
+
+def test_sweep_union_with_a_diverging_member_reports_each_entry_as_alone(tmp_path, union_calls, capsys):
+    # one unstable scalar agent, x = x0 e^{5t}: seed 7 draws x0 = 1.25 and crosses 1e12
+    # near t = 5.5, while seeds 39 and 227 draw |x0| < 0.04 and stay below it up to t = 6
+    (tmp_path / "one.txt").write_text("nodes 1\n")
+    base = fast_passing_config(
+        name="div",
+        model={"A": [[5.0]], "B": [[1.0]], "E": [[1.0]]},
+        graph={"kind": "edge-list", "path": str(tmp_path / "one.txt")},
+        integration={"dt": 1e-3, "t_end": 6.0, "record_every": 100, "seed": 7},
+    )
+    entries = [{"integration": {"seed": s}} for s in (7, 39, 227)]
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, dict(base, sweep=entries)), "--out", str(out), "--quiet"]) == 1
+    assert union_calls == [[1, 1, 1], [1], [1], [1]]
+    with open(out / "report.csv", newline="") as fh:
+        status = [r[1] for r in list(csv.reader(fh))[1:]]
+    lone_path = write_config(tmp_path, dict(base, name="div_00"), "div_00.yaml")
+    assert cli.main(["run", lone_path, "--out", str(tmp_path / "lone_00"), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert status[0] == "error: " + err.removeprefix("simulation diverged: ").rstrip("\n")
+    assert "agent 1 at t=5.4" in status[0]
+    assert status[1:] == ["pass", "pass"]  # a lone agent has no disagreement to judge
+    assert not any((out / "div_00").iterdir())  # made before the run, as by `cohsync run`
+    assert_entries_write_what_run_writes(tmp_path, base, entries, out, ran=(1, 2))
 
 
 def test_full_benchmark_preset_passes(tmp_path):

@@ -112,6 +112,23 @@ def test_operator_on_stacked_states(monkeypatch):
                 assert np.array_equal(stacked[idx], op(x[idx]))
 
 
+def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
+    graphs = [graph.vicsek_fractal(2, directed=True), graph.circulant(7, [1, 2]), graph.vicsek_fractal(1)]
+    sizes = [g.n_nodes for g in graphs]
+    N = sum(sizes)
+    x = np.random.default_rng(3).uniform(-5, 5, (2, N, 3))
+    blocks = np.split(x, np.cumsum(sizes)[:-1], axis=1)
+    ref = np.concatenate([graph.laplacian(g) @ block for g, block in zip(graphs, blocks)], axis=1)
+    for threshold in (N + 1, N):
+        monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
+        op = graph.LaplacianOperator(*graphs)
+        assert (op.dense is None) == (threshold == N)
+        got = op(x)
+        assert np.abs(got - ref).max() <= ORDER_TOL * np.abs(ref).max()
+        # the directed fractal's rows have one in-neighbour each and round as alone
+        assert np.array_equal(got[:, :25], ref[:, :25])
+
+
 def test_operator_path_follows_the_node_count():
     assert graph.LaplacianOperator(graph.vicsek_fractal(3)).dense is not None
     assert graph.LaplacianOperator(graph.vicsek_fractal(4)).dense is None

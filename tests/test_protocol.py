@@ -51,6 +51,25 @@ def test_spec_from_d_level_convention(benchmark_P):
         spec_of(benchmark_P, d=0.0)
 
 
+def test_non_finite_levels_and_an_indefinite_P_are_refused(benchmark_P):
+    # before, d = nan gave a spec of NaNs and a negative definite P gave delta = nan
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="d must be positive and finite"):
+            spec_of(benchmark_P, d=bad)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            spec_of(benchmark_P, delta=bad)
+        with pytest.raises(ValueError, match="0 < d < delta_bar"):
+            spec_of(benchmark_P, delta=1.0, d=bad)
+        with pytest.raises(ValueError, match="d must be positive and finite"):
+            protocol.minimal_delta(bad, benchmark_P)
+    for P in (-np.eye(2), np.diag([1.0, 0.0])):
+        with pytest.raises(ValueError, match="P must be positive definite"):
+            protocol.ProtocolParams(P, np.eye(2), d=0.5)
+    for P in (np.diag([1.0, np.inf]), np.diag([np.nan, 1.0])):
+        with pytest.raises(ValueError, match="P must be finite"):
+            protocol.ProtocolParams(P, np.eye(2), d=0.5)
+
+
 def test_minimal_delta(benchmark_P):
     got = protocol.minimal_delta(0.5, benchmark_P)
     assert got == pytest.approx(np.sqrt(0.5 / LAMBDA_MIN_REF), abs=1e-12)

@@ -203,6 +203,95 @@ def test_edge_path_simulation_matches_a_dense_loop(bench_setup):
     assert np.array_equal(traj.zetas, L @ traj.states)
 
 
+# members of an undirected or circulant union sum their rows with the union's
+# zeros in between, so they may round differently from their lone runs
+UNION_TOL = 1e-12
+
+
+def union_members(bench_setup, graphs, t_end=1.0):
+    # distinct seeds and initial gains, one design and grid
+    return [
+        bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=t_end, seed=k, record_every=20, rho0=0.1 * k)
+        for k, g in enumerate(graphs)
+    ]
+
+
+def test_union_members_are_their_lone_runs_on_directed_fractals(bench_setup):
+    graphs = [graph.vicsek_fractal(gen, directed=True) for gen in (1, 2, 1, 3, 2)]
+    cfgs = union_members(bench_setup, graphs)
+    union = sim.simulate_union(cfgs)
+    assert [traj.config for traj in union] == cfgs
+    for cfg, traj in zip(cfgs, union, strict=True):
+        lone = sim.simulate(cfg)
+        assert np.abs(lone.gains[-1]).max() > 0.0  # the gains have moved
+        for field in ("times", "states", "gains", "zetas"):
+            assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
+
+
+def test_union_members_match_lone_runs_on_undirected_and_circulant_graphs(bench_setup):
+    graphs = [
+        graph.vicsek_fractal(2, directed=False),
+        graph.circulant(30, [1, 2], directed=False),
+        graph.vicsek_fractal(1, directed=True),
+        graph.circulant(17, [1, 3], directed=True),
+        graph.vicsek_fractal(1, directed=False),
+    ]
+    cfgs = union_members(bench_setup, graphs)
+    for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
+        lone = sim.simulate(cfg)
+        assert np.array_equal(traj.times, lone.times)
+        for field in ("states", "gains", "zetas"):
+            got, want = getattr(traj, field), getattr(lone, field)
+            assert np.abs(got - want).max() <= UNION_TOL * np.abs(want).max(), field
+
+
+def test_union_refuses_runs_of_different_designs(bench_setup):
+    g = graph.vicsek_fractal(1, directed=True)
+    base = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.1)
+    model, params = bench_setup
+    table = signals.table_signal([0.0, 0.1], np.zeros((2, 5)))
+    others = [
+        dataclasses.replace(base, params=protocol.ProtocolParams(params.P, model.B, d=0.2)),
+        dataclasses.replace(base, dt=5e-4),
+        dataclasses.replace(base, t_end=0.2),
+        dataclasses.replace(base, record_every=5),
+        dataclasses.replace(base, disturbance=signals.sawtooth_signal()),
+        dataclasses.replace(base, disturbance=table),
+    ]
+    for other in others:
+        assert not sim.can_join(base, other)
+        with pytest.raises(ValueError, match="differs from run 0"):
+            sim.simulate_union([base, other])
+    # graph, x0 and rho0 may differ; a table disturbance runs, but only alone
+    assert sim.can_join(base, dataclasses.replace(base, graph=graph.vicsek_fractal(2), x0=np.zeros(75), rho0=1.0))
+    assert sim.simulate_union([dataclasses.replace(base, disturbance=table)])[0].times[-1] == 0.1
+    with pytest.raises(ValueError, match="at least one run"):
+        sim.simulate_union([])
+
+
+def test_union_divergence_names_the_run_and_keeps_its_partial():
+    # chains 1 -> 2 of the lone guard test's unstable agent; run 0 rests at the
+    # origin, while run 1's follower starts 1000 from its root, so its gain rate
+    # (~1e6) overshoots the first step: agent 2 of run 1, union row 4, diverges
+    model = linalg.AgentModel([[5.0]], [[1.0]], [[1.0]])
+    params = protocol.ProtocolParams(linalg.solve_care(model.A, model.B).P, model.B, d=0.5)
+    cfgs = [
+        sim.SimConfig(
+            model=model, graph=graph.from_edge_list(2, [(1, 2, 1.0)]), params=params,
+            disturbance=signals.zero_signal(), x0=x0, t_end=1.0, dt=1e-3, record_every=100,
+        )
+        for x0 in ([0.0, 0.0], [0.0, 1000.0])
+    ]
+    with pytest.raises(sim.DivergenceError, match="agent 2 of run 1 at t=0.001 ") as err:
+        sim.simulate_union(cfgs)
+    with pytest.raises(sim.DivergenceError, match="agent 2 at t=0.001 ") as lone:
+        sim.simulate(cfgs[1])
+    assert (err.value.agent, err.value.time) == (lone.value.agent, lone.value.time)
+    assert err.value.partial.config is cfgs[1]
+    assert np.array_equal(err.value.partial.states, lone.value.partial.states)
+    assert np.all(sim.simulate(cfgs[0]).states == 0.0)  # run 0 alone never diverges
+
+
 def test_validate_rejections(bench_setup):
     model, params = bench_setup
     g = graph.vicsek_fractal(1)
