@@ -430,9 +430,23 @@ def _resolve_outdir(args, name, output_cfg):
 
 
 def _make_dir(path, source):
-    """Create an output directory; one that cannot be made (say, a file is in the way) is refused."""
+    """Create an output directory and return the directories this made, outermost first.
+
+    One that cannot be made (say, a file is in the way) is refused.
+    """
+    made = [p for p in (path, *path.parents) if not p.exists()][::-1]
     with _refused(source):
         path.mkdir(parents=True, exist_ok=True)
+    return made
+
+
+def _unmake_dirs(made):
+    """Remove the directories _make_dir made, innermost first, while they are empty."""
+    for path in reversed(made):
+        try:
+            path.rmdir()  # refuses a directory that holds anything
+        except OSError:
+            return
 
 
 def _finish(outdir, norm, checks, traj):
@@ -459,21 +473,30 @@ def cmd_run(args):
     norm.pop("sweep", None)
     outdir, source = _resolve_outdir(args, norm["name"], norm["output"])
     cfg, checks, _ = build_experiment(norm)
-    _make_dir(outdir, source)
-    summary = _finish(outdir, norm, checks, sim.simulate(cfg))
+    made = _make_dir(outdir, source)
+    try:
+        traj = sim.simulate(cfg)
+    except sim.DivergenceError:
+        _unmake_dirs(made)  # a diverged run writes nothing, so it leaves no directory behind
+        raise
+    summary = _finish(outdir, norm, checks, traj)
     if not args.quiet:
         _say(analysis.summary_text(summary), f"artifacts written to {outdir}")
     return 0 if summary.passed else 1
 
 
 class _Entry(NamedTuple):
-    """A sweep entry that was built and may run: index, normalized config, directory, SimConfig, checks."""
+    """A sweep entry that was built and may run: index, normalized config, directory, SimConfig, checks.
+
+    made lists the directories _make_dir created for it, removed again if the entry diverges.
+    """
 
     idx: int
     norm: dict
     outdir: Path
     cfg: sim.SimConfig
     checks: dict
+    made: list
 
 
 def _unions(entries):
@@ -518,6 +541,7 @@ def _run_union(union):
     results = {}
     for entry, outcome in zip(union, _simulate_union([entry.cfg for entry in union])):
         if isinstance(outcome, sim.DivergenceError):
+            _unmake_dirs(entry.made)
             results[entry.idx] = _error_result(entry.idx, outcome)
             continue
         summary = _finish(entry.outdir, entry.norm, entry.checks, outcome)
@@ -554,8 +578,7 @@ def cmd_sweep(args):
             if owner != idx:
                 raise SchemaError(f"sweep[{idx}].name", f"{norm['name']!r} is already the directory of entry {owner}")
             cfg, checks, _ = build_experiment(norm)
-            _make_dir(entry_dir, source)
-            built.append(_Entry(idx, norm, entry_dir, cfg, checks))
+            built.append(_Entry(idx, norm, entry_dir, cfg, checks, _make_dir(entry_dir, source)))
         except tuple(REFUSALS) as exc:
             results[idx] = _error_result(idx, exc)
     for union in _unions(built):

@@ -31,8 +31,9 @@ class ProtocolParams:
     """Precomputed gain matrix of the protocol, and the coherency spec of its P.
 
     BtP = B'P steers the control, and its output's squared norm drives
-    gain growth; it is cached so the inner simulation loop touches no
-    matrix products beyond one matvec per agent.
+    gain growth. K = [P | (B'P)'] stacks the two maps an agent reads of its
+    own zeta_i, so that one product Z @ K per integrator stage gives every
+    agent's level, gain rate and input (see feedback).
 
     The spec is formed from this P: delta_bar = delta^2 lambda_min(P), so
     zeta' P zeta <= delta_bar implies |zeta| <= delta, and 0 < d < delta_bar.
@@ -69,6 +70,7 @@ class ProtocolParams:
                 )
         self.P = P
         self.BtP = B.T @ P
+        self.K = np.hstack([P, self.BtP.T])
         self.spec = CoherenceSpec(delta=float(delta), delta_bar=delta_bar, d=float(d))
 
     @property
@@ -103,24 +105,19 @@ def levels(zetas, params):
     return np.einsum("...j,...j->...", zetas, zetas @ params.P)
 
 
-def gain_rates(zetas, params):
-    """Adaptation rates for all agents at once.
+def feedback(rho, zetas, params):
+    """Gain rates and control inputs of all agents, from one product Z @ [P | (B'P)'].
 
-    Row i yields |B'P zeta_i|^2 while zeta_i' P zeta_i >= d (the boundary
-    counts as active) and exactly 0.0 inside the deadzone; as a sum of
-    squares a rate is never negative.
+    With y_i = B'P zeta_i, row i's rate is |y_i|^2 while zeta_i' P zeta_i >= d
+    (the boundary counts as active) and exactly 0.0 inside the deadzone; as a
+    sum of squares a rate is never negative. Row i's input is -rho_i y_i.
+    Leading sample axes broadcast: gains (S, N) with disagreements (S, N, n)
+    give rates (S, N) and inputs (S, N, m); a single zeta of shape (n,) is
+    one agent.
     """
-    Z = np.atleast_2d(np.asarray(zetas, dtype=float))
-    Y = Z @ params.BtP.T
-    return np.where(levels(Z, params) >= params.spec.d, (Y * Y).sum(axis=-1), 0.0)
-
-
-def control_all(rho, zetas, params):
-    """Control inputs for all agents: row i is -rho_i B'P zeta_i, shape (N, m).
-
-    Leading sample axes broadcast: gains (S, N) with disagreements
-    (S, N, n) give inputs of shape (S, N, m).
-    """
-    Z = np.atleast_2d(np.asarray(zetas, dtype=float))
-    rho = np.asarray(rho, dtype=float)
-    return -rho[..., None] * (Z @ params.BtP.T)
+    n = params.n
+    ZK = zetas @ params.K
+    Y = ZK[..., n:]
+    V = np.einsum("...j,...j->...", zetas, ZK[..., :n])
+    rates = np.where(V >= params.spec.d, np.einsum("...j,...j->...", Y, Y), 0.0)
+    return rates, -np.asarray(rho, dtype=float)[..., None] * Y

@@ -10,9 +10,13 @@ KINDS = ("zero", "chirp", "sawtooth", "custom-table")
 
 def chirp(i, t):
     """Frequency-swept sine, amplitude 0.1: 0.1 sin(0.1 i t + 0.01 t^2)."""
-    i = np.asarray(i, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return 0.1 * np.sin(0.1 * i * t + 0.01 * t * t)
+    return _chirp(0.1 * np.asarray(i, dtype=float), np.asarray(t, dtype=float))
+
+
+def _chirp(rate, t):
+    # the chirp of agent i from its rate 0.1 i: 0.1 i t rounds as (0.1 i) t, so
+    # a waveform that scales its labels once gives chirp's values bit for bit
+    return 0.1 * np.sin(rate * t + 0.01 * t * t)
 
 
 def sawtooth(i, t):
@@ -22,9 +26,12 @@ def sawtooth(i, t):
     tie points (e.g. i=2, t=25) are fixed by convention and reproducible
     bit for bit.
     """
-    i = np.asarray(i, dtype=float)
-    t = np.asarray(t, dtype=float)
-    z = 0.01 * i * t
+    return _sawtooth(0.01 * np.asarray(i, dtype=float), np.asarray(t, dtype=float))
+
+
+def _sawtooth(rate, t):
+    # the sawtooth of agent i from its rate 0.01 i, as _chirp
+    z = rate * t
     return z - np.copysign(np.floor(np.abs(z) + 0.5), z)
 
 
@@ -105,24 +112,41 @@ def load_table(path):
     return table_signal(data[:, 0], data[:, 1:])
 
 
-def evaluate_all(signal, agents, t):
-    """Disturbance values for an array of 1-based agent labels at time t."""
+def waveform(signal, agents):
+    """The disturbance at an array of 1-based agent labels, as a function t -> w.
+
+    The labels are checked, routed through index_map and scaled once, here,
+    so each call does only the work that depends on t; w has the labels'
+    shape. A table is read at the labels' columns, and a query outside its
+    tabulated range raises.
+    """
     agents = np.asarray(agents, dtype=int)
     if np.any(agents < 1):
         raise ValueError("agent labels are 1-based")
     if signal.index_map is not None:
         agents = signal.index_map[agents - 1]
     if signal.kind == "zero":
-        return np.zeros(agents.shape, dtype=float)
+        return lambda t: np.zeros(agents.shape, dtype=float)
     if signal.kind == "chirp":
-        return chirp(agents, t)
+        rate = 0.1 * agents.astype(float)
+        return lambda t: _chirp(rate, t)
     if signal.kind == "sawtooth":
-        return sawtooth(agents, t)
+        rate = 0.01 * agents.astype(float)
+        return lambda t: _sawtooth(rate, t)
     if signal.kind == "custom-table":
-        ts = signal.table_times
-        # integrator stage times can land an ulp past the grid (t_prev + dt
-        # overshoots t_end in floating point); clamp within a tiny guard band
-        slop = 1e-12 * max(1.0, abs(ts[0]), abs(ts[-1]))
+        return _table_waveform(signal.table_times, signal.table_values, agents)
+    raise ValueError(f"unknown disturbance kind {signal.kind!r}")
+
+
+def _table_waveform(ts, values, agents):
+    if np.any(agents > values.shape[1]):
+        raise ValueError(f"table has {values.shape[1]} agent columns, got label {agents.max()}")
+    values = values[:, agents - 1]
+    # integrator stage times can land an ulp past the grid (t_prev + dt
+    # overshoots t_end in floating point); clamp within a tiny guard band
+    slop = 1e-12 * max(1.0, abs(ts[0]), abs(ts[-1]))
+
+    def at(t):
         if t < ts[0] - slop or t > ts[-1] + slop:
             raise ValueError(
                 f"table disturbance queried at t={t}, outside the tabulated range "
@@ -132,11 +156,14 @@ def evaluate_all(signal, agents, t):
         k = int(np.searchsorted(ts, t, side="right")) - 1
         k = min(max(k, 0), len(ts) - 2)
         lam = (t - ts[k]) / (ts[k + 1] - ts[k])
-        row = (1.0 - lam) * signal.table_values[k] + lam * signal.table_values[k + 1]
-        if np.any(agents > row.shape[0]):
-            raise ValueError(f"table has {row.shape[0]} agent columns, got label {agents.max()}")
-        return row[agents - 1]
-    raise ValueError(f"unknown disturbance kind {signal.kind!r}")
+        return (1.0 - lam) * values[k] + lam * values[k + 1]
+
+    return at
+
+
+def evaluate_all(signal, agents, t):
+    """Disturbance values for an array of 1-based agent labels at time t."""
+    return waveform(signal, agents)(t)
 
 
 def relabel(signal, perm):

@@ -10,7 +10,7 @@ import yaml
 from . import signals as sigs
 from .graph import LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
 from .linalg import AgentModel, AssumptionError, is_stabilizable
-from .protocol import ProtocolParams, control_all, gain_rates, levels
+from .protocol import ProtocolParams, feedback, levels
 
 STATE_LIMIT = 1e12  # abort threshold for any state entry
 
@@ -104,6 +104,11 @@ class SimConfig:
         labels.setflags(write=False)
         return labels
 
+    @cached_property
+    def wave(self):
+        """The disturbance at the agents, t -> w of shape (N,): signals.waveform, built once."""
+        return sigs.waveform(self.disturbance, self.agents)
+
 
 @dataclass
 class Trajectory:
@@ -136,7 +141,7 @@ class Trajectory:
     @property
     def controls(self):
         """Control inputs -rho_i B'P zeta_i, shape (S, N, m)."""
-        return control_all(self.gains, self.zetas, self.config.params)
+        return feedback(self.gains, self.zetas, self.config.params)[1]
 
     @property
     def vi_values(self):
@@ -153,21 +158,23 @@ def default_initial_state(n_agents, n_states, seed):
     return rng.uniform(-INITIAL_SPAN, INITIAL_SPAN, size=(n_agents, n_states)).reshape(-1)
 
 
-def rhs(cfg, L, t, x, rho):
+def rhs(loop, L, t, x, rho):
     """Time derivative (xdot, rho rates) of the closed loop at time t.
 
-    cfg gives the model, params, disturbance and the agents' 1-based
-    disturbance labels: a SimConfig, or simulate_union's loop over several
-    runs. x holds one agent state per row, shape (N, n), rho the N gains;
-    L is the LaplacianOperator of the graph (or graphs), built once by the
-    caller.
+    loop gives the model, the protocol params and the disturbance's
+    waveform, bound once to the agents' labels: a SimConfig, or
+    simulate_union's loop over several runs. x holds one agent state per
+    row, shape (N, n), rho the N gains; L is the LaplacianOperator of the
+    graph (or graphs), built once by the caller. One protocol product
+    gives every agent's rate and input (protocol.feedback), and
+    xdot = x A' + U B' + w E' is assembled in place.
     """
-    Z = L(x)
-    rates = gain_rates(Z, cfg.params)
-    U = control_all(rho, Z, cfg.params)
-    w = sigs.evaluate_all(cfg.disturbance, cfg.agents, t)
-    model = cfg.model
-    return x @ model.A.T + U @ model.B.T + w[:, None] * model.E.T, rates
+    rates, U = feedback(rho, L(x), loop.params)
+    model = loop.model
+    xdot = x @ model.A.T
+    xdot += U @ model.B.T
+    xdot += loop.wave(t)[:, None] * model.E.T
+    return xdot, rates
 
 
 def can_join(a, b):
@@ -191,12 +198,11 @@ def can_join(a, b):
 
 @dataclass(frozen=True)
 class _Loop:
-    """What rhs reads of a closed loop over several runs: one design, their agents' labels in order."""
+    """What rhs reads of a closed loop over several runs: one design, and the disturbance at their agents."""
 
     model: AgentModel
     params: ProtocolParams
-    disturbance: sigs.DisturbanceSignal
-    agents: np.ndarray
+    wave: object  # signals.waveform at the runs' labels, concatenated: t -> w
 
 
 def simulate_union(cfgs):
@@ -212,8 +218,10 @@ def simulate_union(cfgs):
     dynamics only through the continuous gains, so the per-crossing error
     is O(dt) on a measure-zero set). Every rate is a sum of squares or
     zero, so no step lowers a gain. The coupling is one
-    graph.LaplacianOperator over all the graphs, built here once, and the
-    disturbance is evaluated at each run's own labels, concatenated.
+    graph.LaplacianOperator over all the graphs, and the disturbance one
+    signals.waveform at each run's own labels, concatenated; both are
+    built here once, so each stage is one coupling product, one protocol
+    product (protocol.feedback) and one evaluation of the waveform.
 
     Samples are recorded every record_every steps plus the final state,
     into one preallocated record; each run's trajectory holds views of its
@@ -238,7 +246,7 @@ def simulate_union(cfgs):
     L = LaplacianOperator(*(cfg.graph for cfg in cfgs))
     labels = [cfg.agents if cfg.disturbance.index_map is None else cfg.disturbance.index_map for cfg in cfgs]
     signal = dataclasses.replace(head.disturbance, index_map=None)
-    loop = _Loop(head.model, head.params, signal, np.concatenate(labels))
+    loop = _Loop(head.model, head.params, sigs.waveform(signal, np.concatenate(labels)))
     dt = float(head.dt)
     half = 0.5 * dt
     every = int(head.record_every)
@@ -311,7 +319,7 @@ def write_trajectory_csv(traj, path):
     # form them; Z is dropped before the rows are written, as the properties' were
     Z = traj.zetas
     params = traj.config.params
-    U = control_all(traj.gains, Z, params)
+    U = feedback(traj.gains, Z, params)[1]
     V = levels(Z, params)
     znorm = np.linalg.norm(Z, axis=2)
     del Z

@@ -652,8 +652,36 @@ def test_sweep_union_with_a_diverging_member_reports_each_entry_as_alone(tmp_pat
     assert status[0] == "error: " + err.removeprefix("simulation diverged: ").rstrip("\n")
     assert "agent 1 at t=5.4" in status[0]
     assert status[1:] == ["pass", "pass"]  # a lone agent has no disagreement to judge
-    assert not any((out / "div_00").iterdir())  # made before the run, as by `cohsync run`
+    assert not (out / "div_00").exists()  # made before the run and removed, as by `cohsync run`
+    assert not (tmp_path / "lone_00").exists()
     assert_entries_write_what_run_writes(tmp_path, base, entries, out, ran=(1, 2))
+
+
+def test_a_diverging_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    # the unstable one-agent model above: x = 1.25 e^{5t} crosses 1e12 near t = 5.5
+    (tmp_path / "one.txt").write_text("nodes 1\n")
+    path = write_config(tmp_path, fast_passing_config(
+        name="div",
+        model={"A": [[5.0]], "B": [[1.0]], "E": [[1.0]]},
+        graph={"kind": "edge-list", "path": str(tmp_path / "one.txt")},
+        integration={"dt": 1e-3, "t_end": 6.0, "record_every": 100, "seed": 7},
+    ))
+    out = tmp_path / "made" / "deeper" / "div"
+    assert cli.main(["run", path, "--out", str(out), "--quiet"]) == 4
+    assert "simulation diverged" in capsys.readouterr().err
+    assert not (tmp_path / "made").exists()  # every directory the run made, and nothing else
+    assert (tmp_path / "one.txt").exists()
+    # a directory that was there before the run stays, empty or not
+    for kept in ("empty", "full"):
+        (tmp_path / kept).mkdir()
+    (tmp_path / "full" / "notes.txt").write_text("kept\n")
+    for kept in ("empty", "full"):
+        assert cli.main(["run", path, "--out", str(tmp_path / kept), "--quiet"]) == 4
+    assert (tmp_path / "empty").is_dir()
+    assert (tmp_path / "full" / "notes.txt").read_text() == "kept\n"
+    # below a directory that was there before, only the part the run made goes
+    assert cli.main(["run", path, "--out", str(tmp_path / "full" / "new" / "div"), "--quiet"]) == 4
+    assert sorted(p.name for p in (tmp_path / "full").iterdir()) == ["notes.txt"]
 
 
 def test_full_benchmark_preset_passes(tmp_path):

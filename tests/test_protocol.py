@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cohsync import graph, linalg, protocol
 
@@ -9,6 +12,14 @@ LAMBDA_MIN_REF = 0.6346522708156397
 @pytest.fixture(scope="module")
 def bench_params(benchmark_model, benchmark_P):
     return protocol.ProtocolParams(benchmark_P, benchmark_model.B, d=0.5)
+
+
+def rates_of(zetas, params):
+    return protocol.feedback(np.zeros(zetas.shape[:-1]), zetas, params)[0]
+
+
+def inputs_of(rho, zetas, params):
+    return protocol.feedback(np.asarray(rho, dtype=float), zetas, params)[1]
 
 
 def spec_of(P, **given):
@@ -82,6 +93,7 @@ def test_minimal_delta(benchmark_P):
 
 def test_params_cache_matches_definitions(benchmark_model, benchmark_P, bench_params):
     assert np.array_equal(bench_params.BtP, benchmark_model.B.T @ benchmark_P)
+    assert np.array_equal(bench_params.K, np.hstack([benchmark_P, (benchmark_model.B.T @ benchmark_P).T]))
     assert (bench_params.n, bench_params.m) == (3, 1)
 
 
@@ -137,29 +149,29 @@ def test_zeta_shape_errors():
 
 
 def test_gain_rate_inside_deadzone_is_exact_zero(bench_params):
-    z = np.array([0.01, 0.0, 0.0])  # V ~ 2.4e-4, far below d = 0.5
-    assert protocol.gain_rates(z, bench_params)[0] == 0.0
+    z = np.array([[0.01, 0.0, 0.0]])  # V ~ 2.4e-4, far below d = 0.5
+    assert rates_of(z, bench_params)[0] == 0.0
 
 
 def test_gain_rate_active_example(bench_params):
     # zeta = e1: V = P[0,0] ~ 2.41 >= d, growth = (B'P zeta)^2 = P[2,0]^2 = 1
-    z = np.array([1.0, 0.0, 0.0])
-    assert protocol.gain_rates(z, bench_params)[0] == pytest.approx(1.0, abs=1e-9)
+    z = np.array([[1.0, 0.0, 0.0]])
+    assert rates_of(z, bench_params)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gain_rate_boundary_counts_as_active():
     params = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), delta=2.0, d=1.0)
-    e1 = np.array([1.0, 0.0, 0.0])
+    e1 = np.array([[1.0, 0.0, 0.0]])
     # V = 1.0 equals d exactly: the boundary belongs to the active side
-    assert protocol.gain_rates(e1, params)[0] == 1.0
+    assert rates_of(e1, params)[0] == 1.0
     params_above = protocol.ProtocolParams(np.eye(3), np.array([[1.0], [0.0], [0.0]]), delta=2.0, d=1.0 + 1e-9)
-    assert protocol.gain_rates(e1, params_above)[0] == 0.0
+    assert rates_of(e1, params_above)[0] == 0.0
 
 
 def test_gain_rate_quadratic_identity(bench_params):
     rng = np.random.default_rng(31)
     Z = rng.normal(scale=3.0, size=(1000, 3))
-    rates = protocol.gain_rates(Z, bench_params)
+    rates = rates_of(Z, bench_params)
     V = np.einsum("ij,jk,ik->i", Z, bench_params.P, Z)
     expected = np.einsum("ij,ij->i", Z @ bench_params.BtP.T, Z @ bench_params.BtP.T)
     active = V >= bench_params.spec.d
@@ -184,19 +196,19 @@ def test_level_set_implies_norm_bound(benchmark_P):
 
 
 def test_control_zero_cases(bench_params):
-    z = np.array([1.0, 2.0, 3.0])
-    assert np.all(protocol.control_all([0.0], z, bench_params) == 0.0)
-    assert np.all(protocol.control_all([5.0], np.zeros(3), bench_params) == 0.0)
+    z = np.array([[1.0, 2.0, 3.0]])
+    assert np.all(inputs_of([0.0], z, bench_params) == 0.0)
+    assert np.all(inputs_of([5.0], np.zeros((1, 3)), bench_params) == 0.0)
 
 
 def test_control_example_and_linearity(bench_params):
-    z = np.array([1.0, 0.0, 0.0])
-    u = protocol.control_all([2.0], z, bench_params)[0]
+    z = np.array([[1.0, 0.0, 0.0]])
+    u = inputs_of([2.0], z, bench_params)[0]
     assert u.shape == (1,)
     # B'P zeta = P[2,0] ~ 1, scaled by -rho
     assert u[0] == pytest.approx(-2.0, abs=1e-9)
     # doubling the gain doubles the input bit for bit
-    assert np.array_equal(protocol.control_all([4.0], z, bench_params)[0], 2.0 * u)
+    assert np.array_equal(inputs_of([4.0], z, bench_params)[0], 2.0 * u)
 
 
 def test_levels_keep_leading_axes(bench_params):
@@ -210,18 +222,92 @@ def test_levels_keep_leading_axes(bench_params):
 
 
 def test_vectorized_and_scalar_routes_agree(bench_params):
-    # one call over a stack of samples (S, N, n) gives each sample's inputs
-    # bit for bit, which lets a trajectory derive its controls in one pass
+    # one call over a stack of samples (S, N, n) gives each sample's rates and
+    # inputs bit for bit, which lets a trajectory derive its controls in one pass
     rng = np.random.default_rng(44)
     Z = rng.normal(scale=2.0, size=(6, 40, 3))
     rho = rng.uniform(0.0, 3.0, size=(6, 40))
-    U = protocol.control_all(rho, Z, bench_params)
+    rates, U = protocol.feedback(rho, Z, bench_params)
+    assert rates.shape == (6, 40)
     assert U.shape == (6, 40, 1)
     for s in range(6):
-        assert np.array_equal(U[s], protocol.control_all(rho[s], Z[s], bench_params))
+        rates_s, U_s = protocol.feedback(rho[s], Z[s], bench_params)
+        assert np.array_equal(rates[s], rates_s)
+        assert np.array_equal(U[s], U_s)
 
 
-def test_control_all_shape(bench_params):
-    Z = np.zeros((7, 3))
-    U = protocol.control_all(np.ones(7), Z, bench_params)
+def test_feedback_shapes(bench_params):
+    rates, U = protocol.feedback(np.ones(7), np.zeros((7, 3)), bench_params)
+    assert rates.shape == (7,)
     assert U.shape == (7, 1)
+    # a single zeta is one agent
+    rate, u = protocol.feedback(2.0, np.array([1.0, 0.0, 0.0]), bench_params)
+    assert rate.shape == ()
+    assert u.shape == (1,)
+
+
+# feedback forms B'P zeta from one product with P beside it, so its sums may
+# round in another order than a per-agent matvec: allow a few ulps of the
+# scale |B'P| |zeta| of each output
+FEEDBACK_ULPS = 8 * np.finfo(float).eps
+TINY = np.finfo(float).tiny  # a floor for products that underflow
+
+
+@st.composite
+def feedback_cases(draw, integer=False):
+    """(rho, zetas, P, B) for n states and m inputs, zetas of shape (N, n) or (S, N, n)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (3,)])) + (draw(st.integers(1, 6)),)
+    if integer:  # small integers keep every product and sum exact
+        entries = st.integers(-4, 4).map(float)
+    else:
+        entries = st.floats(-5.0, 5.0, allow_subnormal=False)
+    M = draw(hnp.arrays(float, (n, n), elements=entries))
+    P = M @ M.T + np.eye(n)  # positive definite, lambda_min >= 1
+    B = draw(hnp.arrays(float, (n, m), elements=entries))
+    zetas = draw(hnp.arrays(float, lead + (n,), elements=entries))
+    rho = draw(hnp.arrays(float, lead, elements=st.floats(0.0, 10.0)))
+    return rho, zetas, P, B
+
+
+def per_agent(zetas, P, B):
+    """Levels, B'P zeta and its error scale |B'P| |zeta|, one agent at a time."""
+    BtP = B.T @ P
+    rows = zetas.reshape(-1, P.shape[0])
+    V = np.array([z @ P @ z for z in rows])
+    Y = np.array([BtP @ z for z in rows])
+    scale = np.array([np.abs(BtP) @ np.abs(z) for z in rows])
+    lead = zetas.shape[:-1]
+    return V.reshape(lead), Y.reshape(lead + (-1,)), scale.reshape(lead + (-1,))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(feedback_cases(), st.floats(0.01, 50.0))
+def test_feedback_matches_the_per_agent_formulas(case, d):
+    rho, zetas, P, B = case
+    params = protocol.ProtocolParams(P, B, d=d)
+    rates, U = protocol.feedback(rho, zetas, params)
+    V, Y, scale = per_agent(zetas, P, B)
+    assert rates.shape == zetas.shape[:-1]
+    assert U.shape == Y.shape
+    assert np.all(np.abs(U + rho[..., None] * Y) <= FEEDBACK_ULPS * rho[..., None] * scale + TINY)
+    # away from the boundary the deadzone decides alike whatever the rounding
+    margin = FEEDBACK_ULPS * np.einsum("...j,jk,...k->...", np.abs(zetas), np.abs(P), np.abs(zetas))
+    active, inside = V >= d + margin, V < d - margin
+    expected = (Y * Y).sum(axis=-1)
+    assert np.all(np.abs(rates - expected)[active] <= (FEEDBACK_ULPS * (scale * scale).sum(axis=-1) + TINY)[active])
+    assert np.all(rates[inside] == 0.0)
+    assert np.all(rates >= 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(feedback_cases(integer=True), st.data())
+def test_feedback_is_exact_on_integers_and_the_boundary_is_active(case, data):
+    rho, zetas, P, B = case
+    V, Y, _ = per_agent(zetas, P, B)
+    assume(V.max() > 0.0)
+    # d is some agent's level exactly, so that agent sits on the boundary
+    d = data.draw(st.sampled_from(sorted(set(V[V > 0.0].tolist()))))
+    rates, U = protocol.feedback(rho, zetas, protocol.ProtocolParams(P, B, d=d))
+    assert np.array_equal(rates, np.where(V >= d, (Y * Y).sum(axis=-1), 0.0))
+    assert np.array_equal(U, -rho[..., None] * Y)

@@ -1,7 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cohsync import signals
 
@@ -63,6 +67,10 @@ def test_dispatch_matches_direct_functions():
 def test_agent_labels_are_one_based():
     with pytest.raises(ValueError, match="1-based"):
         signals.evaluate_all(signals.chirp_signal(), [0], 1.0)
+    # refused when the waveform is built, before any time is asked for
+    for sig in (signals.zero_signal(), signals.sawtooth_signal(), signals.table_signal([0.0, 1.0], [[1.0], [2.0]])):
+        with pytest.raises(ValueError, match="1-based"):
+            signals.waveform(sig, [1, 0])
 
 
 def test_table_interpolation():
@@ -86,6 +94,12 @@ def test_table_refuses_extrapolation():
         signals.evaluate_all(sig, [1], 1.5)
     with pytest.raises(ValueError, match="extrapolation is refused"):
         signals.evaluate_all(sig, [1], -0.1)
+    # a waveform built once still refuses each query outside the range
+    wave = signals.waveform(sig, [1])
+    assert wave(0.5)[0] == 1.5
+    for t in (1.5, -0.1):
+        with pytest.raises(ValueError, match="extrapolation is refused"):
+            wave(t)
 
 
 def test_table_validation():
@@ -154,3 +168,53 @@ def test_relabel_validation():
     sig3 = signals.relabel(signals.chirp_signal(), np.array([2, 0, 1]))
     with pytest.raises(ValueError, match="length"):
         signals.relabel(sig3, np.array([1, 0]))
+
+
+@st.composite
+def signals_at_labels(draw):
+    """A signal of each kind over a few agents, maybe relabeled, labels into it and times it covers."""
+    kind = draw(st.sampled_from(signals.KINDS))
+    agents = draw(st.integers(1, 8))
+    if kind == "custom-table":
+        times = sorted(set(draw(st.lists(st.floats(-5.0, 40.0), min_size=2, max_size=6))))
+        if len(times) < 2:
+            times = [times[0], times[0] + 1.0]
+        values = draw(hnp.arrays(float, (len(times), agents), elements=st.floats(-3.0, 3.0)))
+        sig = signals.table_signal(times, values)
+        moments = st.floats(times[0], times[-1])
+    else:
+        sig = {"zero": signals.zero_signal, "chirp": signals.chirp_signal, "sawtooth": signals.sawtooth_signal}[kind]()
+        moments = st.floats(0.0, 50.0)
+    if draw(st.booleans()):
+        sig = signals.relabel(sig, np.array(draw(st.permutations(range(agents)))))
+    labels = draw(hnp.arrays(int, st.integers(1, 12), elements=st.integers(1, agents)))
+    return sig, labels, draw(st.lists(moments, min_size=1, max_size=4))
+
+
+def table_at(sig, column, t):
+    # linear interpolation between the tabulated samples around t, one column
+    ts, values = sig.table_times.tolist(), sig.table_values[:, column - 1].tolist()
+    k = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
+    lam = (t - ts[k]) / (ts[k + 1] - ts[k])
+    return (1.0 - lam) * values[k] + lam * values[k + 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(signals_at_labels())
+def test_waveform_is_the_formula_at_each_label(case):
+    sig, labels, moments = case
+    wave = signals.waveform(sig, labels)
+    original = labels if sig.index_map is None else sig.index_map[labels - 1]
+    for t in moments:
+        w = wave(t)
+        assert w.shape == labels.shape
+        if sig.kind == "zero":
+            expected = np.zeros(labels.shape)
+        elif sig.kind == "chirp":
+            expected = signals.chirp(original, t)
+        elif sig.kind == "sawtooth":
+            expected = signals.sawtooth(original, t)
+        else:
+            expected = np.array([table_at(sig, c, t) for c in original.tolist()])
+        assert np.array_equal(w, expected)
+        assert np.array_equal(w, signals.evaluate_all(sig, labels, t))

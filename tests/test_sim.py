@@ -178,13 +178,11 @@ def test_edge_path_simulation_matches_a_dense_loop(bench_setup):
 
     model, params = bench_setup
     L = graph.laplacian(g)
-    agents = np.arange(1, g.n_nodes + 1)
+    wave = signals.waveform(cfg.disturbance, np.arange(1, g.n_nodes + 1))
 
     def f(t, x, rho):
-        Z = L @ x
-        u = protocol.control_all(rho, Z, params)
-        w = signals.evaluate_all(cfg.disturbance, agents, t)
-        return x @ model.A.T + u @ model.B.T + w[:, None] * model.E.T, protocol.gain_rates(Z, params)
+        rates, u = protocol.feedback(rho, L @ x, params)
+        return x @ model.A.T + u @ model.B.T + wave(t)[:, None] * model.E.T, rates
 
     dt = cfg.dt
     x = cfg.x0.reshape(g.n_nodes, model.n)
@@ -201,6 +199,59 @@ def test_edge_path_simulation_matches_a_dense_loop(bench_setup):
     assert np.array_equal(traj.states[-1], x)
     assert np.array_equal(traj.gains[-1], rho)
     assert np.array_equal(traj.zetas, L @ traj.states)
+
+
+# the kernel takes B'P zeta from one product Z @ [P | (B'P)'], a GEMM of width
+# n + m, where the paper's formula Z @ (B'P)' has width m: OpenBLAS may sum
+# each row in another order, so the two loops agree to round-off, not in bits
+PAPER_LOOP_TOL = 1e-12
+
+
+def test_simulation_matches_the_papers_formulas(bench_setup):
+    # fig3c's shape: 121 agents on the directed fractal, chirp, samples every 50 steps
+    g = graph.vicsek_fractal(3, directed=True)
+    cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.5, record_every=50)
+    traj = sim.simulate(cfg)
+
+    model, params = bench_setup
+    A, B, E = model.A, model.B, model.E
+    L = graph.laplacian(g)
+    P, BtP, d = params.P, params.BtP, params.spec.d
+    i = np.arange(1, g.n_nodes + 1)
+
+    def f(t, x, rho):
+        Z = L @ x
+        Y = Z @ BtP.T
+        V = np.einsum("ij,jk,ik->i", Z, P, Z)
+        w = 0.1 * np.sin(0.1 * i * t + 0.01 * t * t)
+        return x @ A.T + (-rho[:, None] * Y) @ B.T + w[:, None] * E.T, np.where(V >= d, (Y * Y).sum(axis=1), 0.0)
+
+    dt = cfg.dt
+    x = cfg.x0.reshape(g.n_nodes, model.n)
+    rho = np.zeros(g.n_nodes)
+    states, gains = [], []
+    for k in range(cfg.steps):
+        if k % cfg.record_every == 0:
+            states.append(x)
+            gains.append(rho)
+        t = k * dt
+        k1x, k1r = f(t, x, rho)
+        k2x, k2r = f(t + 0.5 * dt, x + 0.5 * dt * k1x, rho + 0.5 * dt * k1r)
+        k3x, k3r = f(t + 0.5 * dt, x + 0.5 * dt * k2x, rho + 0.5 * dt * k2r)
+        k4x, k4r = f(t + dt, x + dt * k3x, rho + dt * k3r)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    states, gains = np.array(states + [x]), np.array(gains + [rho])
+    Z = L @ states
+    controls = -gains[..., None] * (Z @ BtP.T)
+    levels = np.einsum("sij,jk,sik->si", Z, P, Z)
+
+    assert np.abs(gains[-1]).max() > 0.0  # the gains have moved
+    assert traj.states.shape == states.shape
+    for got, want in ((traj.states, states), (traj.gains[..., None], gains[..., None]),
+                      (traj.controls, controls), (traj.vi_values[..., None], levels[..., None])):
+        scale = np.abs(want).max(axis=(0, 1))  # one per column
+        assert np.all(np.abs(got - want).max(axis=(0, 1)) <= PAPER_LOOP_TOL * scale)
 
 
 # members of an undirected or circulant union sum their rows with the union's
@@ -399,7 +450,7 @@ def test_derived_record_matches_per_sample_maps(bench_setup):
     for s in (0, traj.n_samples // 2, traj.n_samples - 1):
         zs = protocol.zeta(L, traj.states[s])
         assert np.array_equal(Z[s], zs)
-        assert np.array_equal(U[s], protocol.control_all(traj.gains[s], zs, params))
+        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs, params)[1])
         expected = np.array([z @ params.P @ z for z in zs])
         assert np.abs(V[s] - expected).max() <= 1e-12 * max(1.0, expected.max())
 
