@@ -1,0 +1,44 @@
+"""Run the protocol on the directed generation-6 fractal: 15,001 agents.
+
+The design is scale-free: P and d come from the agent model alone, so the
+gains that steer the 5-agent star steer fifteen thousand agents too. A
+graph holds only its edges (15,000 here, where a dense weight matrix
+would take 1.8 GB), and from graph.EDGE_PATH_NODES agents on the coupling
+is applied per edge. This demo builds the graph, checks its spanning
+tree, integrates a short closed loop and reports the cost per RK4 step.
+"""
+
+import time
+
+import numpy as np
+
+from cohsync import graph, linalg, protocol, signals, sim
+
+
+def main():
+    t0 = time.perf_counter()
+    g = graph.vicsek_fractal(6, directed=True)
+    built = time.perf_counter() - t0
+    print(f"directed generation 6: {g.n_nodes} agents, {g.n_edges} edges, built in {built:.3f} s")
+    print(f"directed spanning tree: {graph.has_directed_spanning_tree(g)}")
+
+    model = linalg.triple_integrator()
+    P = linalg.solve_care(model.A, model.B).P
+    params = protocol.ProtocolParams(P, model.B, d=0.5)
+    cfg = sim.SimConfig(
+        model=model, graph=g, params=params, disturbance=signals.chirp_signal(),
+        x0=sim.default_initial_state(g.n_nodes, model.n, seed=7),
+        t_end=0.3, dt=1e-3, record_every=100,
+    )
+    t0 = time.perf_counter()
+    traj = sim.simulate(cfg)
+    elapsed = time.perf_counter() - t0
+    print(f"{cfg.steps} RK4 steps to t = {cfg.t_end:g} s: {1e6 * elapsed / cfg.steps:.0f} us per step")
+
+    norms = np.linalg.norm(traj.zetas, axis=2)
+    print(f"max |zeta_i|: {norms[0].max():.3f} at t = 0, {norms[-1].max():.3f} at t = {traj.times[-1]:g}")
+    print(f"largest gain so far: {traj.gains[-1].max():.4f} (the gains only grow)")
+
+
+if __name__ == "__main__":
+    main()

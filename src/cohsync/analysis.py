@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .protocol import levels, minimal_delta
+from .protocol import feedback, minimal_delta
 
 
 @dataclass
@@ -60,7 +60,7 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=Fal
 
     Z = traj.zetas
     norms = np.linalg.norm(Z, axis=2)
-    tail_vi_max = float(levels(Z[-ntail:], params).max())
+    tail_vi_max = float(feedback(traj.gains[-ntail:], Z[-ntail:], params)[2].max())
     ok = (norms <= spec.delta).all(axis=1)
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     settled = bool(suffix_ok.any())

@@ -1,8 +1,8 @@
 """Config-driven experiment runner with presets for the benchmark scenarios.
 
 Verbs: run, sweep, list-presets, table1, check. Exit codes: 0 all checks
-passed, 1 run finished but a requested check failed, 2 config/schema
-error, 3 violated model or graph assumption, 4 numerical divergence.
+passed, 1 run finished but a requested check failed, 2 config error or no
+memory for the run, 3 violated model or graph assumption, 4 divergence.
 """
 
 import argparse
@@ -44,7 +44,10 @@ REFUSALS = {
     SchemaError: (2, "config error"),
     AssumptionError: (3, "assumption violated"),
     sim.DivergenceError: (4, "simulation diverged"),
+    MemoryError: (2, "out of memory"),
 }
+# what a simulation may raise once its directory is made: it writes nothing then
+RUN_FAILURES = (sim.DivergenceError, MemoryError)
 
 
 def _vicsek_preset(generation, directed, d=0.5, kind="chirp", t_end=30.0, record_every=10):
@@ -476,8 +479,8 @@ def cmd_run(args):
     made = _make_dir(outdir, source)
     try:
         traj = sim.simulate(cfg)
-    except sim.DivergenceError:
-        _unmake_dirs(made)  # a diverged run writes nothing, so it leaves no directory behind
+    except RUN_FAILURES:
+        _unmake_dirs(made)  # a failed run writes nothing, so it leaves no directory behind
         raise
     summary = _finish(outdir, norm, checks, traj)
     if not args.quiet:
@@ -488,7 +491,7 @@ def cmd_run(args):
 class _Entry(NamedTuple):
     """A sweep entry that was built and may run: index, normalized config, directory, SimConfig, checks.
 
-    made lists the directories _make_dir created for it, removed again if the entry diverges.
+    made lists the directories _make_dir created for it, removed again if its run fails.
     """
 
     idx: int
@@ -519,14 +522,14 @@ def _unions(entries):
 
 
 def _simulate_union(cfgs):
-    """Each run's trajectory, or the DivergenceError it raises alone.
+    """Each run's trajectory, or the RUN_FAILURES error it raises alone.
 
-    A union that diverges is run again member by member, so every run
+    A union that fails so is run again member by member, so every run
     reports exactly what its lone simulation does.
     """
     try:
         return sim.simulate_union(cfgs)
-    except sim.DivergenceError as exc:
+    except RUN_FAILURES as exc:
         if len(cfgs) == 1:
             return [exc]
     return [_simulate_union([cfg])[0] for cfg in cfgs]
@@ -540,7 +543,7 @@ def _run_union(union):
     """Simulate one union and write its entries' artifacts; returns {entry index: (row, line)}."""
     results = {}
     for entry, outcome in zip(union, _simulate_union([entry.cfg for entry in union])):
-        if isinstance(outcome, sim.DivergenceError):
+        if isinstance(outcome, RUN_FAILURES):
             _unmake_dirs(entry.made)
             results[entry.idx] = _error_result(entry.idx, outcome)
             continue

@@ -5,48 +5,65 @@ from collections import deque
 import numpy as np
 
 
-class WeightedDigraph:
-    """Weighted directed graph on N nodes.
+# the most nodes a graph may have: a node count arrives as one number (an edge
+# list's header, a generator's argument) and is refused before anything is built
+MAX_NODES = 10**6
 
-    The weight matrix uses the receiver convention: ``weights[i, j] > 0``
-    means an edge from node j to node i with that weight. Nodes are 0-based
-    in code; the text exchange format and agent labels are 1-based.
+
+def _node_count(n):
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"{n} nodes: a graph has 1 to {MAX_NODES} nodes (graph.MAX_NODES)")
+    return int(n)
+
+
+class WeightedDigraph:
+    """Weighted directed graph on N nodes, held as its edges.
+
+    Edge k runs from node senders[k] to node receivers[k] with weight
+    edge_weights[k] > 0, sorted by receiver, then sender: the row-major
+    order of the weight matrix, where weights[i, j] > 0 means an edge from
+    node j to node i. Nodes are 0-based in code; the text exchange format
+    and agent labels are 1-based.
     """
 
-    def __init__(self, weights):
-        W = np.array(weights, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("weight matrix must be square")
-        if W.shape[0] < 1:
-            raise ValueError("graph needs at least one node")
-        if not np.all(np.isfinite(W) & (W >= 0)):
-            raise ValueError("edge weights must be finite and nonnegative")
-        if np.any(np.diag(W) != 0):
-            raise ValueError("self-loops are not allowed (diagonal must be zero)")
-        W.setflags(write=False)  # shared freely; treat as immutable
-        self.weights = W
+    def __init__(self, n, receivers, senders, weights):
+        self.n_nodes = n = _node_count(n)
+        r = np.array(receivers, dtype=np.intp)
+        s = np.array(senders, dtype=np.intp)
+        w = np.array(weights, dtype=float)
+        if not (r.ndim == 1 and r.shape == s.shape == w.shape):
+            raise ValueError("receivers, senders and weights must be 1-D and of one length")
+        if r.size and not (0 <= min(r.min(), s.min()) and max(r.max(), s.max()) < n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("edge weights must be finite and positive")
+        if np.any(r == s):
+            raise ValueError("self-loops are not allowed")
+        order = np.argsort(r * n + s)
+        if np.any(np.diff((r * n + s)[order]) == 0):
+            raise ValueError("an edge is given more than once")
+        self.receivers, self.senders, self.edge_weights = r[order], s[order], w[order]
+        self.n_edges = r.size
+        for a in (self.receivers, self.senders, self.edge_weights):
+            a.setflags(write=False)  # shared freely; treat as immutable
 
     @property
-    def n_nodes(self):
-        return self.weights.shape[0]
-
-    @property
-    def n_edges(self):
-        return int(np.count_nonzero(self.weights))
-
-    def __repr__(self):
-        return f"WeightedDigraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+    def weights(self):
+        """The dense N x N weight matrix, built on each access (read-only)."""
+        W = np.zeros((self.n_nodes, self.n_nodes))
+        W[self.receivers, self.senders] = self.edge_weights
+        W.setflags(write=False)
+        return W
 
 
 def laplacian(g):
-    """Graph Laplacian: l_ii = sum_k a_ik, l_ij = -a_ij for i != j.
+    """Dense graph Laplacian: l_ii = sum_k a_ik, l_ij = -a_ij for i != j.
 
-    The diagonal is assembled as the row sum of the weight matrix, so each
-    row of the result sums to zero without any floating-point subtraction
-    tricks.
+    The diagonal is the row sum of the weight matrix, so each row of the
+    result sums to zero without floating-point subtraction tricks.
     """
     W = g.weights
-    L = -W.copy()
+    L = -W
     np.fill_diagonal(L, W.sum(axis=1))
     return L
 
@@ -64,13 +81,13 @@ class LaplacianOperator:
     the k-th graph is node i plus the earlier graphs' node count, so L is
     block-diagonal and each block acts on its own graph's rows alone.
     Below EDGE_PATH_NODES nodes in all it is the dense product with that
-    L, whose zeros off the blocks are -0.0 like laplacian's own.
-    From there on it costs O(E n) whatever the in-degrees: it gathers the
+    L, whose zeros off the blocks are -0.0 like laplacian's own. From
+    there on it costs O(E n) whatever the in-degrees: it gathers the
     senders' rows times the negated weights, scatters them onto the
     receivers with one np.bincount per state column, and adds the row
-    sums times x. Where every node has at most one in-neighbour both ways
-    round once per entry and agree bit for bit; elsewhere they sum in a
-    different order.
+    sums (one np.bincount of the weights) times x. Where every node has
+    at most one in-neighbour both ways round once per entry and agree bit
+    for bit; elsewhere they sum in a different order.
     """
 
     def __init__(self, *graphs):
@@ -82,18 +99,11 @@ class LaplacianOperator:
                 self.dense[lo : lo + g.n_nodes, lo : lo + g.n_nodes] = laplacian(g)
             return
         self.dense = None
-        receivers, senders, neg_weights, row_sums = [], [], [], []
-        for g, lo in zip(graphs, offsets):
-            W = g.weights
-            r, s = np.nonzero(W)
-            receivers.append(r + lo)
-            senders.append(s + lo)
-            neg_weights.append(-W[r, s])
-            row_sums.append(W.sum(axis=1))
-        self.receivers = np.concatenate(receivers)
-        self.senders = np.concatenate(senders)
-        self.neg_weights = np.concatenate(neg_weights)[:, None]
-        self.row_sums = np.concatenate(row_sums)[:, None]
+        self.receivers = np.concatenate([g.receivers + lo for g, lo in zip(graphs, offsets)])
+        self.senders = np.concatenate([g.senders + lo for g, lo in zip(graphs, offsets)])
+        weights = np.concatenate([g.edge_weights for g in graphs])
+        self.neg_weights = -weights[:, None]
+        self.row_sums = np.bincount(self.receivers, weights, minlength=N)[:, None]
 
     def __call__(self, x):
         if self.dense is not None:
@@ -116,13 +126,10 @@ class LaplacianOperator:
         return out
 
 
-def _successors(W):
-    # adjacency lists in travel direction: from j you can reach any i
-    # with W[i, j] > 0
-    n = W.shape[0]
-    rows, cols = np.nonzero(W > 0)
-    out = [[] for _ in range(n)]
-    for i, j in zip(rows.tolist(), cols.tolist()):
+def _successors(g):
+    # adjacency lists in travel direction, ascending: a sender reaches its receivers
+    out = [[] for _ in range(g.n_nodes)]
+    for i, j in zip(g.receivers.tolist(), g.senders.tolist()):
         out[j].append(i)
     return out
 
@@ -151,7 +158,7 @@ def has_directed_spanning_tree(g):
     start does; one more search from it decides, in O(N + E).
     """
     n = g.n_nodes
-    succ = _successors(g.weights)
+    succ = _successors(g)
     seen = bytearray(n)
     last = 0
     for root in range(n):
@@ -197,16 +204,6 @@ def _vicsek_cells(generation):
     return sorted(cells)
 
 
-def _orient_from(W, root):
-    # breadth-first arborescence: keep only tree edges, pointed away from
-    # the root; receiver convention puts W[child, parent] = 1. W is
-    # symmetric, so each node's successors are its neighbours, ascending
-    A = np.zeros_like(W)
-    for child, parent in _search(_successors(W), root, bytearray(W.shape[0])):
-        A[child, parent] = 1.0
-    return A
-
-
 def vicsek_fractal(generation, directed=False):
     """Fractal plus-of-pluses graph family with unit edge weights.
 
@@ -230,19 +227,28 @@ def vicsek_fractal(generation, directed=False):
     """
     if not isinstance(generation, (int, np.integer)) or generation < 1:
         raise ValueError("generation must be a positive integer")
+    n = 5  # five copies per generation, four junctions merged from the third on
+    for gen in range(2, int(generation) + 1):
+        n = 5 * n - 4 * (gen > 2)
+        if n > MAX_NODES:
+            raise ValueError(f"generation {generation} has over {MAX_NODES} nodes (graph.MAX_NODES)")
     cells = _vicsek_cells(int(generation))
     index = {c: k for k, c in enumerate(cells)}
-    n = len(cells)
-    W = np.zeros((n, n))
-    for x, y in cells:
-        i = index[(x, y)]
-        for nb in ((x + 1, y), (x, y + 1)):
+    # each cell's lattice neighbours, ascending: cells sort by (x, y), so
+    # (x - 1, y) < (x, y - 1) < (x, y + 1) < (x + 1, y) are appended in turn
+    nbrs = [[] for _ in cells]
+    for i, (x, y) in enumerate(cells):
+        for nb in ((x, y + 1), (x + 1, y)):
             j = index.get(nb)
             if j is not None:
-                W[i, j] = W[j, i] = 1.0
-    if directed:
-        W = _orient_from(W, index[(0, 0)])
-    return WeightedDigraph(W)
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    if directed:  # the breadth-first arborescence, pointed away from the center
+        children, parents = zip(*_search(nbrs, index[(0, 0)], bytearray(n)))
+    else:
+        children = [i for i, js in enumerate(nbrs) for _ in js]
+        parents = [j for js in nbrs for j in js]
+    return WeightedDigraph(n, children, parents, np.ones(len(children)))
 
 
 def circulant(n, offsets, directed=True):
@@ -253,18 +259,17 @@ def circulant(n, offsets, directed=True):
     """
     if n < 2:
         raise ValueError("circulant graph needs n >= 2")
-    offs = sorted({int(k) for k in offsets})
+    n = _node_count(n)
+    offs = {int(k) for k in offsets}
     if not offs:
         raise ValueError("offset set must be nonempty")
-    if offs[0] < 1 or offs[-1] > n - 1:
+    if min(offs) < 1 or max(offs) > n - 1:
         raise ValueError(f"offsets must lie in [1, {n - 1}]")
-    W = np.zeros((n, n))
+    if not directed:
+        offs |= {n - k for k in offs}  # node i + k hears node i: offset n - k
     i = np.arange(n)
-    for k in offs:
-        W[i, (i + k) % n] = 1.0
-        if not directed:
-            W[(i + k) % n, i] = 1.0
-    return WeightedDigraph(W)
+    senders = np.concatenate([(i + k) % n for k in offs])
+    return WeightedDigraph(n, np.tile(i, len(offs)), senders, np.ones(senders.size))
 
 
 def from_edge_list(n, edges):
@@ -273,12 +278,8 @@ def from_edge_list(n, edges):
     Duplicate edges keep the last weight. Self-loops, out-of-range
     indices, and nonpositive or non-finite weights are rejected.
     """
-    if n < 1:
-        raise ValueError("node count must be positive")
-    try:
-        W = np.zeros((n, n))
-    except MemoryError:
-        raise ValueError(f"{n} nodes need a dense {n} x {n} weight matrix, which cannot be allocated") from None
+    n = _node_count(n)
+    W = {}  # (receiver, sender) -> weight
     for src, dst, w in edges:
         if not (1 <= src <= n and 1 <= dst <= n):
             raise ValueError(f"edge ({src}, {dst}): node index out of range 1..{n}")
@@ -287,7 +288,7 @@ def from_edge_list(n, edges):
         if w <= 0:
             raise ValueError(f"edge ({src}, {dst}): weight must be positive")
         W[dst - 1, src - 1] = float(w)
-    return WeightedDigraph(W)
+    return WeightedDigraph(n, [i for i, _ in W], [j for _, j in W], list(W.values()))
 
 
 def relabel(g, perm):
@@ -296,9 +297,7 @@ def relabel(g, perm):
     n = g.n_nodes
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    W = np.zeros_like(g.weights)
-    W[np.ix_(perm, perm)] = g.weights
-    return WeightedDigraph(W)
+    return WeightedDigraph(n, perm[g.receivers], perm[g.senders], g.edge_weights)
 
 
 def write_edge_list(g, path):
@@ -307,10 +306,10 @@ def write_edge_list(g, path):
     First line is ``nodes N``; each edge follows as ``from to weight``
     with 1-based indices.
     """
-    W = g.weights
     lines = [f"nodes {g.n_nodes}"]
-    # nonzero scans row-major, so edges come out by receiver, then sender
-    lines += [f"{j + 1} {i + 1} {W[i, j].item()!r}" for i, j in zip(*np.nonzero(W > 0))]
+    # the edges are sorted, so they come out by receiver, then sender
+    edges = zip(g.receivers.tolist(), g.senders.tolist(), g.edge_weights.tolist())
+    lines += [f"{j + 1} {i + 1} {w!r}" for i, j, w in edges]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -10,7 +10,7 @@ import yaml
 from . import signals as sigs
 from .graph import LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
 from .linalg import AgentModel, AssumptionError, is_stabilizable
-from .protocol import ProtocolParams, feedback, levels
+from .protocol import ProtocolParams, feedback
 
 STATE_LIMIT = 1e12  # abort threshold for any state entry
 
@@ -146,7 +146,7 @@ class Trajectory:
     @property
     def vi_values(self):
         """Levels zeta_i' P zeta_i, shape (S, N)."""
-        return levels(self.zetas, self.config.params)
+        return feedback(self.gains, self.zetas, self.config.params)[2]
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -169,7 +169,7 @@ def rhs(loop, L, t, x, rho):
     gives every agent's rate and input (protocol.feedback), and
     xdot = x A' + U B' + w E' is assembled in place.
     """
-    rates, U = feedback(rho, L(x), loop.params)
+    rates, U = feedback(rho, L(x), loop.params)[:2]
     model = loop.model
     xdot = x @ model.A.T
     xdot += U @ model.B.T
@@ -315,12 +315,10 @@ def write_trajectory_csv(traj, path):
     byte-identical files; lines end in the csv module's "\\r\\n".
     """
     n = traj.states.shape[2]
-    # the disagreements once, and the inputs and levels from them as the properties
-    # form them; Z is dropped before the rows are written, as the properties' were
+    # the disagreements once, and the inputs and levels from one feedback product
+    # as the properties form them; Z is dropped before the rows are written
     Z = traj.zetas
-    params = traj.config.params
-    U = feedback(traj.gains, Z, params)[1]
-    V = levels(Z, params)
+    U, V = feedback(traj.gains, Z, traj.config.params)[1:]
     znorm = np.linalg.norm(Z, axis=2)
     del Z
     m = U.shape[2]

@@ -200,19 +200,22 @@ def test_threshold_above_level_is_a_config_error(tmp_path, capsys):
     assert "0 < d < delta_bar" in err
 
 
-def test_schema_error_cases(tmp_path):
+def test_schema_error_cases(tmp_path, capsys):
+    without_protocol = {k: v for k, v in fast_passing_config().items() if k != "protocol"}
     bad = [
-        {},  # protocol section missing entirely
-        fast_passing_config(graph={"kind": "moebius"}),
-        fast_passing_config(protocol={"d": -0.5}),
-        fast_passing_config(integration={"dt": 1e-3, "t_end": 1e-4}),
-        fast_passing_config(output={"formats": ["parquet"]}),
-        fast_passing_config(model={"preset": "double-integrator"}),
-        fast_passing_config(disturbance={"kind": "zero", "path": "x.csv"}),
-        fast_passing_config(integration={"dt": 1e-3, "t_end": 6.0, "seed": -1}),
+        ({}, "graph.kind"),  # the graph is the first section without a default
+        (without_protocol, "protocol: needs d, delta, or both"),
+        (fast_passing_config(graph={"kind": "moebius"}), "graph.kind"),
+        (fast_passing_config(protocol={"d": -0.5}), "protocol.d"),
+        (fast_passing_config(integration={"dt": 1e-3, "t_end": 1e-4}), "integration.t_end"),
+        (fast_passing_config(output={"formats": ["parquet"]}), "output.formats"),
+        (fast_passing_config(model={"preset": "double-integrator"}), "model.preset"),
+        (fast_passing_config(disturbance={"kind": "zero", "path": "x.csv"}), "disturbance.path"),
+        (fast_passing_config(integration={"dt": 1e-3, "t_end": 6.0, "seed": -1}), "integration.seed"),
     ]
-    for k, cfg in enumerate(bad):
+    for k, (cfg, field) in enumerate(bad):
         assert cli.main(["check", write_config(tmp_path, cfg, f"bad{k}.yaml")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
 @pytest.mark.parametrize(
@@ -277,8 +280,7 @@ REFUSED_INPUTS = {
         "disturbance.path: [Errno 21] Is a directory",
     ),
     "step count overflows": ({"integration": OVERFLOWING_STEPS}, [], "config: t_end / dt = "),
-    # numpy refuses a 71 PiB matrix at once, without touching memory
-    "huge node count": ({"graph": {"path": "huge.txt"}}, [], "graph.path: 100000000 nodes need a dense"),
+    "huge node count": ({"graph": {"path": "huge.txt"}}, [], "graph.path: 100000000 nodes: a graph has 1 to"),
     "step count overflows with a table": (
         {"integration": OVERFLOWING_STEPS, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
         [],
@@ -323,6 +325,45 @@ def test_refused_inputs_exit_2_from_check_and_run(input_files, capsys, case):
     assert cli.main(["run", cfg_path, *flags, "--out", "out", "--quiet"]) == 2
     assert message in capsys.readouterr().err
     assert not (input_files / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "graph_cfg, field",
+    [
+        ({"kind": "vicsek", "generation": 9}, "graph: generation 9 has over 1000000 nodes"),
+        ({"kind": "circulant", "n": 10000000}, "graph: 10000000 nodes: a graph has 1 to 1000000 nodes"),
+    ],
+    ids=["vicsek", "circulant"],
+)
+def test_node_cap_exits_2_on_the_generators(input_files, capsys, graph_cfg, field):
+    # an edge list's node count is REFUSED_INPUTS["huge node count"]
+    cfg_path = write_config(input_files, fast_passing_config(graph=graph_cfg))
+    for argv in (["check", cfg_path], ["run", cfg_path, "--out", "out", "--quiet"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {field} (graph.MAX_NODES)\n"
+    assert not (input_files / "out").exists()
+
+
+# 1e15 steps, each recorded: 8 PB of times alone, beyond any address space,
+# so the record's first np.empty fails at once and touches no memory
+UNALLOCATABLE_RECORD = {"dt": 1e-3, "t_end": 1.0e12, "record_every": 1}
+
+
+def test_a_record_too_large_to_allocate_exits_2_and_leaves_no_directory(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, fast_passing_config(integration=UNALLOCATABLE_RECORD))
+    assert cli.main(["check", cfg_path]) == 0
+    out = tmp_path / "made" / "out"
+    assert cli.main(["run", cfg_path, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("out of memory: ")
+    assert not (tmp_path / "made").exists()
+    cfg = dict(fast_passing_config(name="big"), sweep=[{"integration": UNALLOCATABLE_RECORD}, {}])
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [row[1] for row in csv.reader(fh)][1:]
+    assert status[0].startswith("error: ") and "allocate" in status[0]
+    assert status[1] == "pass"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["big_01"]
 
 
 def test_sweep_records_refused_inputs_and_runs_the_rest(input_files):

@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsync import graph
+
+
+def from_matrix(W):
+    """The graph whose receiver-convention weight matrix is W: an edge j -> i wherever W[i, j] != 0."""
+    W = np.asarray(W, dtype=float)
+    r, s = np.nonzero(W)
+    return graph.WeightedDigraph(len(W), r, s, W[r, s])
 
 
 def test_laplacian_single_edge():
@@ -135,23 +144,45 @@ def test_operator_path_follows_the_node_count():
 
 
 def test_digraph_validation():
-    with pytest.raises(ValueError):
-        graph.WeightedDigraph([[0.0, -1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        graph.WeightedDigraph([[1.0, 0.0], [0.0, 0.0]])  # self-loop
-    with pytest.raises(ValueError):
-        graph.WeightedDigraph(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="positive"):
+        from_matrix([[0.0, -1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="self-loops"):
+        from_matrix([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="one length"):
+        graph.WeightedDigraph(3, [0, 1], [1, 2], [1.0])
+    with pytest.raises(ValueError, match="endpoints"):
+        graph.WeightedDigraph(2, [0], [2], [1.0])
+    with pytest.raises(ValueError, match="endpoints"):
+        graph.WeightedDigraph(2, [-1], [0], [1.0])
+    with pytest.raises(ValueError, match="more than once"):
+        graph.WeightedDigraph(3, [1, 2, 1], [0, 0, 0], [1.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="positive"):
+        graph.WeightedDigraph(2, [1], [0], [0.0])
+    with pytest.raises(ValueError, match="1 to"):
+        graph.WeightedDigraph(0, [], [], [])
     for w in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            graph.WeightedDigraph([[0.0, w], [0.0, 0.0]])
+            from_matrix([[0.0, w], [0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             graph.from_edge_list(2, [(1, 2, w)])
+
+
+def test_edges_are_sorted_by_receiver_then_sender():
+    g = graph.WeightedDigraph(4, [3, 1, 3, 0], [0, 2, 1, 3], [1.0, 2.0, 3.0, 4.0])
+    assert g.receivers.tolist() == [0, 1, 3, 3]
+    assert g.senders.tolist() == [3, 2, 0, 1]
+    assert g.edge_weights.tolist() == [4.0, 2.0, 1.0, 3.0]
+    r, s = np.nonzero(g.weights)  # the row-major order of the dense matrix
+    assert np.array_equal(r, g.receivers) and np.array_equal(s, g.senders)
 
 
 def test_weights_are_read_only():
     g = graph.vicsek_fractal(1)
     with pytest.raises(ValueError):
         g.weights[0, 1] = 5.0
+    for edges in (g.receivers, g.senders, g.edge_weights):
+        with pytest.raises(ValueError):
+            edges[0] = 1
 
 
 def test_spanning_tree_simple_cases():
@@ -182,7 +213,7 @@ def test_spanning_tree_matches_reachability_oracle():
         n = int(rng.integers(2, 8))
         W = (rng.random((n, n)) < 0.25).astype(float)
         np.fill_diagonal(W, 0.0)
-        g = graph.WeightedDigraph(W)
+        g = from_matrix(W)
         assert graph.has_directed_spanning_tree(g) == _reachability_has_root(g)
 
 
@@ -217,7 +248,7 @@ def weighted_digraphs(draw):
 @settings(derandomize=True, deadline=None)
 @given(weighted_digraphs())
 def test_spanning_tree_matches_the_search_from_every_root(W):
-    assert graph.has_directed_spanning_tree(graph.WeightedDigraph(W)) == _rooted_by_some_search(W)
+    assert graph.has_directed_spanning_tree(from_matrix(W)) == _rooted_by_some_search(W)
 
 
 def test_spanning_tree_implies_single_zero_eigenvalue():
@@ -307,6 +338,14 @@ def test_circulant_undirected_symmetrizes():
     assert np.array_equal(g.weights, g.weights.T)
 
 
+def test_circulant_undirected_offsets_k_and_n_minus_k_coincide():
+    # offset n - k is offset k the other way round: each edge is held once
+    g = graph.circulant(8, [1, 7], directed=False)
+    assert g.n_edges == 16
+    assert np.array_equal(g.weights, graph.circulant(8, [1], directed=False).weights)
+    assert np.array_equal(g.weights, graph.circulant(8, [1, 7]).weights)
+
+
 def test_circulant_rejects_bad_offsets():
     with pytest.raises(ValueError):
         graph.circulant(5, [])
@@ -320,19 +359,68 @@ def test_circulant_rejects_bad_offsets():
 
 def test_connectivity_complete_graph():
     n = 5
-    g = graph.WeightedDigraph(np.ones((n, n)) - np.eye(n))
+    g = from_matrix(np.ones((n, n)) - np.eye(n))
     # complete graph on n nodes: all nonzero eigenvalues equal n
     assert graph.algebraic_connectivity(g) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_connectivity_two_node_pair():
-    g = graph.WeightedDigraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = from_matrix([[0.0, 1.0], [1.0, 0.0]])
     assert graph.algebraic_connectivity(g) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_connectivity_needs_two_nodes():
     with pytest.raises(ValueError):
-        graph.algebraic_connectivity(graph.WeightedDigraph(np.zeros((1, 1))))
+        graph.algebraic_connectivity(from_matrix(np.zeros((1, 1))))
+
+
+def traced_peak(build):
+    """Peak bytes Python allocates while build() runs, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        result = build()
+    except ValueError as exc:
+        result = exc
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak, result
+
+
+def test_large_sparse_graphs_are_built_from_their_edges():
+    # a dense weight matrix would take 12.8 GB for the chain and 72 MB for
+    # the fractal; the edges take a few MiB
+    chain = [(k, k + 1, 1.0) for k in range(1, 40000)]
+    peak, g = traced_peak(lambda: graph.from_edge_list(40000, chain))
+    assert g.n_edges == 39999 and peak < 16 * 2**20
+    peak, g = traced_peak(lambda: graph.vicsek_fractal(5, directed=True))
+    assert g.n_nodes == 3001 and peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph.vicsek_fractal(4), graph.vicsek_fractal(4, directed=True), graph.circulant(601, [1, 2], directed=False)],
+    ids=["undirected-4", "directed-4", "circulant-601"],
+)
+def test_a_graph_holds_only_its_edges(g):
+    arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3
+    assert all(a.shape == (g.n_edges,) for a in arrays)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: graph.vicsek_fractal(9),
+        lambda: graph.vicsek_fractal(10**9, directed=True),
+        lambda: graph.circulant(10**7, [1, 2]),
+        lambda: graph.from_edge_list(10**8, [(1, 2, 1.0)]),
+    ],
+    ids=["vicsek-9", "vicsek-huge", "circulant", "edge-list"],
+)
+def test_node_cap_refuses_before_anything_is_built(build):
+    peak, exc = traced_peak(build)
+    assert isinstance(exc, ValueError) and "graph.MAX_NODES" in str(exc)
+    assert peak < 2**16
 
 
 def test_from_edge_list_receiver_convention():

@@ -155,7 +155,7 @@ def test_divergence_guard_reports_agent_and_keeps_partial():
     P = linalg.solve_care(model.A, model.B).P
     params = protocol.ProtocolParams(P, model.B, d=0.5)
     cfg = sim.SimConfig(
-        model=model, graph=graph.WeightedDigraph(np.zeros((1, 1))), params=params,
+        model=model, graph=graph.from_edge_list(1, []), params=params,
         disturbance=signals.zero_signal(), x0=[2.0], t_end=10.0, dt=1e-3,
         record_every=100,
     )
@@ -181,7 +181,7 @@ def test_edge_path_simulation_matches_a_dense_loop(bench_setup):
     wave = signals.waveform(cfg.disturbance, np.arange(1, g.n_nodes + 1))
 
     def f(t, x, rho):
-        rates, u = protocol.feedback(rho, L @ x, params)
+        rates, u, _ = protocol.feedback(rho, L @ x, params)
         return x @ model.A.T + u @ model.B.T + wave(t)[:, None] * model.E.T, rates
 
     dt = cfg.dt
