@@ -8,12 +8,21 @@ import numpy as np
 # the most nodes a graph may have: a node count arrives as one number (an edge
 # list's header, a generator's argument) and is refused before anything is built
 MAX_NODES = 10**6
+# the most edges a graph may have: every generator's output at MAX_NODES and
+# the presets' degree fits (undirected vicsek generation 8 has 750,000); an
+# edge count is refused before its edges are built
+MAX_EDGES = 4 * 10**6
 
 
 def _node_count(n):
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"{n} nodes: a graph has 1 to {MAX_NODES} nodes (graph.MAX_NODES)")
     return int(n)
+
+
+def _edge_count(e):
+    if e > MAX_EDGES:
+        raise ValueError(f"{e} edges: a graph has at most {MAX_EDGES} edges (graph.MAX_EDGES)")
 
 
 class WeightedDigraph:
@@ -28,6 +37,7 @@ class WeightedDigraph:
 
     def __init__(self, n, receivers, senders, weights):
         self.n_nodes = n = _node_count(n)
+        _edge_count(len(receivers))
         r = np.array(receivers, dtype=np.intp)
         s = np.array(senders, dtype=np.intp)
         w = np.array(weights, dtype=float)
@@ -267,6 +277,7 @@ def circulant(n, offsets, directed=True):
         raise ValueError(f"offsets must lie in [1, {n - 1}]")
     if not directed:
         offs |= {n - k for k in offs}  # node i + k hears node i: offset n - k
+    _edge_count(n * len(offs))
     i = np.arange(n)
     senders = np.concatenate([(i + k) % n for k in offs])
     return WeightedDigraph(n, np.tile(i, len(offs)), senders, np.ones(senders.size))
@@ -336,6 +347,7 @@ def read_edge_list(path):
                     continue
                 if len(parts) != 3:
                     raise ValueError("expected `from to weight`")
+                _edge_count(len(edges) + 1)
                 edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None

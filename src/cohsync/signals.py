@@ -116,8 +116,10 @@ def waveform(signal, agents):
     """The disturbance at an array of 1-based agent labels, as a function t -> w.
 
     The labels are checked, routed through index_map and scaled once, here,
-    so each call does only the work that depends on t; w has the labels'
-    shape. A table is read at the labels' columns, and a query outside its
+    so each call does only the work that depends on t. t is a time or an
+    array of times, and w has shape t.shape + labels.shape: entry [..., i]
+    is, bit for bit, what the call at that one time gives at label i. A
+    table is read at the labels' columns, and a query outside its
     tabulated range raises.
     """
     agents = np.asarray(agents, dtype=int)
@@ -125,20 +127,26 @@ def waveform(signal, agents):
         raise ValueError("agent labels are 1-based")
     if signal.index_map is not None:
         agents = signal.index_map[agents - 1]
+
+    def times(t):
+        # t with one unit axis per label axis, so that it broadcasts against the labels
+        t = np.asarray(t, dtype=float)
+        return t.reshape(t.shape + (1,) * agents.ndim)
+
     if signal.kind == "zero":
-        return lambda t: np.zeros(agents.shape, dtype=float)
+        return lambda t: np.zeros(np.shape(t) + agents.shape, dtype=float)
     if signal.kind == "chirp":
         rate = 0.1 * agents.astype(float)
-        return lambda t: _chirp(rate, t)
+        return lambda t: _chirp(rate, times(t))
     if signal.kind == "sawtooth":
         rate = 0.01 * agents.astype(float)
-        return lambda t: _sawtooth(rate, t)
+        return lambda t: _sawtooth(rate, times(t))
     if signal.kind == "custom-table":
-        return _table_waveform(signal.table_times, signal.table_values, agents)
+        return _table_waveform(signal.table_times, signal.table_values, agents, times)
     raise ValueError(f"unknown disturbance kind {signal.kind!r}")
 
 
-def _table_waveform(ts, values, agents):
+def _table_waveform(ts, values, agents, times):
     if np.any(agents > values.shape[1]):
         raise ValueError(f"table has {values.shape[1]} agent columns, got label {agents.max()}")
     values = values[:, agents - 1]
@@ -147,15 +155,16 @@ def _table_waveform(ts, values, agents):
     slop = 1e-12 * max(1.0, abs(ts[0]), abs(ts[-1]))
 
     def at(t):
-        if t < ts[0] - slop or t > ts[-1] + slop:
+        t = np.asarray(t, dtype=float)
+        outside = (t < ts[0] - slop) | (t > ts[-1] + slop)
+        if outside.any():
             raise ValueError(
-                f"table disturbance queried at t={t}, outside the tabulated range "
+                f"table disturbance queried at t={float(t[outside][0])}, outside the tabulated range "
                 f"[{ts[0]}, {ts[-1]}]; extrapolation is refused"
             )
-        t = min(max(t, ts[0]), ts[-1])
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        k = min(max(k, 0), len(ts) - 2)
-        lam = (t - ts[k]) / (ts[k + 1] - ts[k])
+        t = np.clip(t, ts[0], ts[-1])
+        k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        lam = times((t - ts[k]) / (ts[k + 1] - ts[k]))
         return (1.0 - lam) * values[k] + lam * values[k + 1]
 
     return at

@@ -14,6 +14,10 @@ from .protocol import ProtocolParams, feedback
 
 STATE_LIMIT = 1e12  # abort threshold for any state entry
 
+# bytes of the disturbance terms simulate_union evaluates ahead at once: a block
+# of steps, each with its three stage times, of (N, n) terms each
+BLOCK_BYTES = 256 * 1024
+
 
 class DivergenceError(RuntimeError):
     """The state blew up.
@@ -104,11 +108,6 @@ class SimConfig:
         labels.setflags(write=False)
         return labels
 
-    @cached_property
-    def wave(self):
-        """The disturbance at the agents, t -> w of shape (N,): signals.waveform, built once."""
-        return sigs.waveform(self.disturbance, self.agents)
-
 
 @dataclass
 class Trajectory:
@@ -158,22 +157,30 @@ def default_initial_state(n_agents, n_states, seed):
     return rng.uniform(-INITIAL_SPAN, INITIAL_SPAN, size=(n_agents, n_states)).reshape(-1)
 
 
-def rhs(loop, L, t, x, rho):
-    """Time derivative (xdot, rho rates) of the closed loop at time t.
+@dataclass(frozen=True)
+class ClosedLoop:
+    """What rhs reads of a closed loop: the protocol params, and the model's A' and B' bound once."""
 
-    loop gives the model, the protocol params and the disturbance's
-    waveform, bound once to the agents' labels: a SimConfig, or
-    simulate_union's loop over several runs. x holds one agent state per
-    row, shape (N, n), rho the N gains; L is the LaplacianOperator of the
-    graph (or graphs), built once by the caller. One protocol product
-    gives every agent's rate and input (protocol.feedback), and
-    xdot = x A' + U B' + w E' is assembled in place.
+    params: ProtocolParams
+    At: np.ndarray
+    Bt: np.ndarray
+
+
+def rhs(loop, L, wE, x, rho):
+    """Time derivative (xdot, rho rates) of the closed loop at one stage.
+
+    loop is a ClosedLoop. x holds one agent state per row, shape (N, n),
+    rho the N gains; L is the LaplacianOperator of the graph (or graphs),
+    built once by the caller. wE is the stage's disturbance term w(t) E',
+    shape (N, n): the disturbance does not depend on the state, so the
+    caller evaluates it ahead. One protocol product gives every agent's
+    rate and input (protocol.feedback), and xdot = x A' + U B' + w E' is
+    assembled in place.
     """
     rates, U = feedback(rho, L(x), loop.params)[:2]
-    model = loop.model
-    xdot = x @ model.A.T
-    xdot += U @ model.B.T
-    xdot += loop.wave(t)[:, None] * model.E.T
+    xdot = x @ loop.At
+    xdot += U @ loop.Bt
+    xdot += wE
     return xdot, rates
 
 
@@ -196,15 +203,6 @@ def can_join(a, b):
     )
 
 
-@dataclass(frozen=True)
-class _Loop:
-    """What rhs reads of a closed loop over several runs: one design, and the disturbance at their agents."""
-
-    model: AgentModel
-    params: ProtocolParams
-    wave: object  # signals.waveform at the runs' labels, concatenated: t -> w
-
-
 def simulate_union(cfgs):
     """Integrate runs that can_join as one closed loop; return one Trajectory per run, in order.
 
@@ -220,8 +218,13 @@ def simulate_union(cfgs):
     zero, so no step lowers a gain. The coupling is one
     graph.LaplacianOperator over all the graphs, and the disturbance one
     signals.waveform at each run's own labels, concatenated; both are
-    built here once, so each stage is one coupling product, one protocol
-    product (protocol.feedback) and one evaluation of the waveform.
+    built here once, so each stage is one coupling product and one
+    protocol product (protocol.feedback). The disturbance does not depend
+    on the state: it is evaluated a block of steps ahead, at every step's
+    t_k, t_k + dt/2 and t_k + dt with t_k = k dt, in one call of the
+    waveform and one product with E', and each stage adds its slice (the
+    two midpoint stages share one). The block holds BLOCK_BYTES of terms,
+    and at least one step.
 
     Samples are recorded every record_every steps plus the final state,
     into one preallocated record; each run's trajectory holds views of its
@@ -246,11 +249,15 @@ def simulate_union(cfgs):
     L = LaplacianOperator(*(cfg.graph for cfg in cfgs))
     labels = [cfg.agents if cfg.disturbance.index_map is None else cfg.disturbance.index_map for cfg in cfgs]
     signal = dataclasses.replace(head.disturbance, index_map=None)
-    loop = _Loop(head.model, head.params, sigs.waveform(signal, np.concatenate(labels)))
+    wave = sigs.waveform(signal, np.concatenate(labels))
+    model = head.model
+    loop = ClosedLoop(head.params, model.A.T, model.B.T)
+    Et = model.E.T
     dt = float(head.dt)
     half = 0.5 * dt
     every = int(head.record_every)
     steps = head.steps
+    block = max(1, BLOCK_BYTES // (3 * N * n * 8))
 
     x = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs])
     rho = np.concatenate(
@@ -270,32 +277,36 @@ def simulate_union(cfgs):
         ]
 
     s = 0
-    t = 0.0
-    for k in range(steps):
-        if k % every == 0:
-            times[s], states[s], gains[s] = t, x, rho
-            s += 1
-        k1x, k1r = rhs(loop, L, t, x, rho)
-        k2x, k2r = rhs(loop, L, t + half, x + half * k1x, rho + half * k1r)
-        k3x, k3r = rhs(loop, L, t + half, x + half * k2x, rho + half * k2r)
-        k4x, k4r = rhs(loop, L, t + dt, x + dt * k3x, rho + dt * k3r)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        t = (k + 1) * dt
-        if not np.abs(x).max() <= STATE_LIMIT:  # NaN fails the comparison too
-            bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
-            row = int(np.argmax(bad))
-            run = int(np.searchsorted(offsets, row, side="right")) - 1
-            agent = row - int(offsets[run]) + 1
-            where = f" of run {run}" if len(cfgs) > 1 else ""
-            raise DivergenceError(
-                f"state diverged for agent {agent}{where} at t={t:.6g} "
-                f"(non-finite or beyond {STATE_LIMIT:g})",
-                agent=agent,
-                time=t,
-                partial=runs(s)[run],
-            )
-    times[s], states[s], gains[s] = t, x, rho
+    terms = np.empty((min(block, steps), 3, N, n))  # each block's w E', rewritten in place
+    for k0 in range(0, steps, block):
+        tk = np.arange(k0, min(k0 + block, steps)) * dt
+        stage_times = np.stack([tk, tk + half, tk + dt], axis=1)
+        wE = np.multiply(wave(stage_times)[..., None], Et, out=terms[: tk.size])
+        for k, (w1, w2, w4) in enumerate(wE, k0):
+            if k % every == 0:
+                times[s], states[s], gains[s] = k * dt, x, rho
+                s += 1
+            k1x, k1r = rhs(loop, L, w1, x, rho)
+            k2x, k2r = rhs(loop, L, w2, x + half * k1x, rho + half * k1r)
+            k3x, k3r = rhs(loop, L, w2, x + half * k2x, rho + half * k2r)
+            k4x, k4r = rhs(loop, L, w4, x + dt * k3x, rho + dt * k3r)
+            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            if not np.abs(x).max() <= STATE_LIMIT:  # NaN fails the comparison too
+                t = (k + 1) * dt
+                bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
+                row = int(np.argmax(bad))
+                run = int(np.searchsorted(offsets, row, side="right")) - 1
+                agent = row - int(offsets[run]) + 1
+                where = f" of run {run}" if len(cfgs) > 1 else ""
+                raise DivergenceError(
+                    f"state diverged for agent {agent}{where} at t={t:.6g} "
+                    f"(non-finite or beyond {STATE_LIMIT:g})",
+                    agent=agent,
+                    time=t,
+                    partial=runs(s)[run],
+                )
+    times[s], states[s], gains[s] = steps * dt, x, rho
 
     drops = np.diff(gains, axis=0).min()
     if drops < -1e-12:

@@ -344,6 +344,18 @@ def test_node_cap_exits_2_on_the_generators(input_files, capsys, graph_cfg, fiel
     assert not (input_files / "out").exists()
 
 
+def test_edge_cap_exits_2_through_graph_offsets(input_files, capsys):
+    # a few KB of config that would ask for 10**9 edges
+    graph_cfg = {"kind": "circulant", "n": 1000000, "offsets": list(range(1, 1001))}
+    cfg_path = write_config(input_files, fast_passing_config(graph=graph_cfg))
+    for argv in (["check", cfg_path], ["run", cfg_path, "--out", "out", "--quiet"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: graph: 1000000000 edges: a graph has at most 4000000 edges (graph.MAX_EDGES)\n"
+        )
+    assert not (input_files / "out").exists()
+
+
 # 1e15 steps, each recorded: 8 PB of times alone, beyond any address space,
 # so the record's first np.empty fails at once and touches no memory
 UNALLOCATABLE_RECORD = {"dt": 1e-3, "t_end": 1.0e12, "record_every": 1}

@@ -423,6 +423,27 @@ def test_node_cap_refuses_before_anything_is_built(build):
     assert peak < 2**16
 
 
+def test_edge_cap_refuses_before_anything_is_built():
+    # 10**9 edges would take about 80 GB; the count is refused from the offsets
+    peak, exc = traced_peak(lambda: graph.circulant(10**6, range(1, 1001)))
+    assert isinstance(exc, ValueError) and "graph.MAX_EDGES" in str(exc)
+    assert peak < 2**16
+
+
+def test_edge_cap_holds_in_the_constructor_and_the_edge_list_reader(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "MAX_EDGES", 2)
+    assert graph.WeightedDigraph(3, [1, 2], [0, 1], [1.0, 1.0]).n_edges == 2
+    with pytest.raises(ValueError, match=r"3 edges: .*\(graph.MAX_EDGES\)"):
+        graph.WeightedDigraph(3, [1, 2, 0], [0, 1, 2], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"3 edges"):
+        graph.circulant(3, [1], directed=True)
+    path = tmp_path / "edges.txt"
+    path.write_text("nodes 3\n1 2 1.0\n2 3 1.0\n# the third edge\n3 1 1.0\n")
+    # refused at the line that holds one edge too many, while the file is read
+    with pytest.raises(ValueError, match=r"edges.txt:5: 3 edges: .*\(graph.MAX_EDGES\)"):
+        graph.read_edge_list(path)
+
+
 def test_from_edge_list_receiver_convention():
     g = graph.from_edge_list(2, [(1, 2, 1.0)])
     assert g.weights[1, 0] == 1.0

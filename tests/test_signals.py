@@ -102,6 +102,49 @@ def test_table_refuses_extrapolation():
             wave(t)
 
 
+def test_table_refuses_an_array_holding_one_time_outside():
+    wave = signals.waveform(signals.table_signal([0.0, 1.0], [[1.0], [2.0]]), [1])
+    T = np.array([[0.0, 0.5, 1.0], [0.25, 1.5, 0.75]])
+    with pytest.raises(ValueError, match=r"queried at t=1.5, .*extrapolation is refused"):
+        wave(T)
+    assert np.array_equal(wave(T[:1]), [[[1.0], [1.5], [2.0]]])
+
+
+def stage_times(k0, k1, dt):
+    """The RK4 stage times of steps k0..k1-1 as the simulator forms them: t_k, t_k + dt/2, t_k + dt."""
+    tk = np.arange(k0, k1) * dt
+    return np.stack([tk, tk + 0.5 * dt, tk + dt], axis=1)
+
+
+TABLE_30S = signals.table_signal(np.linspace(0.0, 30.0, 61), np.random.default_rng(5).uniform(-1.0, 1.0, (61, 121)))
+LABEL_PERM = np.random.default_rng(6).permutation(121)
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [
+        signals.zero_signal(),
+        signals.chirp_signal(),
+        signals.sawtooth_signal(),
+        TABLE_30S,
+        signals.relabel(signals.chirp_signal(), LABEL_PERM),
+        signals.relabel(TABLE_30S, LABEL_PERM),
+    ],
+    ids=["zero", "chirp", "sawtooth", "table", "relabeled-chirp", "relabeled-table"],
+)
+def test_waveform_of_an_array_of_times_is_the_scalar_calls(signal):
+    labels = np.arange(1, 122)
+    wave = signals.waveform(signal, labels)
+    # the first steps of a 30 s run, and its last ones, whose last stage ends the table
+    T = np.concatenate([stage_times(0, 40, 1e-3), stage_times(29960, 30000, 1e-3)])
+    W = wave(T)
+    assert W.shape == T.shape + labels.shape
+    for idx in np.ndindex(T.shape):
+        assert np.array_equal(W[idx], wave(float(T[idx])))
+    # labels of any shape: w has shape t.shape + labels.shape
+    assert np.array_equal(signals.waveform(signal, labels.reshape(11, 11))(T), W.reshape(T.shape + (11, 11)))
+
+
 def test_table_validation():
     with pytest.raises(ValueError, match="at least two"):
         signals.table_signal([0.0], [[1.0]])
