@@ -12,8 +12,9 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -27,7 +28,6 @@ from .linalg import AssumptionError
 
 ENV_OUT = "COHSYNC_OUT"
 
-GRAPH_KINDS = ("vicsek", "circulant", "edge-list")
 FORMATS = ("trajectory", "report")
 
 
@@ -138,197 +138,194 @@ def _require_mapping(value, path):
     return value
 
 
-def _reject_unknown(section, allowed, path):
-    for key in section:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}", f"unknown field (allowed: {', '.join(allowed)})")
-
-
-def _as_float(value, path, minimum=None, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise SchemaError(path, f"must be finite, got {value}")
+def _number(value, path, integer=False, least=None, positive=False, below=None):
+    """The value as an int, or as a finite float, within the bounds given."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SchemaError(path, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not integer:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf if value > 0 else -math.inf
+        if not math.isfinite(value):
+            raise SchemaError(path, f"must be finite, got {value}")
     if positive and value <= 0:
         raise SchemaError(path, f"must be positive, got {value}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(path, f"must be >= {minimum}, got {value}")
+    if least is not None and value < least:
+        raise SchemaError(path, f"must be >= {least}, got {value}")
+    if below is not None and value >= below:
+        raise SchemaError(path, f"must be below {below}, got {value}")
     return value
 
 
-def _as_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(path, f"must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _as_bool(value, path):
+def _flag(value, path):
     if not isinstance(value, bool):
         raise SchemaError(path, f"must be true or false, got {value!r}")
     return value
 
 
-def _as_matrix_rows(value, path):
+def _text(value, path):
+    if not isinstance(value, str) or not value:
+        raise SchemaError(path, f"must be a nonempty string, got {value!r}")
+    return value
+
+
+def _choice(value, path, allowed):
+    if value not in allowed:
+        raise SchemaError(path, f"must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+def _items(value, path, item):
+    """A nonempty list, checked item by item; an item's error names the list."""
+    if not isinstance(value, list) or not value:
+        raise SchemaError(path, f"must be a nonempty list, got {value!r}")
+    return [item(v, path) for v in value]
+
+
+def _gains(value, path):
+    # one initial gain for every agent, or a list with one per agent
+    gain = partial(_number, least=0.0)
+    return _items(value, path, gain) if isinstance(value, list) else gain(value, path)
+
+
+def _matrix(value, path):
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise SchemaError(path, "must be a list of rows")
-    width = len(value[0])
-    out = []
     for r, row in enumerate(value):
-        if len(row) != width:
-            raise SchemaError(path, f"row {r + 1} has {len(row)} entries, expected {width}")
-        out.append([_as_float(v, f"{path}[{r}]") for v in row])
+        if len(row) != len(value[0]):
+            raise SchemaError(path, f"row {r + 1} has {len(row)} entries, expected {len(value[0])}")
+    return [[_number(v, f"{path}[{r}]") for v in row] for r, row in enumerate(value)]
+
+
+def _overrides(value, path):
+    if not isinstance(value, list):
+        raise SchemaError(path, "must be a list of override mappings")
+    for k, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}[{k}]", "must be a mapping")
+    return copy.deepcopy(value)
+
+
+class Variants(NamedTuple):
+    """A section whose fields depend on its variant, which pick names from the section."""
+
+    pick: Callable
+    table: dict  # variant name -> (field table, builder of what the normalized fields describe)
+
+
+REQUIRED = object()  # the default of a field that must be given
+OMITTED = object()  # the default of a field left out of the normalized config when absent or null
+POSITIVE = partial(_number, positive=True)
+_KIND = (lambda value, path: value, REQUIRED)  # a variant's kind, which its pick has checked
+_SIGNAL = {"kind": (lambda value, path: value, "zero")}
+
+# The config schema. A section is a field table or a Variants of them; a
+# field is (check, default): check(value, path) returns the normalized value
+# or raises SchemaError, and the default fills an absent field (a null
+# default also admits null).
+SCHEMA = {
+    "name": (_text, REQUIRED),  # normalize_config passes the default name in
+    "model": Variants(
+        lambda model: "inline" if model and "preset" not in model else "preset",
+        {
+            "preset": (
+                {"preset": (partial(_choice, allowed=("triple-integrator",)), "triple-integrator")},
+                lambda preset: linalg.triple_integrator(),
+            ),
+            "inline": (dict.fromkeys(("A", "B", "E"), (_matrix, REQUIRED)), linalg.AgentModel),
+        },
+    ),
+    "graph": Variants(
+        lambda graph: graph.get("kind"),
+        {  # each builder looks its generator up when called, so a wrapper put on the module (a tracer) is seen
+            "vicsek": (
+                {"kind": _KIND, "generation": (partial(_number, integer=True, least=1), 1), "directed": (_flag, True)},
+                lambda generation, directed: graphmod.vicsek_fractal(generation, directed),
+            ),
+            "circulant": (
+                {
+                    "kind": _KIND,
+                    "n": (partial(_number, integer=True, least=2), REQUIRED),
+                    "offsets": (partial(_items, item=partial(_number, integer=True, least=1)), [1, 2]),
+                    "directed": (_flag, True),
+                },
+                lambda n, offsets, directed: graphmod.circulant(n, offsets, directed),
+            ),
+            "edge-list": ({"kind": _KIND, "path": (_text, REQUIRED)}, lambda path: graphmod.read_edge_list(path)),
+        },
+    ),
+    "protocol": {"d": (POSITIVE, OMITTED), "delta": (POSITIVE, OMITTED), "rho0": (_gains, 0.0)},
+    "disturbance": Variants(
+        lambda disturbance: disturbance.get("kind", "zero"),
+        {
+            "zero": (_SIGNAL, sigs.zero_signal),
+            "chirp": (_SIGNAL, sigs.chirp_signal),
+            "sawtooth": (_SIGNAL, sigs.sawtooth_signal),
+            "custom-table": ({**_SIGNAL, "path": (_text, REQUIRED)}, sigs.load_table),
+        },
+    ),
+    "integration": {
+        "dt": (POSITIVE, 1e-3),
+        "t_end": (POSITIVE, 30.0),
+        "record_every": (partial(_number, integer=True, least=1), 10),
+        "seed": (partial(_number, integer=True, least=0), 7),
+    },
+    "output": {
+        "directory": (_text, None),
+        "formats": (partial(_items, item=partial(_choice, allowed=FORMATS)), list(FORMATS)),
+    },
+    "checks": {
+        "bound": (POSITIVE, None),
+        "tol": (POSITIVE, 1e-3),
+        "tail_fraction": (partial(_number, positive=True, below=1), 0.2),
+        "require_settled": (_flag, False),
+    },
+    "sweep": (_overrides, OMITTED),
+}
+
+
+def _walk(table, value, path):
+    """Normalize a section by its table: refuse unknown fields, check the rest and fill defaults."""
+    section = _require_mapping(value, path)
+    if isinstance(table, Variants):
+        kind = table.pick(section)
+        if not isinstance(kind, str) or kind not in table.table:
+            raise SchemaError(f"{path}.kind", f"must be one of {', '.join(table.table)}, got {kind!r}")
+        table = table.table[kind][0]
+    for key in section:
+        if key not in table:
+            raise SchemaError(f"{path}.{key}", f"unknown field (allowed: {', '.join(table)})")
+    out = {}
+    prefix = "" if path == "config" else path + "."
+    for key, field in table.items():
+        where = prefix + key
+        if isinstance(field, (dict, Variants)):
+            out[key] = _walk(field, section.get(key), where)
+            continue
+        check, default = field
+        value = section.get(key, default)
+        if value is REQUIRED:
+            raise SchemaError(where, "is required")
+        if value is None and default is None:  # a field whose default is null may be null
+            out[key] = None
+        elif value is not OMITTED and not (value is None and default is OMITTED):
+            out[key] = check(value, where)
     return out
 
 
 def normalize_config(raw, default_name="run"):
-    """Validate a raw config mapping and fill every default.
+    """Validate a raw config mapping and fill every default, by walking SCHEMA.
 
     Normalization is idempotent: feeding the result back in reproduces it,
     which is what lets the metadata sidecar reconstruct the experiment.
     """
-    raw = _require_mapping(raw, "config")
-    _reject_unknown(
-        raw,
-        ("name", "model", "graph", "protocol", "disturbance", "integration", "output", "checks", "sweep"),
-        "config",
-    )
-    out = {}
-    name = raw.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise SchemaError("name", "must be a nonempty string")
-    out["name"] = name
-
-    model = _require_mapping(raw.get("model"), "model")
-    _reject_unknown(model, ("preset", "A", "B", "E"), "model")
-    if "preset" in model:
-        if model.get("preset") != "triple-integrator":
-            raise SchemaError("model.preset", f"unknown model preset {model.get('preset')!r} (available: triple-integrator)")
-        if any(k in model for k in ("A", "B", "E")):
-            raise SchemaError("model", "give either a preset or inline matrices, not both")
-        out["model"] = {"preset": "triple-integrator"}
-    elif model:
-        missing = [k for k in ("A", "B", "E") if k not in model]
-        if missing:
-            raise SchemaError("model", f"inline model needs A, B, and E (missing {', '.join(missing)})")
-        out["model"] = {k: _as_matrix_rows(model[k], f"model.{k}") for k in ("A", "B", "E")}
-    else:
-        out["model"] = {"preset": "triple-integrator"}
-
-    graph = _require_mapping(raw.get("graph"), "graph")
-    kind = graph.get("kind")
-    if kind not in GRAPH_KINDS:
-        raise SchemaError("graph.kind", f"must be one of {', '.join(GRAPH_KINDS)}, got {kind!r}")
-    if kind == "vicsek":
-        _reject_unknown(graph, ("kind", "generation", "directed"), "graph")
-        out["graph"] = {
-            "kind": "vicsek",
-            "generation": _as_int(graph.get("generation", 1), "graph.generation", minimum=1),
-            "directed": _as_bool(graph.get("directed", True), "graph.directed"),
-        }
-    elif kind == "circulant":
-        _reject_unknown(graph, ("kind", "n", "offsets", "directed"), "graph")
-        n = _as_int(graph.get("n", 0), "graph.n", minimum=2)
-        offsets = graph.get("offsets", [1, 2])
-        if not isinstance(offsets, list) or not offsets:
-            raise SchemaError("graph.offsets", "must be a nonempty list of integers")
-        offsets = [_as_int(k, "graph.offsets", minimum=1) for k in offsets]
-        out["graph"] = {
-            "kind": "circulant",
-            "n": n,
-            "offsets": offsets,
-            "directed": _as_bool(graph.get("directed", True), "graph.directed"),
-        }
-    else:
-        _reject_unknown(graph, ("kind", "path"), "graph")
-        path = graph.get("path")
-        if not isinstance(path, str) or not path:
-            raise SchemaError("graph.path", "edge-list graphs need a file path")
-        out["graph"] = {"kind": "edge-list", "path": path}
-
-    proto = _require_mapping(raw.get("protocol"), "protocol")
-    _reject_unknown(proto, ("d", "delta", "rho0"), "protocol")
-    d = proto.get("d")
-    delta = proto.get("delta")
-    if d is None and delta is None:
+    out = _walk(SCHEMA, {"name": default_name, **_require_mapping(raw, "config")}, "config")
+    if not out["protocol"].keys() & {"d", "delta"}:
         raise SchemaError("protocol", "needs d, delta, or both")
-    norm_proto = {}
-    if d is not None:
-        norm_proto["d"] = _as_float(d, "protocol.d", positive=True)
-    if delta is not None:
-        norm_proto["delta"] = _as_float(delta, "protocol.delta", positive=True)
-    rho0 = proto.get("rho0", 0.0)
-    if isinstance(rho0, list):
-        norm_proto["rho0"] = [_as_float(v, "protocol.rho0", minimum=0.0) for v in rho0]
-    else:
-        norm_proto["rho0"] = _as_float(rho0, "protocol.rho0", minimum=0.0)
-    out["protocol"] = norm_proto
-
-    dist = _require_mapping(raw.get("disturbance"), "disturbance")
-    _reject_unknown(dist, ("kind", "path"), "disturbance")
-    dkind = dist.get("kind", "zero")
-    if dkind not in sigs.KINDS:
-        raise SchemaError("disturbance.kind", f"must be one of {', '.join(sigs.KINDS)}, got {dkind!r}")
-    if dkind == "custom-table":
-        dpath = dist.get("path")
-        if not isinstance(dpath, str) or not dpath:
-            raise SchemaError("disturbance.path", "custom-table disturbances need a CSV path")
-        out["disturbance"] = {"kind": dkind, "path": dpath}
-    else:
-        if "path" in dist:
-            raise SchemaError("disturbance.path", f"only custom-table signals take a path, not {dkind}")
-        out["disturbance"] = {"kind": dkind}
-
-    integ = _require_mapping(raw.get("integration"), "integration")
-    _reject_unknown(integ, ("dt", "t_end", "record_every", "seed"), "integration")
-    dt = _as_float(integ.get("dt", 1e-3), "integration.dt", positive=True)
-    t_end = _as_float(integ.get("t_end", 30.0), "integration.t_end", positive=True)
-    if t_end < dt:
-        raise SchemaError("integration.t_end", f"must be at least dt={dt}")
-    out["integration"] = {
-        "dt": dt,
-        "t_end": t_end,
-        "record_every": _as_int(integ.get("record_every", 10), "integration.record_every", minimum=1),
-        "seed": _as_int(integ.get("seed", 7), "integration.seed", minimum=0),
-    }
-
-    output = _require_mapping(raw.get("output"), "output")
-    _reject_unknown(output, ("directory", "formats"), "output")
-    directory = output.get("directory")
-    if directory is not None and (not isinstance(directory, str) or not directory):
-        raise SchemaError("output.directory", "must be a nonempty string")
-    formats = output.get("formats", list(FORMATS))
-    if not isinstance(formats, list) or not formats:
-        raise SchemaError("output.formats", "must be a nonempty list")
-    for f in formats:
-        if f not in FORMATS:
-            raise SchemaError("output.formats", f"unknown format {f!r} (allowed: {', '.join(FORMATS)})")
-    out["output"] = {"directory": directory, "formats": list(dict.fromkeys(formats))}
-
-    checks = _require_mapping(raw.get("checks"), "checks")
-    _reject_unknown(checks, ("bound", "tol", "tail_fraction", "require_settled"), "checks")
-    bound = checks.get("bound")
-    norm_checks = {
-        "bound": None if bound is None else _as_float(bound, "checks.bound", positive=True),
-        "tol": _as_float(checks.get("tol", 1e-3), "checks.tol", positive=True),
-        "tail_fraction": _as_float(checks.get("tail_fraction", 0.2), "checks.tail_fraction", positive=True),
-        "require_settled": _as_bool(checks.get("require_settled", False), "checks.require_settled"),
-    }
-    if not norm_checks["tail_fraction"] < 1:
-        raise SchemaError("checks.tail_fraction", "must lie in (0, 1)")
-    out["checks"] = norm_checks
-
-    if "sweep" in raw:
-        entries = raw["sweep"]
-        if not isinstance(entries, list):
-            raise SchemaError("sweep", "must be a list of override mappings")
-        for k, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"sweep[{k}]", "must be a mapping")
-        out["sweep"] = copy.deepcopy(entries)
-
+    if out["integration"]["t_end"] < out["integration"]["dt"]:
+        raise SchemaError("integration.t_end", f"must be at least dt={out['integration']['dt']}")
+    out["output"]["formats"] = list(dict.fromkeys(out["output"]["formats"]))
     return out
 
 
@@ -343,29 +340,12 @@ def _refused(path):
         raise SchemaError(path, str(exc)) from None
 
 
-def _build_model(mcfg):
-    if mcfg.get("preset") == "triple-integrator":
-        return linalg.triple_integrator()
-    with _refused("model"):
-        return linalg.AgentModel(np.array(mcfg["A"]), np.array(mcfg["B"]), np.array(mcfg["E"]))
-
-
-def _build_graph(gcfg):
-    kind = gcfg["kind"]
-    if kind == "edge-list":
-        with _refused("graph.path"):
-            return graphmod.read_edge_list(gcfg["path"])
-    with _refused("graph"):
-        if kind == "vicsek":
-            return graphmod.vicsek_fractal(gcfg["generation"], gcfg["directed"])
-        return graphmod.circulant(gcfg["n"], gcfg["offsets"], gcfg["directed"])
-
-
-def _build_signal(dcfg):
-    if dcfg["kind"] == "custom-table":
-        with _refused("disturbance.path"):
-            return sigs.load_table(dcfg["path"])
-    return {"zero": sigs.zero_signal, "chirp": sigs.chirp_signal, "sawtooth": sigs.sawtooth_signal}[dcfg["kind"]]()
+def _build(norm, section):
+    """What a normalized section describes, by its variant's builder; refused on the section or its file."""
+    variants = SCHEMA[section]
+    fields, build = variants.table[variants.pick(norm[section])]
+    with _refused(f"{section}.path" if "path" in fields else section):
+        return build(**{k: v for k, v in norm[section].items() if k != "kind"})
 
 
 def build_experiment(norm):
@@ -376,8 +356,8 @@ def build_experiment(norm):
     and AssumptionError for violated standing assumptions (exit 3).
     Returns (SimConfig, checks dict, name).
     """
-    model = _build_model(norm["model"])
-    graph = _build_graph(norm["graph"])
+    model = _build(norm, "model")
+    graph = _build(norm, "graph")
     try:
         riccati = linalg.solve_care(model.A, model.B)
     except RuntimeError as exc:
@@ -388,7 +368,7 @@ def build_experiment(norm):
     with _refused("protocol.d"):
         params = protocol.ProtocolParams(riccati.P, model.B, d=proto.get("d"), delta=proto.get("delta"))
     integ = norm["integration"]
-    signal = _build_signal(norm["disturbance"])
+    signal = _build(norm, "disturbance")
     with _refused("config"):
         cfg = sim.SimConfig(
             model=model,

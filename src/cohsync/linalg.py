@@ -39,17 +39,22 @@ def is_stabilizable(A, B):
 
 
 def _pbh_defects(A, B):
-    # eigenvalues at which [A - lambda I, B] loses row rank
+    # eigenvalues at which [A - lambda I, B] loses row rank; one that overflowed
+    # cannot pass the test, and counts as a defect too
     n = A.shape[0]
-    scale = np.linalg.norm(np.hstack([A, B]), 2)
-    bad = []
-    for lam in np.linalg.eigvals(A):
-        if lam.real < -1e-9:
-            continue
-        M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= PBH_TOL * max(s[0], scale):
-            bad.append(complex(lam))
+    with np.errstate(all="ignore"):
+        scale = np.linalg.norm(np.hstack([A, B]), 2)
+        bad = []
+        for lam in np.linalg.eigvals(A):
+            if lam.real < -1e-9:
+                continue
+            if not np.isfinite(lam):
+                bad.append(complex(lam))
+                continue
+            M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
+            s = np.linalg.svd(M, compute_uv=False)
+            if s[-1] <= PBH_TOL * max(s[0], scale):
+                bad.append(complex(lam))
     return bad
 
 
@@ -63,14 +68,17 @@ def image_containment(E, B):
     B = _as_matrix(B, "B")
     if B.shape[0] != E.shape[0]:
         raise ValueError("B and E must have the same row count")
-    X, *_ = np.linalg.lstsq(B, E, rcond=None)
-    X = np.atleast_2d(X)
-    resid = np.linalg.norm(B @ X - E)
-    if resid > 1e-9 * max(1.0, np.linalg.norm(E)):
-        raise AssumptionError(
-            "disturbance is not input-additive: im E is not contained in im B "
-            f"(least-squares residual {resid:.3e})"
-        )
+    # decided in units of a power of two near the largest entry: exact, and no norm overflows
+    e = int(np.frexp(max(np.abs(B).max(initial=0.0), np.abs(E).max(initial=0.0)))[1])
+    with np.errstate(all="ignore"):  # a solution beyond the float range fails the test below
+        Bs, Es = np.ldexp(B, -e), np.ldexp(E, -e)
+        X = np.atleast_2d(np.linalg.lstsq(Bs, Es, rcond=None)[0])
+        resid = np.linalg.norm(Bs @ X - Es)
+        if not resid <= 1e-9 * max(np.ldexp(1.0, -e), np.linalg.norm(Es)):
+            raise AssumptionError(
+                "disturbance is not input-additive: im E is not contained in im B "
+                f"(least-squares residual {np.ldexp(resid, e):.3e})"
+            )
     return X
 
 
@@ -192,7 +200,8 @@ def solve_care(A, B, Q=None):
         exists), with the offending eigenvalues in the message.
     RuntimeError
         If the iteration does not reach the residual target; the last
-        residual norm is carried in the ``residual`` attribute.
+        residual norm is carried in the ``residual`` attribute (inf when
+        the Hamiltonian overflows or a step is singular).
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -213,27 +222,31 @@ def solve_care(A, B, Q=None):
             raise ValueError("Q must be symmetric")
         Qm = 0.5 * (Qm + Qm.T)
 
-    BBt = B @ B.T
-    w, V = np.linalg.eig(np.block([[A, -BBt], [-Qm, -A.T]]))
-    U = V[:, w.real < 0]
-    P = np.real(np.linalg.solve(U[:n].T, U[n:].T).T)
-    P = 0.5 * (P + P.T)
-    for _ in range(50):
-        R = care_residual(P, A, B, Qm)
-        # the relative target governs well-scaled problems; the absolute
-        # cap keeps large-norm solutions iterating until the returned
-        # invariant (residual <= 1e-8) actually holds
-        if np.linalg.norm(R) <= min(1e-8, 1e-13 * max(1.0, np.linalg.norm(P))):
-            break
-        Ac = A - BBt @ P
-        delta = lyapunov(Ac, -R)
-        P = P + delta
-        P = 0.5 * (P + P.T)
+    try:
+        with np.errstate(all="ignore"):  # an overflow, or NaN, fails the certificate below
+            BBt = B @ B.T
+            w, V = np.linalg.eig(np.block([[A, -BBt], [-Qm, -A.T]]))
+            U = V[:, w.real < 0]
+            P = np.real(np.linalg.solve(U[:n].T, U[n:].T).T)
+            P = 0.5 * (P + P.T)
+            for _ in range(50):
+                R = care_residual(P, A, B, Qm)
+                # the relative target governs well-scaled problems; the absolute
+                # cap keeps large-norm solutions iterating until the returned
+                # invariant (residual <= 1e-8) actually holds
+                if np.linalg.norm(R) <= min(1e-8, 1e-13 * max(1.0, np.linalg.norm(P))):
+                    break
+                Ac = A - BBt @ P
+                delta = lyapunov(Ac, -R)
+                P = P + delta
+                P = 0.5 * (P + P.T)
 
-    rnorm = float(np.linalg.norm(care_residual(P, A, B, Qm)))
-    sym_err = float(np.abs(P - P.T).max())
-    min_eig = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
-    cl_max = float(np.linalg.eigvals(A - BBt @ P).real.max())
+            rnorm = float(np.linalg.norm(care_residual(P, A, B, Qm)))
+            sym_err = float(np.abs(P - P.T).max())
+            min_eig = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
+            cl_max = float(np.linalg.eigvals(A - BBt @ P).real.max())
+    except np.linalg.LinAlgError:  # eig refuses a Hamiltonian that overflowed, solve a singular step
+        rnorm, sym_err, min_eig, cl_max = np.inf, np.nan, np.nan, np.nan
     if not (rnorm <= 1e-8 and sym_err <= 1e-10 and min_eig > 0 and cl_max < 0):
         exc = RuntimeError(
             "Riccati iteration did not converge to a stabilizing solution: "

@@ -226,6 +226,7 @@ def test_schema_error_cases(tmp_path, capsys):
         ({"protocol": {"rho0": float("inf")}}, [], "protocol.rho0"),
         ({}, ["--dt", "nan"], "integration.dt"),
         ({}, ["--t-end", "inf"], "integration.t_end"),
+        ({"protocol": {"d": 10**400}}, [], "protocol.d"),  # an integer beyond the float range
     ],
 )
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, patch, flags, field):
@@ -280,6 +281,7 @@ REFUSED_INPUTS = {
         "disturbance.path: [Errno 21] Is a directory",
     ),
     "step count overflows": ({"integration": OVERFLOWING_STEPS}, [], "config: t_end / dt = "),
+    "end time beyond the float range": ({"integration": {"t_end": 10**400}}, [], "integration.t_end: must be finite"),
     "huge node count": ({"graph": {"path": "huge.txt"}}, [], "graph.path: 100000000 nodes: a graph has 1 to"),
     "step count overflows with a table": (
         {"integration": OVERFLOWING_STEPS, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
@@ -495,6 +497,20 @@ def test_uncertifiable_design_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("assumption violated:")
     assert "residual" in err[0]
+
+
+def test_design_that_overflows_exits_3(tmp_path, capsys):
+    # B B' = 1e600 is beyond the float range, so the Hamiltonian is not finite
+    cfg = fast_passing_config(model={"A": [[0.0]], "B": [[1.0e300]], "E": [[1.0e300]]})
+    assert cli.main(["check", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["assumption violated: no certified stabilizing Riccati solution (residual inf)"]
+    cfg = dict(cfg, sweep=[{}, {"protocol": {"d": 0.2}}])
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [row[1] for row in csv.reader(fh)][1:]
+    assert status == ["error: no certified stabilizing Riccati solution (residual inf)"] * 2
 
 
 def test_unreachable_one_state_mode_exits_3(tmp_path, capsys):

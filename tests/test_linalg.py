@@ -86,6 +86,13 @@ def test_image_containment_accepts_and_refuses():
 
     with pytest.raises(linalg.AssumptionError, match="not input-additive"):
         linalg.image_containment(np.array([[1.0], [0.0], [0.0]]), B)
+    # at 1e300 the squares that a Frobenius norm sums overflow to inf
+    B = np.array([[1.0e300], [0.0]])
+    assert np.allclose(linalg.image_containment(3.0 * B, B), [[3.0]])
+    with pytest.raises(linalg.AssumptionError, match="not input-additive"):
+        linalg.image_containment(np.array([[0.0], [1.0e300]]), B)
+    with pytest.raises(linalg.AssumptionError, match="not input-additive"):
+        linalg.image_containment(np.array([[1.0e154]]), np.zeros((1, 1)))
 
 
 def test_agent_model_basic(benchmark_model):
@@ -213,6 +220,13 @@ def test_care_rejects_unstabilizable_pair():
         linalg.solve_care([[1.0]], [[0.0]])
     with pytest.raises(linalg.AssumptionError, match="1"):
         linalg.solve_care(np.diag([1.0, -2.0]), np.array([[0.0], [1.0]]))
+
+
+def test_care_whose_hamiltonian_overflows_is_uncertified():
+    # B B' = 1e600 overflows: the documented RuntimeError, not a LinAlgError or a warning
+    with pytest.raises(RuntimeError, match="did not converge") as caught:
+        linalg.solve_care([[0.0]], [[1.0e300]])
+    assert caught.value.residual == np.inf
 
 
 def test_care_rejects_asymmetric_weight(benchmark_model):

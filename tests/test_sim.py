@@ -149,6 +149,20 @@ def test_deadzone_keeps_gains_bit_identical():
     assert np.all(traj.gains == np.array([0.3, 0.7]))
 
 
+def test_a_gain_that_falls_between_samples_breaks_the_integrator_invariant(monkeypatch, bench_setup):
+    kernel = sim.rhs
+
+    def falling_gains(*args):
+        xdot, rates = kernel(*args)
+        return xdot, rates - 1.0
+
+    monkeypatch.setattr(sim, "rhs", falling_gains)
+    g = graph.vicsek_fractal(1, directed=True)
+    cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=0.01, record_every=2, rho0=1.0)
+    with pytest.raises(RuntimeError, match=r"recorded gains decreased by 2\.000e-03; integrator invariant broken"):
+        sim.simulate(cfg)
+
+
 def test_divergence_guard_reports_agent_and_keeps_partial():
     # single unstable agent, no neighbours: x = 2 e^{5t} crosses 1e12 near t=5.4
     model = linalg.AgentModel([[5.0]], [[1.0]], [[1.0]])
@@ -276,15 +290,21 @@ def test_blocked_disturbance_in_a_union_of_two_index_maps(bench_setup, fractal60
 # what simulate allocates beyond its record and the block of disturbance
 # terms: the waveform's values and their temporaries (each a third of the
 # block at n = 3), the RK4 stage arrays, the coupling operator and the gains'
-# monotonicity check (measured: 0.36 MiB with chirp, 0.45 MiB with a table)
+# monotonicity check, one sample's worth (measured: 0.36 MiB with chirp,
+# 0.45 MiB with a table)
 BLOCK_SLACK = 512 * 1024
 
 
-@pytest.mark.parametrize("kind", ["chirp", "table"])
-def test_the_disturbance_block_stays_within_its_budget(bench_setup, fractal601, kind):
-    # evaluated over the whole horizon at once, the terms would take 21.6 MB
+@pytest.mark.parametrize(
+    "kind, record_every",
+    [("chirp", 50), ("table", 50), ("chirp", 1), ("table", 1)],
+    ids=["chirp", "table", "chirp-every-step", "table-every-step"],
+)
+def test_the_disturbance_block_stays_within_its_budget(bench_setup, fractal601, kind, record_every):
+    # evaluated over the whole horizon at once, the terms would take 21.6 MB;
+    # a check of the gains over the whole record at once would take 2.4 MB
     signal = BLOCKED_SIGNALS[kind](0.5)
-    cfg = bench_cfg(bench_setup, fractal601, signal, t_end=0.5, record_every=50)
+    cfg = bench_cfg(bench_setup, fractal601, signal, t_end=0.5, record_every=record_every)
     tracemalloc.start()
     try:
         traj = sim.simulate(cfg)
