@@ -2,9 +2,10 @@
 
 `cohsync sweep` is the one sweep path. A config's `sweep:` list holds
 override mappings; each is deep-merged onto the base config and checked,
-then the entries that differ only in graph, initial state and gains run
-as one closed loop over the union of their graphs (here the three
-generations, 151 agents). Each writes its own artifact directory, the
+then the entries that differ only in graph, initial state, gains and
+coherency spec (d, delta) run as one closed loop over the union of their
+graphs (here the three generations, 151 agents), each agent with its own
+entry's deadzone. Each writes its own artifact directory, the
 aggregate report keeps entry order, and a failing entry is recorded there
 instead of aborting the batch. This demo writes such a config to a
 temporary directory and runs it through the CLI entry point.

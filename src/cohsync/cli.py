@@ -485,9 +485,13 @@ class _Entry(NamedTuple):
 def _unions(entries):
     """Group entries into closed loops, in entry order.
 
-    Each entry joins the first union whose runs it can join (sim.can_join)
-    while the union stays below graph.EDGE_PATH_NODES agents, where the
-    dense coupling still pays; otherwise it starts a union of its own.
+    Each entry joins the first union whose runs it can join (sim.can_join:
+    one model, P, step and recording grid, and one disturbance kind; the
+    graph, seed, rho0, d and delta may differ) while the union stays below
+    graph.EDGE_PATH_NODES agents, where the dense coupling still pays;
+    otherwise it starts a union of its own. Entries on one graph couple
+    through one batched product and write what `cohsync run` writes, byte
+    for byte.
     """
     unions = []
     for entry in entries:

@@ -89,20 +89,33 @@ class LaplacianOperator:
 
     Given several graphs it is the map of their disjoint union: node i of
     the k-th graph is node i plus the earlier graphs' node count, so L is
-    block-diagonal and each block acts on its own graph's rows alone.
-    Below EDGE_PATH_NODES nodes in all it is the dense product with that
-    L, whose zeros off the blocks are -0.0 like laplacian's own. From
-    there on it costs O(E n) whatever the in-degrees: it gathers the
-    senders' rows times the negated weights, scatters them onto the
-    receivers with one np.bincount per state column, and adds the row
-    sums (one np.bincount of the weights) times x. Where every node has
-    at most one in-neighbour both ways round once per entry and agree bit
-    for bit; elsewhere they sum in a different order.
+    block-diagonal and each block acts on its own graph's rows alone. The
+    path is picked from the graphs:
+
+    - k >= 2 copies of one graph (equal edges) below EDGE_PATH_NODES nodes
+      each: that graph's dense L_1 alone, applied to every copy's rows as
+      one batched np.matmul, the same product per block a lone graph
+      makes, so each block is bit for bit its graph's own L_1 x;
+    - otherwise below EDGE_PATH_NODES nodes in all: the dense product with
+      the union's L, whose zeros off the blocks are -0.0 like laplacian's
+      own;
+    - from there on, O(E n) whatever the in-degrees: it gathers the
+      senders' rows times the negated weights, scatters them onto the
+      receivers with one np.bincount per state column, and adds the row
+      sums (one np.bincount of the weights) times x. Where every node has
+      at most one in-neighbour it rounds as the dense product does, once
+      per entry; elsewhere it sums in a different order.
     """
 
     def __init__(self, *graphs):
         offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
         self.n_nodes = N = int(offsets[-1])
+        head = graphs[0]
+        self.copies = 1
+        if len(graphs) > 1 and head.n_nodes < EDGE_PATH_NODES and all(_same_edges(g, head) for g in graphs[1:]):
+            self.copies = len(graphs)
+            self.dense = laplacian(head)
+            return
         if N < EDGE_PATH_NODES:
             self.dense = np.full((N, N), -0.0)
             for g, lo in zip(graphs, offsets):
@@ -116,6 +129,8 @@ class LaplacianOperator:
         self.row_sums = np.bincount(self.receivers, weights, minlength=N)[:, None]
 
     def __call__(self, x):
+        if self.copies > 1:  # (..., k N_1, n) as (..., k, N_1, n): one product per copy
+            return np.matmul(self.dense, x.reshape(x.shape[:-2] + (self.copies, -1, x.shape[-1]))).reshape(x.shape)
         if self.dense is not None:
             return self.dense @ x
         N = self.n_nodes
@@ -134,6 +149,16 @@ class LaplacianOperator:
         out = out.reshape(x.shape)
         out += self.row_sums * x
         return out
+
+
+def _same_edges(g, h):
+    # one graph twice: the same node count and the same (sorted) weighted edges
+    return g is h or (
+        g.n_nodes == h.n_nodes
+        and np.array_equal(g.receivers, h.receivers)
+        and np.array_equal(g.senders, h.senders)
+        and np.array_equal(g.edge_weights, h.edge_weights)
+    )
 
 
 def _successors(g):

@@ -1,6 +1,7 @@
 """Dense small-matrix numerics: Riccati design, stabilizability, symmetric spectra."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +40,18 @@ def is_stabilizable(A, B):
 
 
 def _pbh_defects(A, B):
-    # eigenvalues at which [A - lambda I, B] loses row rank; one that overflowed
-    # cannot pass the test, and counts as a defect too
+    # eigenvalues at which [A - lambda I, B] loses row rank. The verdict depends
+    # on the values alone, and solve_care and SimConfig both ask it of the same
+    # pair while an experiment is built, so it is memoized on their bytes
+    return _pbh_test(A.shape, A.tobytes(), B.shape, B.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _pbh_test(a_shape, a_bytes, b_shape, b_bytes):
+    # _pbh_defects on the matrices' bytes; one eigenvalue that overflowed cannot
+    # pass the test, and counts as a defect too
+    A = np.frombuffer(a_bytes).reshape(a_shape)
+    B = np.frombuffer(b_bytes).reshape(b_shape)
     n = A.shape[0]
     with np.errstate(all="ignore"):
         scale = np.linalg.norm(np.hstack([A, B]), 2)
@@ -55,7 +66,7 @@ def _pbh_defects(A, B):
             s = np.linalg.svd(M, compute_uv=False)
             if s[-1] <= PBH_TOL * max(s[0], scale):
                 bad.append(complex(lam))
-    return bad
+    return tuple(bad)
 
 
 def image_containment(E, B):

@@ -100,20 +100,22 @@ def zeta(L, x):
     return L @ x
 
 
-def feedback(rho, zetas, params):
+def feedback(rho, zetas, params, d):
     """Gain rates, control inputs and levels of all agents, from one product Z @ [P | (B'P)'].
 
     Row i's level is V_i = zeta_i' P zeta_i. With y_i = B'P zeta_i, its rate
     is |y_i|^2 while V_i >= d (the boundary counts as active) and exactly
     0.0 inside the deadzone; as a sum of squares a rate is never negative.
-    Row i's input is -rho_i y_i. Returns (rates, inputs, levels). Leading
-    sample axes broadcast: gains (S, N) with disagreements (S, N, n) give
-    rates (S, N), inputs (S, N, m) and levels (S, N); a single zeta of
-    shape (n,) is one agent.
+    Row i's input is -rho_i y_i. Returns (rates, inputs, levels). The
+    deadzone threshold d broadcasts against the levels: a run's spec.d,
+    or one level per row where runs of different specs share a closed
+    loop. Leading sample axes broadcast: gains (S, N) with disagreements
+    (S, N, n) give rates (S, N), inputs (S, N, m) and levels (S, N); a
+    single zeta of shape (n,) is one agent.
     """
     n = params.n
     ZK = zetas @ params.K
     Y = ZK[..., n:]
     V = np.einsum("...j,...j->...", zetas, ZK[..., :n])
-    rates = np.where(V >= params.spec.d, np.einsum("...j,...j->...", Y, Y), 0.0)
+    rates = np.where(V >= d, np.einsum("...j,...j->...", Y, Y), 0.0)
     return rates, -np.asarray(rho, dtype=float)[..., None] * Y, V

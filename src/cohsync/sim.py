@@ -140,12 +140,14 @@ class Trajectory:
     @property
     def controls(self):
         """Control inputs -rho_i B'P zeta_i, shape (S, N, m)."""
-        return feedback(self.gains, self.zetas, self.config.params)[1]
+        params = self.config.params
+        return feedback(self.gains, self.zetas, params, params.spec.d)[1]
 
     @property
     def vi_values(self):
         """Levels zeta_i' P zeta_i, shape (S, N)."""
-        return feedback(self.gains, self.zetas, self.config.params)[2]
+        params = self.config.params
+        return feedback(self.gains, self.zetas, params, params.spec.d)[2]
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -159,11 +161,16 @@ def default_initial_state(n_agents, n_states, seed):
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """What rhs reads of a closed loop: the protocol params, and the model's A' and B' bound once."""
+    """What rhs reads of a closed loop: the protocol params, the model's A' and B', and each row's d.
+
+    d holds the deadzone threshold of every row, shape (N,): each run's
+    spec.d, repeated over its agents (protocol.feedback broadcasts it).
+    """
 
     params: ProtocolParams
     At: np.ndarray
     Bt: np.ndarray
+    d: np.ndarray
 
 
 def rhs(loop, L, wE, x, rho):
@@ -177,7 +184,7 @@ def rhs(loop, L, wE, x, rho):
     rate and input (protocol.feedback), and xdot = x A' + U B' + w E' is
     assembled in place.
     """
-    rates, U = feedback(rho, L(x), loop.params)[:2]
+    rates, U = feedback(rho, L(x), loop.params, loop.d)[:2]
     xdot = x @ loop.At
     xdot += U @ loop.Bt
     xdot += wE
@@ -185,12 +192,14 @@ def rhs(loop, L, wE, x, rho):
 
 
 def can_join(a, b):
-    """Whether runs a and b can share one closed loop: they differ at most in graph, x0 and rho0.
+    """Whether runs a and b can share one closed loop: they differ at most in graph, x0, rho0 and spec.
 
-    That takes the same model, P and spec (so one deadzone d), the same
-    step, step count and recording grid, and the same disturbance kind
-    and bound. A table disturbance is read by column per run, so a run
-    that has one never joins another.
+    The design is P alone, solved from (A, B) and agnostic to the graph;
+    the coherency spec (d, delta) only sets where each agent's gain stops
+    growing, which the loop holds per row. So it takes the same model and
+    P, the same step, step count and recording grid, and the same
+    disturbance kind and bound. A table disturbance is read by column per
+    run, so a run that has one never joins another.
     """
     return (
         a.disturbance.table_times is None
@@ -198,7 +207,6 @@ def can_join(a, b):
         and (a.disturbance.kind, a.disturbance.bound) == (b.disturbance.kind, b.disturbance.bound)
         and all(np.array_equal(getattr(a.model, k), getattr(b.model, k)) for k in "ABE")
         and np.array_equal(a.params.P, b.params.P)
-        and a.params.spec == b.params.spec
         and (a.dt, a.steps, a.record_every) == (b.dt, b.steps, b.record_every)
     )
 
@@ -206,34 +214,39 @@ def can_join(a, b):
 def simulate_union(cfgs):
     """Integrate runs that can_join as one closed loop; return one Trajectory per run, in order.
 
-    The protocol is fully distributed and its design (P, d) does not
-    depend on the graph, so runs that share it are one closed loop over
-    the disjoint union of their graphs, whose Laplacian is block-diagonal;
-    agent i of run k is row i of that run's block. This is the one
-    integrator: the classical fixed-step 4th-order scheme, with the
-    deadzone condition re-evaluated at every stage and no event detection
-    (the gain rate is bounded, and the discontinuity enters the state
-    dynamics only through the continuous gains, so the per-crossing error
-    is O(dt) on a measure-zero set). Every rate is a sum of squares or
-    zero, so no step lowers a gain. The coupling is one
-    graph.LaplacianOperator over all the graphs, and the disturbance one
-    signals.waveform at each run's own labels, concatenated; both are
-    built here once, so each stage is one coupling product and one
-    protocol product (protocol.feedback). The disturbance does not depend
-    on the state: it is evaluated a block of steps ahead, at every step's
-    t_k, t_k + dt/2 and t_k + dt with t_k = k dt, in one call of the
-    waveform and one product with E', and each stage adds its slice (the
-    two midpoint stages share one). The block holds BLOCK_BYTES of terms,
-    and at least one step.
+    The protocol is fully distributed and its design P does not depend on
+    the graph, so runs that share it are one closed loop over the disjoint
+    union of their graphs, whose Laplacian is block-diagonal; agent i of
+    run k is row i of that run's block. Each row keeps its own run's
+    deadzone threshold spec.d (ClosedLoop.d), so runs of different specs
+    join too. This is the one integrator: the classical fixed-step
+    4th-order scheme, with the deadzone condition re-evaluated at every
+    stage and no event detection (the gain rate is bounded, and the
+    discontinuity enters the state dynamics only through the continuous
+    gains, so the per-crossing error is O(dt) on a measure-zero set).
+    Every rate is a sum of squares or zero, so no step lowers a gain. The
+    coupling is one graph.LaplacianOperator over all the graphs (one
+    batched product when they are copies of one graph), and the
+    disturbance one signals.waveform at each run's own labels,
+    concatenated; both are built here once, so each stage is one coupling
+    product and one protocol product (protocol.feedback). The disturbance
+    does not depend on the state: it is evaluated a block of steps ahead,
+    at every step's t_k, t_k + dt/2 and t_k + dt with t_k = k dt, in one
+    call of the waveform and one product with E', and each stage adds its
+    slice (the two midpoint stages share one). The block holds BLOCK_BYTES
+    of terms, and at least one step.
 
     Samples are recorded every record_every steps plus the final state,
     into one preallocated record; each run's trajectory holds views of its
-    agents' columns. The union only adds zeros to each row's sums, so a
-    run's values agree with its lone simulate to round-off, and on the
-    directed fractals (one in-neighbour per node) bit for bit. A state
-    entry beyond STATE_LIMIT, or not finite, raises DivergenceError naming
-    the agent (and, in a union of several runs, the run's index) with
-    that run's partial trajectory.
+    agents' columns and its own config. A union of copies of one graph
+    makes each copy's coupling product as its lone run does, so every
+    run's values are its lone simulate's bit for bit. Between distinct
+    graphs the union only adds zeros to each row's sums, so a run agrees
+    with its lone simulate to round-off, and on the directed fractals (one
+    in-neighbour per node) bit for bit. A state entry beyond STATE_LIMIT,
+    or not finite, raises DivergenceError naming the agent (and, in a
+    union of several runs, the run's index) with that run's partial
+    trajectory.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -241,7 +254,7 @@ def simulate_union(cfgs):
     head = cfgs[0]
     for k, cfg in enumerate(cfgs[1:], 1):
         if not can_join(head, cfg):
-            raise ValueError(f"run {k} differs from run 0 in more than its graph, x0 and rho0")
+            raise ValueError(f"run {k} differs from run 0 in more than its graph, x0, rho0 and spec")
     n = head.model.n
     sizes = [cfg.graph.n_nodes for cfg in cfgs]
     offsets = np.cumsum([0] + sizes)
@@ -251,7 +264,7 @@ def simulate_union(cfgs):
     signal = dataclasses.replace(head.disturbance, index_map=None)
     wave = sigs.waveform(signal, np.concatenate(labels))
     model = head.model
-    loop = ClosedLoop(head.params, model.A.T, model.B.T)
+    loop = ClosedLoop(head.params, model.A.T, model.B.T, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes))
     Et = model.E.T
     dt = float(head.dt)
     half = 0.5 * dt
@@ -332,7 +345,8 @@ def write_trajectory_csv(traj, path):
     # the disagreements once, and the inputs and levels from one feedback product
     # as the properties form them; Z is dropped before the rows are written
     Z = traj.zetas
-    U, V = feedback(traj.gains, Z, traj.config.params)[1:]
+    params = traj.config.params
+    U, V = feedback(traj.gains, Z, params, params.spec.d)[1:]
     znorm = np.linalg.norm(Z, axis=2)
     del Z
     m = U.shape[2]

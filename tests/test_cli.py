@@ -521,6 +521,19 @@ def test_unreachable_one_state_mode_exits_3(tmp_path, capsys):
     assert "not stabilizable" in err[0]
 
 
+def test_build_experiment_runs_the_pbh_test_once(tmp_path, capsys):
+    # solve_care and SimConfig both ask it of one (A, B); the second asks the memo
+    cli.linalg._pbh_test.cache_clear()
+    cli.build_experiment(cli.normalize_config(cli.preset_config("fig3a"), "fig3a"))
+    info = cli.linalg._pbh_test.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # an unstabilizable pair is refused as before, by solve_care's message
+    cfg = fast_passing_config(model={"A": [[1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]], "E": [[0.0], [1.0]]})
+    assert cli.main(["check", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["assumption violated: (A, B) is not stabilizable: rank test fails at eigenvalue(s) 1+0j"]
+
+
 def test_module_runs_as_a_script():
     proc = subprocess.run(
         [sys.executable, "-m", "cohsync.cli", "check", "fig3a"],
@@ -679,11 +692,27 @@ def test_sweep_entries_in_one_union_write_what_run_writes(tmp_path, union_calls)
     assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
     assert union_calls == [[5, 25, 5, 25]]
     assert_entries_write_what_run_writes(tmp_path, base, entries, out)
+    # copies of one undirected graph, each entry with its own d or delta: one union, coupled
+    # by one batched product that is each copy's lone product, so the bytes agree too
+    union_calls.clear()
+    ring = {"kind": "circulant", "n": 30, "offsets": [1, 2], "directed": False}
+    base = dict(base, name="v", graph=ring)
+    entries = [
+        {"integration": {"seed": 1}},
+        {"integration": {"seed": 2}, "protocol": {"d": 0.05}},
+        {"integration": {"seed": 3}, "protocol": {"delta": 1.5}},
+        {"integration": {"seed": 4}, "protocol": {"d": 0.2, "delta": 1.0, "rho0": 0.5}},
+    ]
+    out = tmp_path / "ringout"
+    cfg_path = write_config(tmp_path, dict(base, sweep=entries))
+    assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
+    assert union_calls == [[30] * 4]
+    assert_entries_write_what_run_writes(tmp_path, base, entries, out)
 
 
 def test_sweep_groups_entries_by_design_up_to_the_edge_path(tmp_path, monkeypatch, union_calls, capsys):
-    # the two deadzones alternate: each union gathers the entries of one d, in entry order
-    entries = [{"integration": {"seed": s}, "protocol": {"d": d}} for s in range(4) for d in (0.5, 0.2)]
+    # two recording grids alternate: each union gathers the entries of one grid, in entry order
+    entries = [{"integration": {"seed": s, "record_every": r}} for s in range(4) for r in (10, 5)]
     cfg = fast_passing_config(sweep=entries)
     out = tmp_path / "sweepout"
     assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--t-end", "0.05"]) in (0, 1)

@@ -139,8 +139,39 @@ def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
 
 
 def test_operator_path_follows_the_node_count():
-    assert graph.LaplacianOperator(graph.vicsek_fractal(3)).dense is not None
-    assert graph.LaplacianOperator(graph.vicsek_fractal(4)).dense is None
+    one, other = graph.vicsek_fractal(2), graph.circulant(25, [1, 2])
+    paths = [
+        # a lone graph: the dense product below EDGE_PATH_NODES, per edge from there
+        (graph.LaplacianOperator(graph.vicsek_fractal(3)), (1, (121, 121))),
+        (graph.LaplacianOperator(graph.vicsek_fractal(4)), (1, None)),
+        # copies of one graph (built twice, so equal but not the same object): its own L, batched
+        (graph.LaplacianOperator(one, graph.vicsek_fractal(2), one), (3, (25, 25))),
+        (graph.LaplacianOperator(*[one] * 20), (20, (25, 25))),
+        # distinct graphs: the block-diagonal L below EDGE_PATH_NODES in all, per edge from there
+        (graph.LaplacianOperator(one, other), (1, (50, 50))),
+        (graph.LaplacianOperator(one, other, *[one] * 17), (1, None)),
+        # copies of a graph of EDGE_PATH_NODES nodes or more stay per edge
+        (graph.LaplacianOperator(*[graph.vicsek_fractal(4)] * 2), (1, None)),
+    ]
+    for op, (copies, dense) in paths:
+        assert (op.copies, None if op.dense is None else op.dense.shape) == (copies, dense)
+
+
+def test_operator_of_copies_of_one_graph_is_each_copy_alone():
+    # the batched product is each block's own L @ block, bit for bit, on (N, n) and (S, N, n)
+    for g in (graph.circulant(30, [1, 2], directed=False), graph.vicsek_fractal(2), graph.vicsek_fractal(3)):
+        L, N1 = graph.laplacian(g), g.n_nodes
+        for k, n in ((2, 3), (3, 1), (5, 4)):
+            op = graph.LaplacianOperator(*[g] * k)
+            assert op.copies == k
+            rng = np.random.default_rng(k * n)
+            for lead in ((), (4,)):
+                x = rng.uniform(-5, 5, lead + (k * N1, n))
+                got = op(x)
+                assert got.shape == x.shape
+                for b in range(k):
+                    block = x[..., b * N1 : (b + 1) * N1, :]
+                    assert np.array_equal(got[..., b * N1 : (b + 1) * N1, :], L @ block)
 
 
 def test_digraph_validation():

@@ -34,20 +34,25 @@ def bench_cfg(bench_setup, g, signal, t_end=5.0, seed=7, record_every=10, **kw):
 def test_rhs_hand_checked_two_node_chain():
     model, params = scalar_params(d=0.5)
     g = graph.from_edge_list(2, [(1, 2, 1.0)])
-    loop = sim.ClosedLoop(params, model.A.T, model.B.T)
+    loop = sim.ClosedLoop(params, model.A.T, model.B.T, np.full(2, 0.5))
     L = graph.LaplacianOperator(g)
     wE = np.array([[0.25], [0.5]])
     xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     # agent 2 sees zeta = 1: u = -1, xdot = -1 + 0.5, gain grows at 1; agent 1 only its term
     assert np.array_equal(xdot, np.array([[0.25], [-0.5]]))
     assert np.array_equal(rates, np.array([0.0, 1.0]))
+    # each row has its own threshold: at d = 2 agent 2's level 1 lies inside its deadzone
+    loop = dataclasses.replace(loop, d=np.array([0.5, 2.0]))
+    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]))
+    assert np.array_equal(rates, np.array([0.0, 0.0]))
 
 
 def test_rhs_equal_states_coast(bench_setup):
     model, params = bench_setup
     g = graph.vicsek_fractal(1)
     x = np.tile(np.array([3.0, -2.0, 5.0]), (5, 1))
-    loop = sim.ClosedLoop(params, model.A.T, model.B.T)
+    loop = sim.ClosedLoop(params, model.A.T, model.B.T, np.full(5, 0.5))
     xdot, rates = sim.rhs(loop, graph.LaplacianOperator(g), np.zeros((5, 3)), x, np.zeros(5))
     expected = np.tile(model.A @ np.array([3.0, -2.0, 5.0]), (5, 1))
     assert np.array_equal(xdot, expected)
@@ -194,7 +199,7 @@ def dense_loop(cfg):
     wave = signals.waveform(cfg.disturbance, np.arange(1, g.n_nodes + 1))
 
     def f(t, x, rho):
-        rates, u, _ = protocol.feedback(rho, L @ x, params)
+        rates, u, _ = protocol.feedback(rho, L @ x, params, params.spec.d)
         return x @ model.A.T + u @ model.B.T + wave(t)[:, None] * model.E.T, rates
 
     dt = cfg.dt
@@ -410,13 +415,34 @@ def test_union_members_match_lone_runs_on_undirected_and_circulant_graphs(bench_
             assert np.abs(got - want).max() <= UNION_TOL * np.abs(want).max(), field
 
 
+def test_union_members_on_one_repeated_graph_are_their_lone_runs(bench_setup):
+    # copies of one undirected graph couple through one batched product, the
+    # lone run's own, and each row keeps its run's deadzone: bit for bit alone
+    model, params = bench_setup
+    g = graph.circulant(30, [1, 2], directed=False)
+    specs = [{"d": 0.5}, {"d": 0.05}, {"delta": 1.5}, {"d": 0.2, "delta": 1.0}]
+    cfgs = [  # initial states near consensus, so agents cross their deadzones
+        dataclasses.replace(cfg, params=protocol.ProtocolParams(params.P, model.B, **spec), x0=0.05 * cfg.x0)
+        for cfg, spec in zip(union_members(bench_setup, [g] * len(specs)), specs, strict=True)
+    ]
+    assert len({cfg.params.spec for cfg in cfgs}) == len(cfgs)
+    assert graph.LaplacianOperator(*(cfg.graph for cfg in cfgs)).copies == len(cfgs)
+    for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
+        assert traj.config is cfg  # and so its own spec
+        levels = traj.vi_values
+        assert (levels < cfg.params.spec.d).any() and (levels >= cfg.params.spec.d).any()
+        lone = sim.simulate(cfg)
+        for field in ("times", "states", "gains", "zetas"):
+            assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
+
+
 def test_union_refuses_runs_of_different_designs(bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
     base = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.1)
     model, params = bench_setup
     table = signals.table_signal([0.0, 0.1], np.zeros((2, 5)))
     others = [
-        dataclasses.replace(base, params=protocol.ProtocolParams(params.P, model.B, d=0.2)),
+        dataclasses.replace(base, params=protocol.ProtocolParams(2 * params.P, model.B, d=0.5)),
         dataclasses.replace(base, dt=5e-4),
         dataclasses.replace(base, t_end=0.2),
         dataclasses.replace(base, record_every=5),
@@ -427,8 +453,10 @@ def test_union_refuses_runs_of_different_designs(bench_setup):
         assert not sim.can_join(base, other)
         with pytest.raises(ValueError, match="differs from run 0"):
             sim.simulate_union([base, other])
-    # graph, x0 and rho0 may differ; a table disturbance runs, but only alone
+    # graph, x0, rho0 and the spec may differ; a table disturbance runs, but only alone
     assert sim.can_join(base, dataclasses.replace(base, graph=graph.vicsek_fractal(2), x0=np.zeros(75), rho0=1.0))
+    for spec in ({"d": 0.2}, {"delta": 1.5}, {"d": 0.2, "delta": 1.5}):
+        assert sim.can_join(base, dataclasses.replace(base, params=protocol.ProtocolParams(params.P, model.B, **spec)))
     assert sim.simulate_union([dataclasses.replace(base, disturbance=table)])[0].times[-1] == 0.1
     with pytest.raises(ValueError, match="at least one run"):
         sim.simulate_union([])
@@ -564,7 +592,7 @@ def test_derived_record_matches_per_sample_maps(bench_setup):
     for s in (0, traj.n_samples // 2, traj.n_samples - 1):
         zs = protocol.zeta(L, traj.states[s])
         assert np.array_equal(Z[s], zs)
-        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs, params)[1])
+        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs, params, params.spec.d)[1])
         expected = np.array([z @ params.P @ z for z in zs])
         assert np.abs(V[s] - expected).max() <= 1e-12 * max(1.0, expected.max())
 
