@@ -5,9 +5,10 @@ override mappings; each is deep-merged onto the base config and checked,
 then the entries that differ only in graph, initial state, gains and
 coherency spec (d, delta) run as one closed loop over the union of their
 graphs (here the three generations, 151 agents), each agent with its own
-entry's deadzone. Each writes its own artifact directory, the
-aggregate report keeps entry order, and a failing entry is recorded there
-instead of aborting the batch. This demo writes such a config to a
+entry's deadzone. Each entry writes its own artifact directory, byte for
+byte what `cohsync run` writes for it, the aggregate report keeps entry
+order, and a failing entry is recorded there instead of aborting the
+batch. This demo writes such a config to a
 temporary directory and runs it through the CLI entry point.
 Short horizon here so the demo stays quick; the gains have not converged
 yet at t=3, which the reports dutifully flag.

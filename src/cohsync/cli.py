@@ -488,10 +488,10 @@ def _unions(entries):
     Each entry joins the first union whose runs it can join (sim.can_join:
     one model, P, step and recording grid, and one disturbance kind; the
     graph, seed, rho0, d and delta may differ) while the union stays below
-    graph.EDGE_PATH_NODES agents, where the dense coupling still pays;
-    otherwise it starts a union of its own. Entries on one graph couple
-    through one batched product and write what `cohsync run` writes, byte
-    for byte.
+    graph.EDGE_PATH_NODES agents, which bounds the record one union holds
+    at once; otherwise it starts a union of its own. Each entry's graph
+    couples its rows as alone, so every entry writes what `cohsync run`
+    writes, byte for byte.
     """
     unions = []
     for entry in entries:

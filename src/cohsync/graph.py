@@ -85,20 +85,17 @@ EDGE_PATH_NODES = 450
 
 
 class LaplacianOperator:
-    """The map x -> L x of one graph, for states of shape (..., N, n).
+    """The map x -> L x of one graph, or of a disjoint union of graphs, for states of shape (..., N, n).
 
-    Given several graphs it is the map of their disjoint union: node i of
-    the k-th graph is node i plus the earlier graphs' node count, so L is
-    block-diagonal and each block acts on its own graph's rows alone. The
-    path is picked from the graphs:
+    In a union, node i of the k-th graph is node i plus the earlier graphs'
+    node count. Consecutive equal graphs (the same weighted edges) form a
+    block, which applies its graph's own map to its copies' rows, the
+    copies as a batch axis; several blocks' operators are held in blocks,
+    and their results concatenated. So every graph's rows get its lone
+    operator's values bit for bit. A graph's map follows its node count:
 
-    - k >= 2 copies of one graph (equal edges) below EDGE_PATH_NODES nodes
-      each: that graph's dense L_1 alone, applied to every copy's rows as
-      one batched np.matmul, the same product per block a lone graph
-      makes, so each block is bit for bit its graph's own L_1 x;
-    - otherwise below EDGE_PATH_NODES nodes in all: the dense product with
-      the union's L, whose zeros off the blocks are -0.0 like laplacian's
-      own;
+    - below EDGE_PATH_NODES, the dense product with laplacian(g): exactly
+      one L @ x for a lone graph, one batched np.matmul for copies;
     - from there on, O(E n) whatever the in-degrees: it gathers the
       senders' rows times the negated weights, scatters them onto the
       receivers with one np.bincount per state column, and adds the row
@@ -108,47 +105,43 @@ class LaplacianOperator:
     """
 
     def __init__(self, *graphs):
-        offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
-        self.n_nodes = N = int(offsets[-1])
-        head = graphs[0]
-        self.copies = 1
-        if len(graphs) > 1 and head.n_nodes < EDGE_PATH_NODES and all(_same_edges(g, head) for g in graphs[1:]):
-            self.copies = len(graphs)
-            self.dense = laplacian(head)
+        # where each run of consecutive equal graphs starts, and the end
+        starts = [k for k, g in enumerate(graphs) if k == 0 or not _same_edges(g, graphs[k - 1])] + [len(graphs)]
+        self.n_nodes = sum(g.n_nodes for g in graphs)
+        self.blocks = []  # empty when the operator is one block
+        if len(starts) > 2:
+            self.blocks = [LaplacianOperator(*graphs[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+            self.rows = np.cumsum([0] + [b.n_nodes for b in self.blocks]).tolist()
             return
-        if N < EDGE_PATH_NODES:
-            self.dense = np.full((N, N), -0.0)
-            for g, lo in zip(graphs, offsets):
-                self.dense[lo : lo + g.n_nodes, lo : lo + g.n_nodes] = laplacian(g)
-            return
-        self.dense = None
-        self.receivers = np.concatenate([g.receivers + lo for g, lo in zip(graphs, offsets)])
-        self.senders = np.concatenate([g.senders + lo for g, lo in zip(graphs, offsets)])
-        weights = np.concatenate([g.edge_weights for g in graphs])
-        self.neg_weights = -weights[:, None]
-        self.row_sums = np.bincount(self.receivers, weights, minlength=N)[:, None]
+        g = self.graph = graphs[0]
+        self.copies = len(graphs)
+        self.dense = laplacian(g) if g.n_nodes < EDGE_PATH_NODES else None
+        self.neg_weights = -g.edge_weights[:, None]
+        self.row_sums = np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes)[:, None]
 
     def __call__(self, x):
-        if self.copies > 1:  # (..., k N_1, n) as (..., k, N_1, n): one product per copy
-            return np.matmul(self.dense, x.reshape(x.shape[:-2] + (self.copies, -1, x.shape[-1]))).reshape(x.shape)
-        if self.dense is not None:
+        if self.blocks:
+            parts = zip(self.blocks, self.rows, self.rows[1:])
+            return np.concatenate([b(x[..., lo:hi, :]) for b, lo, hi in parts], axis=-2)
+        if self.copies == 1 and self.dense is not None:  # exactly one L @ x, without a reshape
             return self.dense @ x
-        N = self.n_nodes
-        n = x.shape[-1]
-        stack = x.reshape(-1, N, n)
+        g = self.graph
+        N, n = g.n_nodes, x.shape[-1]
+        stack = x.reshape(-1, N, n)  # every copy of every sample is one stack row
+        if self.dense is not None:
+            return np.matmul(self.dense, stack).reshape(x.shape)
         S = stack.shape[0]
-        # sample s, receiver i lands in bin s*N + i
-        bins = (self.receivers + N * np.arange(S)[:, None]).reshape(-1)
-        terms = np.take(stack, self.senders, axis=1)
+        # row s, receiver i lands in bin s*N + i
+        bins = (g.receivers + N * np.arange(S)[:, None]).reshape(-1)
+        terms = np.take(stack, g.senders, axis=1)
         terms *= self.neg_weights
         terms = terms.reshape(-1, n)
-        out = np.empty((S * N, n))
+        out = np.empty(stack.shape)
         for c in range(n):
-            out[:, c] = np.bincount(bins, terms[:, c], minlength=S * N)
+            out[..., c] = np.bincount(bins, terms[:, c], minlength=S * N).reshape(S, N)
         # the bins start at +0.0, so a node without in-edges gets +0.0 + 0*x, as densely
-        out = out.reshape(x.shape)
-        out += self.row_sums * x
-        return out
+        out += self.row_sums * stack
+        return out.reshape(x.shape)
 
 
 def _same_edges(g, h):

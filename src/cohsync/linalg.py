@@ -36,22 +36,16 @@ def is_stabilizable(A, B):
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError("A must be square and B must have matching row count")
-    return not _pbh_defects(A, B)
-
-
-def _pbh_defects(A, B):
-    # eigenvalues at which [A - lambda I, B] loses row rank. The verdict depends
-    # on the values alone, and solve_care and SimConfig both ask it of the same
-    # pair while an experiment is built, so it is memoized on their bytes
-    return _pbh_test(A.shape, A.tobytes(), B.shape, B.tobytes())
+    return not _pbh_test((A.shape, A.tobytes()), (B.shape, B.tobytes()))
 
 
 @lru_cache(maxsize=8)
-def _pbh_test(a_shape, a_bytes, b_shape, b_bytes):
-    # _pbh_defects on the matrices' bytes; one eigenvalue that overflowed cannot
-    # pass the test, and counts as a defect too
-    A = np.frombuffer(a_bytes).reshape(a_shape)
-    B = np.frombuffer(b_bytes).reshape(b_shape)
+def _pbh_test(*keys):
+    # the eigenvalues at which [A - lambda I, B] loses row rank, from the shapes and
+    # bytes of A and B: the verdict depends on the values alone, and solve_care and
+    # SimConfig both ask it of one pair while an experiment is built. One eigenvalue
+    # that overflowed cannot pass the test, and counts as a defect too
+    A, B = (np.frombuffer(data).reshape(shape) for shape, data in keys)
     n = A.shape[0]
     with np.errstate(all="ignore"):
         scale = np.linalg.norm(np.hstack([A, B]), 2)
@@ -204,6 +198,10 @@ def solve_care(A, B, Q=None):
     equation for the correction; from a stabilizing iterate Newton
     converges quadratically.
 
+    Memoized on the bytes of (A, B, Q), as a sweep asks it of one model per
+    entry: equal inputs share one solution, whose P is read-only; a
+    failure is raised anew on every call.
+
     Raises
     ------
     AssumptionError
@@ -219,7 +217,8 @@ def solve_care(A, B, Q=None):
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError("A must be square and B must have matching row count")
-    bad = _pbh_defects(A, B)
+    keys = [(M.shape, M.tobytes()) for M in (A, B)]  # what the memos key A and B by
+    bad = _pbh_test(*keys)
     if bad:
         desc = ", ".join(f"{lam:.6g}" for lam in bad)
         raise AssumptionError(
@@ -232,7 +231,14 @@ def solve_care(A, B, Q=None):
         if np.abs(Qm - Qm.T).max() > 1e-10:
             raise ValueError("Q must be symmetric")
         Qm = 0.5 * (Qm + Qm.T)
+    return _care(*keys, (Qm.shape, Qm.tobytes()))
 
+
+@lru_cache(maxsize=8)
+def _care(*keys):
+    # solve_care on the shapes and bytes of A, B and Q; lru_cache keeps no call that raised
+    A, B, Qm = (np.frombuffer(data).reshape(shape) for shape, data in keys)
+    n = A.shape[0]
     try:
         with np.errstate(all="ignore"):  # an overflow, or NaN, fails the certificate below
             BBt = B @ B.T
@@ -266,4 +272,5 @@ def solve_care(A, B, Q=None):
         )
         exc.residual = rnorm
         raise exc
+    P.setflags(write=False)  # shared by every caller of these inputs
     return RiccatiSolution(P=P, residual_norm=rnorm)

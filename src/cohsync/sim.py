@@ -196,10 +196,10 @@ def can_join(a, b):
 
     The design is P alone, solved from (A, B) and agnostic to the graph;
     the coherency spec (d, delta) only sets where each agent's gain stops
-    growing, which the loop holds per row. So it takes the same model and
-    P, the same step, step count and recording grid, and the same
-    disturbance kind and bound. A table disturbance is read by column per
-    run, so a run that has one never joins another.
+    growing, which the loop holds per row; each graph couples its own rows
+    as alone. So it takes the same model and P, the same step, step count
+    and recording grid, and the same disturbance kind and bound. A table
+    disturbance is read by column per run, so one never joins another.
     """
     return (
         a.disturbance.table_times is None
@@ -225,25 +225,22 @@ def simulate_union(cfgs):
     discontinuity enters the state dynamics only through the continuous
     gains, so the per-crossing error is O(dt) on a measure-zero set).
     Every rate is a sum of squares or zero, so no step lowers a gain. The
-    coupling is one graph.LaplacianOperator over all the graphs (one
-    batched product when they are copies of one graph), and the
-    disturbance one signals.waveform at each run's own labels,
-    concatenated; both are built here once, so each stage is one coupling
-    product and one protocol product (protocol.feedback). The disturbance
-    does not depend on the state: it is evaluated a block of steps ahead,
-    at every step's t_k, t_k + dt/2 and t_k + dt with t_k = k dt, in one
-    call of the waveform and one product with E', and each stage adds its
-    slice (the two midpoint stages share one). The block holds BLOCK_BYTES
-    of terms, and at least one step.
+    coupling is one graph.LaplacianOperator over all the graphs, which
+    applies each graph's own map to its rows, as its lone run does, so on
+    any graph every run's values are its lone simulate's bit for bit. The
+    disturbance is one signals.waveform at each run's own labels,
+    concatenated. Both are built here once; a stage makes one coupling
+    product per block of equal graphs and one protocol product
+    (protocol.feedback). The disturbance does not depend on the state: it
+    is evaluated a block of steps ahead, at every step's t_k, t_k + dt/2
+    and t_k + dt with t_k = k dt, in one call of the waveform and one
+    product with E', and each stage adds its slice (the two midpoint
+    stages share one). The block holds BLOCK_BYTES of terms, and at least
+    one step.
 
     Samples are recorded every record_every steps plus the final state,
     into one preallocated record; each run's trajectory holds views of its
-    agents' columns and its own config. A union of copies of one graph
-    makes each copy's coupling product as its lone run does, so every
-    run's values are its lone simulate's bit for bit. Between distinct
-    graphs the union only adds zeros to each row's sums, so a run agrees
-    with its lone simulate to round-off, and on the directed fractals (one
-    in-neighbour per node) bit for bit. A state entry beyond STATE_LIMIT,
+    agents' columns and its own config. A state entry beyond STATE_LIMIT,
     or not finite, raises DivergenceError naming the agent (and, in a
     union of several runs, the run's index) with that run's partial
     trajectory.

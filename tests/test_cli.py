@@ -534,6 +534,16 @@ def test_build_experiment_runs_the_pbh_test_once(tmp_path, capsys):
     assert err == ["assumption violated: (A, B) is not stabilizable: rank test fails at eigenvalue(s) 1+0j"]
 
 
+def test_sweep_on_one_model_solves_the_riccati_equation_once(tmp_path):
+    # eight entries that vary seeds and deadzones share one (A, B): one solve, seven memo hits
+    cli.linalg._care.cache_clear()
+    entries = [{"integration": {"seed": s}, "protocol": {"d": d}} for s in range(4) for d in (0.5, 0.2)]
+    cfg_path = write_config(tmp_path, fast_passing_config(sweep=entries))
+    assert cli.main(["sweep", cfg_path, "--out", str(tmp_path / "out"), "--quiet", "--t-end", "0.05"]) in (0, 1)
+    info = cli.linalg._care.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
 def test_module_runs_as_a_script():
     proc = subprocess.run(
         [sys.executable, "-m", "cohsync.cli", "check", "fig3a"],
@@ -686,14 +696,28 @@ def test_sweep_entries_in_one_union_write_what_run_writes(tmp_path, union_calls)
         {"integration": {"seed": 3}, "protocol": {"rho0": 0.5}},
         {"integration": {"seed": 4}, "graph": {"generation": 2}, "protocol": {"rho0": 0.5}},
     ]
-    # directed fractals: every row has one in-neighbour and rounds as alone, so the bytes agree
+    # each graph's rows are coupled by its own graph's map, as alone, so the bytes agree
     out = tmp_path / "sweepout"
     cfg_path = write_config(tmp_path, dict(base, sweep=entries))
     assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
     assert union_calls == [[5, 25, 5, 25]]
     assert_entries_write_what_run_writes(tmp_path, base, entries, out)
-    # copies of one undirected graph, each entry with its own d or delta: one union, coupled
-    # by one batched product that is each copy's lone product, so the bytes agree too
+    # undirected fractals and an undirected circulant, where rows hear several neighbours
+    union_calls.clear()
+    base = dict(base, name="w", graph={"kind": "vicsek", "generation": 1, "directed": False})
+    entries = [
+        {"integration": {"seed": 1}},
+        {"integration": {"seed": 2}, "graph": {"generation": 2}},
+        {"integration": {"seed": 3}, "graph": {"generation": 3}, "protocol": {"rho0": 0.5}},
+        {"integration": {"seed": 4}, "protocol": {"d": 0.2}},
+    ]
+    out = tmp_path / "undirectedout"
+    cfg_path = write_config(tmp_path, dict(base, sweep=entries))
+    assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
+    assert union_calls == [[5, 25, 121, 5]]
+    assert_entries_write_what_run_writes(tmp_path, base, entries, out)
+    # copies of one undirected graph, each entry with its own d or delta, coupled by one
+    # batched product that is each copy's lone product, then a distinct undirected circulant
     union_calls.clear()
     ring = {"kind": "circulant", "n": 30, "offsets": [1, 2], "directed": False}
     base = dict(base, name="v", graph=ring)
@@ -702,11 +726,12 @@ def test_sweep_entries_in_one_union_write_what_run_writes(tmp_path, union_calls)
         {"integration": {"seed": 2}, "protocol": {"d": 0.05}},
         {"integration": {"seed": 3}, "protocol": {"delta": 1.5}},
         {"integration": {"seed": 4}, "protocol": {"d": 0.2, "delta": 1.0, "rho0": 0.5}},
+        {"integration": {"seed": 5}, "graph": {"n": 17, "offsets": [1, 3]}},
     ]
     out = tmp_path / "ringout"
     cfg_path = write_config(tmp_path, dict(base, sweep=entries))
     assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
-    assert union_calls == [[30] * 4]
+    assert union_calls == [[30] * 4 + [17]]
     assert_entries_write_what_run_writes(tmp_path, base, entries, out)
 
 

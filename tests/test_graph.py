@@ -52,8 +52,13 @@ def both_paths(g, monkeypatch):
     for threshold in (g.n_nodes + 1, g.n_nodes):
         monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
         ops.append(graph.LaplacianOperator(g))
-    assert ops[0].dense is not None and ops[1].dense is None
+    assert [structure(op) for op in ops] == [[(1, (g.n_nodes, g.n_nodes))], [(1, None)]]
     return ops
+
+
+def structure(op):
+    """Each block's copies and dense L's shape (None per edge), in order."""
+    return [(b.copies, None if b.dense is None else b.dense.shape) for b in op.blocks or [op]]
 
 
 def assert_applies_laplacian(g, x, monkeypatch, exact):
@@ -122,48 +127,55 @@ def test_operator_on_stacked_states(monkeypatch):
 
 
 def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
+    # each graph's rows get what its lone operator gives, bit for bit and sign bit
+    # for sign bit, whichever map each graph takes by its own node count
     graphs = [graph.vicsek_fractal(2, directed=True), graph.circulant(7, [1, 2]), graph.vicsek_fractal(1)]
     sizes = [g.n_nodes for g in graphs]
-    N = sum(sizes)
-    x = np.random.default_rng(3).uniform(-5, 5, (2, N, 3))
+    x = np.random.default_rng(3).uniform(-5, 5, (2, sum(sizes), 3))
     blocks = np.split(x, np.cumsum(sizes)[:-1], axis=1)
-    ref = np.concatenate([graph.laplacian(g) @ block for g, block in zip(graphs, blocks)], axis=1)
-    for threshold in (N + 1, N):
+    for threshold, dense in ((26, [True] * 3), (7, [False, False, True]), (1, [False] * 3)):
         monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
         op = graph.LaplacianOperator(*graphs)
-        assert (op.dense is None) == (threshold == N)
-        got = op(x)
-        assert np.abs(got - ref).max() <= ORDER_TOL * np.abs(ref).max()
-        # the directed fractal's rows have one in-neighbour each and round as alone
-        assert np.array_equal(got[:, :25], ref[:, :25])
+        assert [b.dense is not None for b in op.blocks] == dense
+        got = np.split(op(x), np.cumsum(sizes)[:-1], axis=1)
+        for g, block, part in zip(graphs, blocks, got, strict=True):
+            lone = graph.LaplacianOperator(g)(block)
+            assert np.array_equal(part, lone) and np.array_equal(np.signbit(part), np.signbit(lone))
+            ref = graph.laplacian(g) @ block
+            assert np.abs(part - ref).max() <= ORDER_TOL * np.abs(ref).max()
 
 
 def test_operator_path_follows_the_node_count():
-    one, other = graph.vicsek_fractal(2), graph.circulant(25, [1, 2])
-    paths = [
+    one, other, big = graph.vicsek_fractal(2), graph.circulant(25, [1, 2]), graph.vicsek_fractal(4)
+    cases = [
         # a lone graph: the dense product below EDGE_PATH_NODES, per edge from there
-        (graph.LaplacianOperator(graph.vicsek_fractal(3)), (1, (121, 121))),
-        (graph.LaplacianOperator(graph.vicsek_fractal(4)), (1, None)),
-        # copies of one graph (built twice, so equal but not the same object): its own L, batched
-        (graph.LaplacianOperator(one, graph.vicsek_fractal(2), one), (3, (25, 25))),
-        (graph.LaplacianOperator(*[one] * 20), (20, (25, 25))),
-        # distinct graphs: the block-diagonal L below EDGE_PATH_NODES in all, per edge from there
-        (graph.LaplacianOperator(one, other), (1, (50, 50))),
-        (graph.LaplacianOperator(one, other, *[one] * 17), (1, None)),
-        # copies of a graph of EDGE_PATH_NODES nodes or more stay per edge
-        (graph.LaplacianOperator(*[graph.vicsek_fractal(4)] * 2), (1, None)),
+        ((graph.vicsek_fractal(3),), [(1, (121, 121))]),
+        ((big,), [(1, None)]),
+        # copies of one graph (built twice, so equal but not the same object): one block
+        ((one, graph.vicsek_fractal(2), one), [(3, (25, 25))]),
+        ((one,) * 20, [(20, (25, 25))]),
+        # distinct graphs: a block each, each on its own graph's map, whatever the union's size
+        ((one, other), [(1, (25, 25)), (1, (25, 25))]),
+        ((one, other, *[one] * 17), [(1, (25, 25)), (1, (25, 25)), (17, (25, 25))]),
+        ((big, one, big), [(1, None), (1, (25, 25)), (1, None)]),
+        # copies of a graph of EDGE_PATH_NODES nodes or more: one block, per edge
+        ((big, big), [(2, None)]),
     ]
-    for op, (copies, dense) in paths:
-        assert (op.copies, None if op.dense is None else op.dense.shape) == (copies, dense)
+    for graphs, blocks in cases:
+        op = graph.LaplacianOperator(*graphs)
+        assert structure(op) == blocks
+        assert op.n_nodes == sum(g.n_nodes for g in graphs)
 
 
 def test_operator_of_copies_of_one_graph_is_each_copy_alone():
-    # the batched product is each block's own L @ block, bit for bit, on (N, n) and (S, N, n)
-    for g in (graph.circulant(30, [1, 2], directed=False), graph.vicsek_fractal(2), graph.vicsek_fractal(3)):
-        L, N1 = graph.laplacian(g), g.n_nodes
+    # one block applies its graph's map to every copy: each copy's rows are its
+    # lone operator's, bit for bit, on (N, n) and (S, N, n), densely and per edge
+    for g in (graph.circulant(30, [1, 2], directed=False), graph.vicsek_fractal(2), graph.vicsek_fractal(3),
+              graph.vicsek_fractal(4)):
+        lone, N1 = graph.LaplacianOperator(g), g.n_nodes
         for k, n in ((2, 3), (3, 1), (5, 4)):
             op = graph.LaplacianOperator(*[g] * k)
-            assert op.copies == k
+            assert structure(op) == [(k, structure(lone)[0][1])]
             rng = np.random.default_rng(k * n)
             for lead in ((), (4,)):
                 x = rng.uniform(-5, 5, lead + (k * N1, n))
@@ -171,7 +183,7 @@ def test_operator_of_copies_of_one_graph_is_each_copy_alone():
                 assert got.shape == x.shape
                 for b in range(k):
                     block = x[..., b * N1 : (b + 1) * N1, :]
-                    assert np.array_equal(got[..., b * N1 : (b + 1) * N1, :], L @ block)
+                    assert np.array_equal(got[..., b * N1 : (b + 1) * N1, :], lone(block))
 
 
 def test_digraph_validation():

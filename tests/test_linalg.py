@@ -236,9 +236,27 @@ def test_care_rejects_asymmetric_weight(benchmark_model):
         linalg.solve_care(benchmark_model.A, benchmark_model.B, Q=Q)
 
 
+def test_care_is_memoized_on_its_inputs_and_shared_read_only(benchmark_model):
+    linalg._care.cache_clear()
+    A, B = benchmark_model.A, benchmark_model.B
+    sol = linalg.solve_care(A, B)
+    assert linalg.solve_care(A.copy(), B.copy()) is sol  # equal values, not the same arrays
+    assert linalg.solve_care(A, B, Q=np.eye(3)) is sol  # Q defaults to the identity
+    assert linalg.solve_care(A, B, Q=2 * np.eye(3)) is not sol
+    with pytest.raises(ValueError, match="read-only"):
+        sol.P[0, 0] = 0.0
+    # a failure is raised anew on every call, never memoized
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            linalg.solve_care([[0.0]], [[1.0e300]])
+    info = linalg._care.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 2, 2)
+
+
 def test_care_runtime(benchmark_model):
     import time
 
+    linalg._care.cache_clear()  # time a solve, not a memo hit
     t0 = time.perf_counter()
     linalg.solve_care(benchmark_model.A, benchmark_model.B)
     assert time.perf_counter() - t0 < 1.0

@@ -373,11 +373,6 @@ def test_simulation_matches_the_papers_formulas(bench_setup):
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= PAPER_LOOP_TOL * scale)
 
 
-# members of an undirected or circulant union sum their rows with the union's
-# zeros in between, so they may round differently from their lone runs
-UNION_TOL = 1e-12
-
-
 def union_members(bench_setup, graphs, t_end=1.0):
     # distinct seeds and initial gains, one design and grid
     return [
@@ -398,21 +393,53 @@ def test_union_members_are_their_lone_runs_on_directed_fractals(bench_setup):
             assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
 
 
-def test_union_members_match_lone_runs_on_undirected_and_circulant_graphs(bench_setup):
+def spanning_digraph(seed):
+    """A seeded random weighted digraph with a directed spanning tree: a random tree, plus random edges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    order = rng.permutation(n) + 1
+    edges = [(int(order[rng.integers(k)]), int(order[k]), rng.uniform(0.2, 3.0)) for k in range(1, n)]
+    for _ in range(int(rng.integers(0, 2 * n))):
+        i, j = rng.choice(n, 2, replace=False) + 1
+        edges.append((int(i), int(j), rng.uniform(0.2, 3.0)))
+    g = graph.from_edge_list(n, edges)
+    assert graph.has_directed_spanning_tree(g)
+    return g
+
+
+def assert_members_are_lone_runs(cfgs):
+    union = sim.simulate_union(cfgs)
+    assert [traj.config for traj in union] == cfgs
+    for cfg, traj in zip(cfgs, union, strict=True):
+        lone = sim.simulate(cfg)
+        assert np.abs(lone.gains[-1]).max() > 0.0  # the gains have moved
+        assert (np.diff(traj.gains, axis=0) >= 0.0).all()  # and never fell
+        for field in ("times", "states", "gains", "zetas"):
+            assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
+
+
+def test_union_members_are_their_lone_runs_on_generated_graphs(bench_setup, monkeypatch):
+    # each graph's rows are coupled by its own graph's map, so every member is
+    # its lone run bit for bit: weighted digraphs, undirected fractals, circulants
     graphs = [
+        spanning_digraph(1),
         graph.vicsek_fractal(2, directed=False),
         graph.circulant(30, [1, 2], directed=False),
+        spanning_digraph(2),
         graph.vicsek_fractal(1, directed=True),
         graph.circulant(17, [1, 3], directed=True),
+        spanning_digraph(3),
         graph.vicsek_fractal(1, directed=False),
     ]
-    cfgs = union_members(bench_setup, graphs)
-    for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
-        lone = sim.simulate(cfg)
-        assert np.array_equal(traj.times, lone.times)
-        for field in ("states", "gains", "zetas"):
-            got, want = getattr(traj, field), getattr(lone, field)
-            assert np.abs(got - want).max() <= UNION_TOL * np.abs(want).max(), field
+    assert_members_are_lone_runs(union_members(bench_setup, graphs))
+    # mixed sizes: with EDGE_PATH_NODES lowered, the 25- and 22-node graphs work
+    # per edge beside a dense block, and two consecutive copies form one block
+    monkeypatch.setattr(graph, "EDGE_PATH_NODES", 20)
+    big = graph.vicsek_fractal(2, directed=False)
+    graphs = [big, big, spanning_digraph(4), graph.circulant(17, [1, 3], directed=False), big]
+    blocks = graph.LaplacianOperator(*graphs).blocks
+    assert [(b.copies, b.dense is None) for b in blocks] == [(2, True), (1, True), (1, False), (1, True)]
+    assert_members_are_lone_runs(union_members(bench_setup, graphs, t_end=0.5))
 
 
 def test_union_members_on_one_repeated_graph_are_their_lone_runs(bench_setup):
@@ -426,7 +453,8 @@ def test_union_members_on_one_repeated_graph_are_their_lone_runs(bench_setup):
         for cfg, spec in zip(union_members(bench_setup, [g] * len(specs)), specs, strict=True)
     ]
     assert len({cfg.params.spec for cfg in cfgs}) == len(cfgs)
-    assert graph.LaplacianOperator(*(cfg.graph for cfg in cfgs)).copies == len(cfgs)
+    op = graph.LaplacianOperator(*(cfg.graph for cfg in cfgs))
+    assert not op.blocks and op.copies == len(cfgs)
     for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
         assert traj.config is cfg  # and so its own spec
         levels = traj.vi_values
