@@ -78,30 +78,31 @@ def laplacian(g):
     return L
 
 
-# node count from which LaplacianOperator works per edge rather than densely:
-# where the dense product's cost jumps on undirected circulants, the densest
-# graphs timed (4 edges per node; fractals have 1 or 2, so cross earlier)
+# node count from which LaplacianOperator works per edge rather than densely; per call
+# on (3, N) states (timeit, one vCPU, OpenBLAS on 1 thread), dense against per edge:
+# 2.2 against 3.9-5.5 us at 121 nodes, 82-87 against 6.5-13.8 us at 601 (fractals and
+# the undirected circulant [1, 2], 1 to 4 edges per node); the circulant crosses near 250
 EDGE_PATH_NODES = 450
 
 
 class LaplacianOperator:
-    """The map x -> L x of one graph, or of a disjoint union of graphs, for states of shape (..., N, n).
+    """The map X -> X L' of one graph, or of a disjoint union of graphs, for states X of shape (..., n, N).
 
-    In a union, node i of the k-th graph is node i plus the earlier graphs'
-    node count. Consecutive equal graphs (the same weighted edges) form a
-    block, which applies its graph's own map to its copies' rows, the
-    copies as a batch axis; several blocks' operators are held in blocks,
-    and their results concatenated. So every graph's rows get its lone
-    operator's values bit for bit. A graph's map follows its node count:
+    Column i of X is agent i's state; in a union, node i of the k-th graph
+    is column i plus the earlier graphs' node count. Consecutive equal
+    graphs (the same weighted edges) form a block, which maps each copy's
+    columns by its graph's own map; a union holds one operator per block in
+    blocks, each writing its columns of one output, so every graph gets its
+    lone operator's values bit for bit. A graph's map follows its node count:
 
-    - below EDGE_PATH_NODES, the dense product with laplacian(g): exactly
-      one L @ x for a lone graph, one batched np.matmul for copies;
+    - below EDGE_PATH_NODES, the dense product with L', held contiguous:
+      exactly one X @ L' for a lone graph, one per copy for copies;
     - from there on, O(E n) whatever the in-degrees: it gathers the
-      senders' rows times the negated weights, scatters them onto the
-      receivers with one np.bincount per state column, and adds the row
-      sums (one np.bincount of the weights) times x. Where every node has
-      at most one in-neighbour it rounds as the dense product does, once
-      per entry; elsewhere it sums in a different order.
+      senders' columns times the negated weights, scatters them onto the
+      receivers with one np.bincount over every row's bins, and adds the
+      row sums (one np.bincount of the weights) times X. Where every node
+      has at most one in-neighbour it rounds as the dense product does,
+      once per entry; elsewhere it sums in a different order.
     """
 
     def __init__(self, *graphs):
@@ -111,37 +112,39 @@ class LaplacianOperator:
         self.blocks = []  # empty when the operator is one block
         if len(starts) > 2:
             self.blocks = [LaplacianOperator(*graphs[lo:hi]) for lo, hi in zip(starts, starts[1:])]
-            self.rows = np.cumsum([0] + [b.n_nodes for b in self.blocks]).tolist()
+            self.cols = np.cumsum([0] + [b.n_nodes for b in self.blocks]).tolist()
             return
         g = self.graph = graphs[0]
         self.copies = len(graphs)
-        self.dense = laplacian(g) if g.n_nodes < EDGE_PATH_NODES else None
-        self.neg_weights = -g.edge_weights[:, None]
-        self.row_sums = np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes)[:, None]
+        self.dense = np.ascontiguousarray(laplacian(g).T) if g.n_nodes < EDGE_PATH_NODES else None
+        self.neg_weights = -g.edge_weights
+        self.row_sums = np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes)
+        self.bins = np.empty(0, dtype=np.intp)  # the scatter's bins for the last row count
 
-    def __call__(self, x):
+    def __call__(self, X, out=None):
+        """X L' for X of shape (..., n, N), written into out when it is given."""
         if self.blocks:
-            parts = zip(self.blocks, self.rows, self.rows[1:])
-            return np.concatenate([b(x[..., lo:hi, :]) for b, lo, hi in parts], axis=-2)
-        if self.copies == 1 and self.dense is not None:  # exactly one L @ x, without a reshape
-            return self.dense @ x
-        g = self.graph
-        N, n = g.n_nodes, x.shape[-1]
-        stack = x.reshape(-1, N, n)  # every copy of every sample is one stack row
-        if self.dense is not None:
-            return np.matmul(self.dense, stack).reshape(x.shape)
-        S = stack.shape[0]
-        # row s, receiver i lands in bin s*N + i
-        bins = (g.receivers + N * np.arange(S)[:, None]).reshape(-1)
-        terms = np.take(stack, g.senders, axis=1)
+            out = np.empty(X.shape)
+            for b, lo, hi in zip(self.blocks, self.cols, self.cols[1:]):
+                b(X[..., lo:hi], out[..., lo:hi])
+            return out
+        if self.dense is not None and self.copies == 1:  # exactly one X @ L'
+            return np.matmul(X, self.dense, out=out)
+        g, out = self.graph, np.empty(X.shape) if out is None else out
+        shape = X.shape[:-1] + (self.copies, g.n_nodes)
+        X, Z = X.reshape(shape), out.reshape(shape)  # views, the copies split off the node axis
+        if self.dense is not None:  # one product per copy, its lone graph's: one of all rows rounds otherwise at n = 1
+            np.matmul(X.swapaxes(-2, -3), self.dense, out=Z.swapaxes(-2, -3))
+            return out
+        terms = X.take(g.senders, axis=-1)
         terms *= self.neg_weights
-        terms = terms.reshape(-1, n)
-        out = np.empty(stack.shape)
-        for c in range(n):
-            out[..., c] = np.bincount(bins, terms[:, c], minlength=S * N).reshape(S, N)
-        # the bins start at +0.0, so a node without in-edges gets +0.0 + 0*x, as densely
-        out += self.row_sums * stack
-        return out.reshape(x.shape)
+        bins = self.bins  # read once: another caller may replace it
+        if bins.size != Z.size // g.n_nodes * g.n_edges:  # row r, receiver i lands in bin r*N + i
+            bins = self.bins = (g.receivers + g.n_nodes * np.arange(Z.size // g.n_nodes)[:, None]).reshape(-1)
+        np.multiply(self.row_sums, X, out=Z)
+        # each bin sums its edges in sorted order from +0.0, so a node without in-edges gets 0*x + +0.0, as densely
+        Z += np.bincount(bins, terms.reshape(-1), minlength=Z.size).reshape(shape)
+        return out
 
 
 def _same_edges(g, h):

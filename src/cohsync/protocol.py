@@ -31,9 +31,9 @@ class ProtocolParams:
     """Precomputed gain matrix of the protocol, and the coherency spec of its P.
 
     BtP = B'P steers the control, and its output's squared norm drives
-    gain growth. K = [P | (B'P)'] stacks the two maps an agent reads of its
-    own zeta_i, so that one product Z @ K per integrator stage gives every
-    agent's level, gain rate and input (see feedback).
+    gain growth. Kt = [P | (B'P)']', held contiguous, stacks the two maps an
+    agent reads of its own zeta_i, so that one product Kt @ Z per stage
+    gives every agent's level, gain rate and input (see feedback).
 
     The spec is formed from this P: delta_bar = delta^2 lambda_min(P), so
     zeta' P zeta <= delta_bar implies |zeta| <= delta, and 0 < d < delta_bar.
@@ -70,7 +70,7 @@ class ProtocolParams:
                 )
         self.P = P
         self.BtP = B.T @ P
-        self.K = np.hstack([P, self.BtP.T])
+        self.Kt = np.ascontiguousarray(np.hstack([P, self.BtP.T]).T)
         self.spec = CoherenceSpec(delta=float(delta), delta_bar=delta_bar, d=float(d))
 
     @property
@@ -101,21 +101,20 @@ def zeta(L, x):
 
 
 def feedback(rho, zetas, params, d):
-    """Gain rates, control inputs and levels of all agents, from one product Z @ [P | (B'P)'].
+    """Gain rates, control inputs and levels of all agents, from one product [P | (B'P)']' @ Z.
 
-    Row i's level is V_i = zeta_i' P zeta_i. With y_i = B'P zeta_i, its rate
-    is |y_i|^2 while V_i >= d (the boundary counts as active) and exactly
-    0.0 inside the deadzone; as a sum of squares a rate is never negative.
-    Row i's input is -rho_i y_i. Returns (rates, inputs, levels). The
-    deadzone threshold d broadcasts against the levels: a run's spec.d,
-    or one level per row where runs of different specs share a closed
-    loop. Leading sample axes broadcast: gains (S, N) with disagreements
-    (S, N, n) give rates (S, N), inputs (S, N, m) and levels (S, N); a
-    single zeta of shape (n,) is one agent.
+    Z holds one agent's zeta_i per column, shape (n, N). Column i's level
+    is V_i = zeta_i' P zeta_i. With y_i = B'P zeta_i, its rate is |y_i|^2
+    while V_i >= d (the boundary counts as active) and exactly 0.0 inside
+    the deadzone; as a sum of squares a rate is never negative. Column i's
+    input is -rho_i y_i. Returns (rates, inputs, levels). The deadzone
+    threshold d broadcasts against the levels: a run's spec.d, or one level
+    per column where runs of different specs share a closed loop. Leading
+    sample axes broadcast: gains (S, N) with disagreements (S, n, N) give
+    rates (S, N), inputs (S, m, N) and levels (S, N).
     """
-    n = params.n
-    ZK = zetas @ params.K
-    Y = ZK[..., n:]
-    V = np.einsum("...j,...j->...", zetas, ZK[..., :n])
-    rates = np.where(V >= d, np.einsum("...j,...j->...", Y, Y), 0.0)
-    return rates, -np.asarray(rho, dtype=float)[..., None] * Y, V
+    ZK = params.Kt @ zetas
+    Y = ZK[..., params.n :, :]
+    V = (zetas * ZK[..., : params.n, :]).sum(axis=-2)
+    rates = np.where(V >= d, (Y * Y).sum(axis=-2), 0.0)
+    return rates, -np.asarray(rho, dtype=float)[..., None, :] * Y, V

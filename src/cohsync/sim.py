@@ -15,7 +15,7 @@ from .protocol import ProtocolParams, feedback
 STATE_LIMIT = 1e12  # abort threshold for any state entry
 
 # bytes of the disturbance terms simulate_union evaluates ahead at once: a block
-# of steps, each with its three stage times, of (N, n) terms each
+# of steps, each with its three stage times, of (n, N) terms each
 BLOCK_BYTES = 256 * 1024
 
 
@@ -135,19 +135,19 @@ class Trajectory:
     @property
     def zetas(self):
         """Disagreements zeta_i = sum_j l_ij x_j, shape (S, N, n)."""
-        return LaplacianOperator(self.config.graph)(self.states)
+        return LaplacianOperator(self.config.graph)(self.states.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     @property
     def controls(self):
         """Control inputs -rho_i B'P zeta_i, shape (S, N, m)."""
         params = self.config.params
-        return feedback(self.gains, self.zetas, params, params.spec.d)[1]
+        return feedback(self.gains, self.zetas.swapaxes(-1, -2), params, params.spec.d)[1].swapaxes(-1, -2)
 
     @property
     def vi_values(self):
         """Levels zeta_i' P zeta_i, shape (S, N)."""
         params = self.config.params
-        return feedback(self.gains, self.zetas, params, params.spec.d)[2]
+        return feedback(self.gains, self.zetas.swapaxes(-1, -2), params, params.spec.d)[2]
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -161,34 +161,33 @@ def default_initial_state(n_agents, n_states, seed):
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """What rhs reads of a closed loop: the protocol params, the model's A' and B', and each row's d.
+    """What rhs reads of a closed loop: the protocol params, the model's A and B, and each agent's d.
 
-    d holds the deadzone threshold of every row, shape (N,): each run's
+    d holds the deadzone threshold of every agent, shape (N,): each run's
     spec.d, repeated over its agents (protocol.feedback broadcasts it).
     """
 
     params: ProtocolParams
-    At: np.ndarray
-    Bt: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
     d: np.ndarray
 
 
-def rhs(loop, L, wE, x, rho):
-    """Time derivative (xdot, rho rates) of the closed loop at one stage.
+def rhs(loop, L, wE, X, rho):
+    """Time derivative (Xdot, rho rates) of the closed loop at one stage.
 
-    loop is a ClosedLoop. x holds one agent state per row, shape (N, n),
+    loop is a ClosedLoop. X holds one agent state per column, shape (n, N),
     rho the N gains; L is the LaplacianOperator of the graph (or graphs),
-    built once by the caller. wE is the stage's disturbance term w(t) E',
-    shape (N, n): the disturbance does not depend on the state, so the
-    caller evaluates it ahead. One protocol product gives every agent's
-    rate and input (protocol.feedback), and xdot = x A' + U B' + w E' is
-    assembled in place.
+    built once by the caller. wE is the stage's disturbance term E w(t),
+    shape (n, N): it does not depend on the state, so the caller evaluates
+    it ahead. One protocol product gives every agent's rate and input
+    (protocol.feedback), and Xdot = A X + B U + E w is assembled in place.
     """
-    rates, U = feedback(rho, L(x), loop.params, loop.d)[:2]
-    xdot = x @ loop.At
-    xdot += U @ loop.Bt
-    xdot += wE
-    return xdot, rates
+    rates, U = feedback(rho, L(X), loop.params, loop.d)[:2]
+    Xdot = loop.A @ X
+    Xdot += loop.B @ U
+    Xdot += wE
+    return Xdot, rates
 
 
 def can_join(a, b):
@@ -196,10 +195,10 @@ def can_join(a, b):
 
     The design is P alone, solved from (A, B) and agnostic to the graph;
     the coherency spec (d, delta) only sets where each agent's gain stops
-    growing, which the loop holds per row; each graph couples its own rows
-    as alone. So it takes the same model and P, the same step, step count
-    and recording grid, and the same disturbance kind and bound. A table
-    disturbance is read by column per run, so one never joins another.
+    growing, which the loop holds per agent; each graph couples its own
+    agents as alone. So it takes the same model and P, the same step, step
+    count and recording grid, and the same disturbance kind and bound. A
+    table disturbance is read by column per run, so one never joins another.
     """
     return (
         a.disturbance.table_times is None
@@ -216,34 +215,34 @@ def simulate_union(cfgs):
 
     The protocol is fully distributed and its design P does not depend on
     the graph, so runs that share it are one closed loop over the disjoint
-    union of their graphs, whose Laplacian is block-diagonal; agent i of
-    run k is row i of that run's block. Each row keeps its own run's
-    deadzone threshold spec.d (ClosedLoop.d), so runs of different specs
-    join too. This is the one integrator: the classical fixed-step
-    4th-order scheme, with the deadzone condition re-evaluated at every
-    stage and no event detection (the gain rate is bounded, and the
-    discontinuity enters the state dynamics only through the continuous
-    gains, so the per-crossing error is O(dt) on a measure-zero set).
-    Every rate is a sum of squares or zero, so no step lowers a gain. The
-    coupling is one graph.LaplacianOperator over all the graphs, which
-    applies each graph's own map to its rows, as its lone run does, so on
-    any graph every run's values are its lone simulate's bit for bit. The
-    disturbance is one signals.waveform at each run's own labels,
-    concatenated. Both are built here once; a stage makes one coupling
-    product per block of equal graphs and one protocol product
-    (protocol.feedback). The disturbance does not depend on the state: it
-    is evaluated a block of steps ahead, at every step's t_k, t_k + dt/2
-    and t_k + dt with t_k = k dt, in one call of the waveform and one
-    product with E', and each stage adds its slice (the two midpoint
-    stages share one). The block holds BLOCK_BYTES of terms, and at least
-    one step.
+    union of their graphs, whose Laplacian is block-diagonal. The state X
+    has shape (n, N), one agent per column: agent i of run k is column i of
+    that run's block. Each agent keeps its own run's deadzone threshold
+    spec.d (ClosedLoop.d), so runs of different specs join too. This is the
+    one integrator: the classical fixed-step 4th-order scheme, with the
+    deadzone condition re-evaluated at every stage and no event detection
+    (the gain rate is bounded, and the discontinuity enters the state
+    dynamics only through the continuous gains, so the per-crossing error is
+    O(dt) on a measure-zero set). Every rate is a sum of squares or zero, so
+    no step lowers a gain. The coupling is one graph.LaplacianOperator over
+    all the graphs, which applies each graph's own map to its columns, as
+    its lone run does, so on any graph every run's values are its lone
+    simulate's bit for bit. The disturbance is one signals.waveform at each
+    run's own labels, concatenated. Both are built here once; a stage makes
+    one coupling product per block of equal graphs and one protocol product
+    (protocol.feedback). The disturbance does not depend on the state: it is
+    evaluated a block of steps ahead, at every step's t_k, t_k + dt/2 and
+    t_k + dt with t_k = k dt, in one call of the waveform and one product
+    with E, as terms of shape (block, 3, n, N), and each stage adds its
+    slice (the two midpoint stages share one). The block holds BLOCK_BYTES
+    of terms, and at least one step.
 
-    Samples are recorded every record_every steps plus the final state,
-    into one preallocated record; each run's trajectory holds views of its
-    agents' columns and its own config. A state entry beyond STATE_LIMIT,
-    or not finite, raises DivergenceError naming the agent (and, in a
-    union of several runs, the run's index) with that run's partial
-    trajectory.
+    Samples are recorded every record_every steps plus the final state, into
+    one preallocated record of shape (S, N, n), X transposed; each run's
+    trajectory holds views of its agents' rows and its own config. A state
+    entry beyond STATE_LIMIT, or not finite, raises DivergenceError naming
+    the agent (and, in a union of several runs, the run's index) with that
+    run's partial trajectory.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -261,15 +260,14 @@ def simulate_union(cfgs):
     signal = dataclasses.replace(head.disturbance, index_map=None)
     wave = sigs.waveform(signal, np.concatenate(labels))
     model = head.model
-    loop = ClosedLoop(head.params, model.A.T, model.B.T, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes))
-    Et = model.E.T
+    loop = ClosedLoop(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes))
     dt = float(head.dt)
     half = 0.5 * dt
     every = int(head.record_every)
     steps = head.steps
     block = max(1, BLOCK_BYTES // (3 * N * n * 8))
 
-    x = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs])
+    x = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs]).T.copy()
     rho = np.concatenate(
         [np.broadcast_to(np.asarray(cfg.rho0, dtype=float).reshape(-1), (size,)) for cfg, size in zip(cfgs, sizes)]
     )
@@ -288,17 +286,17 @@ def simulate_union(cfgs):
 
     def record(s, t):
         # each sample's gains are checked against the previous sample's as they are recorded
-        times[s], states[s], gains[s] = t, x, rho
+        times[s], states[s], gains[s] = t, x.T, rho
         drop = (gains[s - 1] - rho).max() if s else 0.0
         if drop > 1e-12:
             raise RuntimeError(f"recorded gains decreased by {drop:.3e}; integrator invariant broken")
 
     s = 0
-    terms = np.empty((min(block, steps), 3, N, n))  # each block's w E', rewritten in place
+    terms = np.empty((min(block, steps), 3, n, N))  # each block's E w, rewritten in place
     for k0 in range(0, steps, block):
         tk = np.arange(k0, min(k0 + block, steps)) * dt
         stage_times = np.stack([tk, tk + half, tk + dt], axis=1)
-        wE = np.multiply(wave(stage_times)[..., None], Et, out=terms[: tk.size])
+        wE = np.multiply(wave(stage_times)[..., None, :], model.E, out=terms[: tk.size])
         for k, (w1, w2, w4) in enumerate(wE, k0):
             if k % every == 0:
                 record(s, k * dt)
@@ -311,10 +309,10 @@ def simulate_union(cfgs):
             rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
             if not np.abs(x).max() <= STATE_LIMIT:  # NaN fails the comparison too
                 t = (k + 1) * dt
-                bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > STATE_LIMIT)
-                row = int(np.argmax(bad))
-                run = int(np.searchsorted(offsets, row, side="right")) - 1
-                agent = row - int(offsets[run]) + 1
+                bad = ~np.isfinite(x).all(axis=0) | (np.abs(x).max(axis=0) > STATE_LIMIT)
+                col = int(np.argmax(bad))
+                run = int(np.searchsorted(offsets, col, side="right")) - 1
+                agent = col - int(offsets[run]) + 1
                 where = f" of run {run}" if len(cfgs) > 1 else ""
                 raise DivergenceError(
                     f"state diverged for agent {agent}{where} at t={t:.6g} "
@@ -343,10 +341,10 @@ def write_trajectory_csv(traj, path):
     # as the properties form them; Z is dropped before the rows are written
     Z = traj.zetas
     params = traj.config.params
-    U, V = feedback(traj.gains, Z, params, params.spec.d)[1:]
+    U, V = feedback(traj.gains, Z.swapaxes(-1, -2), params, params.spec.d)[1:]
     znorm = np.linalg.norm(Z, axis=2)
     del Z
-    m = U.shape[2]
+    m = U.shape[1]
     header = (
         ["t", "agent"]
         + [f"x_{j + 1}" for j in range(n)]
@@ -357,7 +355,7 @@ def write_trajectory_csv(traj, path):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for s, t in enumerate(traj.times.tolist()):
-            rows = np.column_stack([traj.states[s], traj.gains[s], U[s], znorm[s], V[s]]).tolist()
+            rows = np.column_stack([traj.states[s], traj.gains[s], U[s].T, znorm[s], V[s]]).tolist()
             fh.writelines(f"{t!r},{a},{','.join(map(repr, row))}\r\n" for a, row in enumerate(rows, 1))
 
 

@@ -145,12 +145,12 @@ def test_criterion_7_invariant_suite():
     ones = np.ones(3)
     inside = np.zeros((3, 3))
     inside[0] = ones * 0.9 * np.sqrt(params.spec.d / (ones @ params.P @ ones))  # V = 0.81 d
-    rates_inside = protocol.feedback(np.ones(3), inside, params, params.spec.d)[0]
+    rates_inside = protocol.feedback(np.ones(3), inside.T, params, params.spec.d)[0]
     checks["deadzone_zero_inside"] = bool(np.all(rates_inside == 0.0))
     direction = np.array([1.0, 0.0, 0.0])
     v_dir = direction @ params.P @ direction
     boundary = direction * np.sqrt(params.spec.d / v_dir)
-    rate_on_boundary = protocol.feedback(np.ones(1), boundary[None], params, params.spec.d)[0][0]
+    rate_on_boundary = protocol.feedback(np.ones(1), boundary[None].T, params, params.spec.d)[0][0]
     checks["deadzone_active_on_boundary"] = rate_on_boundary > 0.0
 
     for gen in (1, 2, 3):

@@ -61,10 +61,15 @@ def structure(op):
     return [(b.copies, None if b.dense is None else b.dense.shape) for b in op.blocks or [op]]
 
 
+def on_rows(op, x):
+    """op applied to agent rows x of shape (..., N, n), through its state-major layout (..., n, N)."""
+    return op(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def assert_applies_laplacian(g, x, monkeypatch, exact):
     ref = graph.laplacian(g) @ x
     for op in both_paths(g, monkeypatch):
-        got = op(x)
+        got = on_rows(op, x)
         assert got.shape == x.shape
         if exact:
             assert np.array_equal(got, ref)
@@ -104,7 +109,7 @@ def test_operator_root_without_in_edges_is_plus_zero(monkeypatch):
     x = -np.arange(1.0, 16.0).reshape(5, 3)
     assert_applies_laplacian(g, x, monkeypatch, exact=True)
     for op in both_paths(g, monkeypatch):
-        assert np.all(op(x)[2] == 0.0) and not np.signbit(op(x)[2]).any()
+        assert np.all(on_rows(op, x)[2] == 0.0) and not np.signbit(on_rows(op, x)[2]).any()
 
 
 def test_operator_node_hearing_every_other(monkeypatch):
@@ -121,15 +126,16 @@ def test_operator_on_stacked_states(monkeypatch):
         x = np.random.default_rng(1).uniform(-5, 5, (2, 4, g.n_nodes, 3))
         assert_applies_laplacian(g, x, monkeypatch, exact)
         for op in both_paths(g, monkeypatch):
-            stacked = op(x)
+            stacked = on_rows(op, x)
             for idx in np.ndindex(2, 4):
-                assert np.array_equal(stacked[idx], op(x[idx]))
+                assert np.array_equal(stacked[idx], on_rows(op, x[idx]))
 
 
 def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
     # each graph's rows get what its lone operator gives, bit for bit and sign bit
-    # for sign bit, whichever map each graph takes by its own node count
-    graphs = [graph.vicsek_fractal(2, directed=True), graph.circulant(7, [1, 2]), graph.vicsek_fractal(1)]
+    # for sign bit, whichever map each graph takes by its own node count; the
+    # two circulants form one block of copies, written into its slice of the output
+    graphs = [graph.vicsek_fractal(2, directed=True), *[graph.circulant(7, [1, 2])] * 2, graph.vicsek_fractal(1)]
     sizes = [g.n_nodes for g in graphs]
     x = np.random.default_rng(3).uniform(-5, 5, (2, sum(sizes), 3))
     blocks = np.split(x, np.cumsum(sizes)[:-1], axis=1)
@@ -137,9 +143,9 @@ def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
         monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
         op = graph.LaplacianOperator(*graphs)
         assert [b.dense is not None for b in op.blocks] == dense
-        got = np.split(op(x), np.cumsum(sizes)[:-1], axis=1)
+        got = np.split(on_rows(op, x), np.cumsum(sizes)[:-1], axis=1)
         for g, block, part in zip(graphs, blocks, got, strict=True):
-            lone = graph.LaplacianOperator(g)(block)
+            lone = on_rows(graph.LaplacianOperator(g), block)
             assert np.array_equal(part, lone) and np.array_equal(np.signbit(part), np.signbit(lone))
             ref = graph.laplacian(g) @ block
             assert np.abs(part - ref).max() <= ORDER_TOL * np.abs(ref).max()
@@ -179,11 +185,11 @@ def test_operator_of_copies_of_one_graph_is_each_copy_alone():
             rng = np.random.default_rng(k * n)
             for lead in ((), (4,)):
                 x = rng.uniform(-5, 5, lead + (k * N1, n))
-                got = op(x)
+                got = on_rows(op, x)
                 assert got.shape == x.shape
                 for b in range(k):
                     block = x[..., b * N1 : (b + 1) * N1, :]
-                    assert np.array_equal(got[..., b * N1 : (b + 1) * N1, :], lone(block))
+                    assert np.array_equal(got[..., b * N1 : (b + 1) * N1, :], on_rows(lone, block))
 
 
 def test_digraph_validation():

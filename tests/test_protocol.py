@@ -14,12 +14,18 @@ def bench_params(benchmark_model, benchmark_P):
     return protocol.ProtocolParams(benchmark_P, benchmark_model.B, d=0.5)
 
 
+def feedback_rows(rho, zetas, params, d):
+    """protocol.feedback on agent rows zetas (..., N, n), through its state-major layout (..., n, N)."""
+    rates, U, V = protocol.feedback(rho, zetas.swapaxes(-1, -2), params, d)
+    return rates, U.swapaxes(-1, -2), V
+
+
 def rates_of(zetas, params):
-    return protocol.feedback(np.zeros(zetas.shape[:-1]), zetas, params, params.spec.d)[0]
+    return feedback_rows(np.zeros(zetas.shape[:-1]), zetas, params, params.spec.d)[0]
 
 
 def inputs_of(rho, zetas, params):
-    return protocol.feedback(np.asarray(rho, dtype=float), zetas, params, params.spec.d)[1]
+    return feedback_rows(np.asarray(rho, dtype=float), zetas, params, params.spec.d)[1]
 
 
 def spec_of(P, **given):
@@ -93,7 +99,8 @@ def test_minimal_delta(benchmark_P):
 
 def test_params_cache_matches_definitions(benchmark_model, benchmark_P, bench_params):
     assert np.array_equal(bench_params.BtP, benchmark_model.B.T @ benchmark_P)
-    assert np.array_equal(bench_params.K, np.hstack([benchmark_P, (benchmark_model.B.T @ benchmark_P).T]))
+    assert np.array_equal(bench_params.Kt, np.hstack([benchmark_P, (benchmark_model.B.T @ benchmark_P).T]).T)
+    assert bench_params.Kt.flags.c_contiguous
     assert (bench_params.n, bench_params.m) == (3, 1)
 
 
@@ -214,11 +221,11 @@ def test_control_example_and_linearity(bench_params):
 def test_levels_keep_leading_axes(bench_params):
     rng = np.random.default_rng(45)
     Z = rng.normal(scale=2.0, size=(4, 6, 3))
-    V = protocol.feedback(np.zeros((4, 6)), Z, bench_params, 0.5)[2]
+    V = feedback_rows(np.zeros((4, 6)), Z, bench_params, 0.5)[2]
     assert V.shape == (4, 6)
     expected = [[z @ bench_params.P @ z for z in sample] for sample in Z]
     assert np.allclose(V, expected, rtol=1e-13, atol=0.0)
-    assert np.array_equal(V[2], protocol.feedback(np.zeros(6), Z[2], bench_params, 0.5)[2])
+    assert np.array_equal(V[2], feedback_rows(np.zeros(6), Z[2], bench_params, 0.5)[2])
 
 
 def test_vectorized_and_scalar_routes_agree(bench_params):
@@ -227,24 +234,24 @@ def test_vectorized_and_scalar_routes_agree(bench_params):
     rng = np.random.default_rng(44)
     Z = rng.normal(scale=2.0, size=(6, 40, 3))
     rho = rng.uniform(0.0, 3.0, size=(6, 40))
-    rates, U, V = protocol.feedback(rho, Z, bench_params, 0.5)
+    rates, U, V = feedback_rows(rho, Z, bench_params, 0.5)
     assert rates.shape == V.shape == (6, 40)
     assert U.shape == (6, 40, 1)
     for s in range(6):
-        rates_s, U_s, V_s = protocol.feedback(rho[s], Z[s], bench_params, 0.5)
+        rates_s, U_s, V_s = feedback_rows(rho[s], Z[s], bench_params, 0.5)
         assert np.array_equal(rates[s], rates_s)
         assert np.array_equal(U[s], U_s)
         assert np.array_equal(V[s], V_s)
 
 
 def test_feedback_shapes(bench_params):
-    rates, U, V = protocol.feedback(np.ones(7), np.zeros((7, 3)), bench_params, 0.5)
+    rates, U, V = feedback_rows(np.ones(7), np.zeros((7, 3)), bench_params, 0.5)
     assert rates.shape == V.shape == (7,)
     assert U.shape == (7, 1)
-    # a single zeta is one agent
-    rate, u, v = protocol.feedback(2.0, np.array([1.0, 0.0, 0.0]), bench_params, 0.5)
-    assert rate.shape == v.shape == ()
-    assert u.shape == (1,)
+    # a single zeta is one agent: one column
+    rate, u, v = protocol.feedback(np.array([2.0]), np.array([[1.0], [0.0], [0.0]]), bench_params, 0.5)
+    assert rate.shape == v.shape == (1,)
+    assert u.shape == (1, 1)
 
 
 # feedback forms B'P zeta from one product with P beside it, so its sums may
@@ -287,7 +294,7 @@ def per_agent(zetas, P, B):
 def test_feedback_matches_the_per_agent_formulas(case, d):
     rho, zetas, P, B = case
     params = protocol.ProtocolParams(P, B, d=d)
-    rates, U, levels = protocol.feedback(rho, zetas, params, d)
+    rates, U, levels = feedback_rows(rho, zetas, params, d)
     V, Y, scale = per_agent(zetas, P, B)
     assert rates.shape == levels.shape == zetas.shape[:-1]
     assert U.shape == Y.shape
@@ -310,7 +317,7 @@ def test_feedback_is_exact_on_integers_and_the_boundary_is_active(case, data):
     assume(V.max() > 0.0)
     # d is some agent's level exactly, so that agent sits on the boundary
     d = data.draw(st.sampled_from(sorted(set(V[V > 0.0].tolist()))))
-    rates, U, levels = protocol.feedback(rho, zetas, protocol.ProtocolParams(P, B, d=d), d)
+    rates, U, levels = feedback_rows(rho, zetas, protocol.ProtocolParams(P, B, d=d), d)
     assert np.array_equal(levels, V)
     assert np.array_equal(rates, np.where(V >= d, (Y * Y).sum(axis=-1), 0.0))
     assert np.array_equal(U, -rho[..., None] * Y)

@@ -34,17 +34,17 @@ def bench_cfg(bench_setup, g, signal, t_end=5.0, seed=7, record_every=10, **kw):
 def test_rhs_hand_checked_two_node_chain():
     model, params = scalar_params(d=0.5)
     g = graph.from_edge_list(2, [(1, 2, 1.0)])
-    loop = sim.ClosedLoop(params, model.A.T, model.B.T, np.full(2, 0.5))
+    loop = sim.ClosedLoop(params, model.A, model.B, np.full(2, 0.5))
     L = graph.LaplacianOperator(g)
-    wE = np.array([[0.25], [0.5]])
-    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+    wE = np.array([[0.25], [0.5]]).T
+    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]).T, np.array([0.0, 1.0]))
     # agent 2 sees zeta = 1: u = -1, xdot = -1 + 0.5, gain grows at 1; agent 1 only its term
-    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]))
+    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]).T)
     assert np.array_equal(rates, np.array([0.0, 1.0]))
     # each row has its own threshold: at d = 2 agent 2's level 1 lies inside its deadzone
     loop = dataclasses.replace(loop, d=np.array([0.5, 2.0]))
-    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]))
+    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]).T, np.array([0.0, 1.0]))
+    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]).T)
     assert np.array_equal(rates, np.array([0.0, 0.0]))
 
 
@@ -52,10 +52,10 @@ def test_rhs_equal_states_coast(bench_setup):
     model, params = bench_setup
     g = graph.vicsek_fractal(1)
     x = np.tile(np.array([3.0, -2.0, 5.0]), (5, 1))
-    loop = sim.ClosedLoop(params, model.A.T, model.B.T, np.full(5, 0.5))
-    xdot, rates = sim.rhs(loop, graph.LaplacianOperator(g), np.zeros((5, 3)), x, np.zeros(5))
+    loop = sim.ClosedLoop(params, model.A, model.B, np.full(5, 0.5))
+    xdot, rates = sim.rhs(loop, graph.LaplacianOperator(g), np.zeros((5, 3)).T, x.T, np.zeros(5))
     expected = np.tile(model.A @ np.array([3.0, -2.0, 5.0]), (5, 1))
-    assert np.array_equal(xdot, expected)
+    assert np.array_equal(xdot, expected.T)
     assert np.all(rates == 0.0)
 
 
@@ -199,9 +199,44 @@ def dense_loop(cfg):
     wave = signals.waveform(cfg.disturbance, np.arange(1, g.n_nodes + 1))
 
     def f(t, x, rho):
-        rates, u, _ = protocol.feedback(rho, L @ x, params, params.spec.d)
-        return x @ model.A.T + u @ model.B.T + wave(t)[:, None] * model.E.T, rates
+        rates, u, _ = protocol.feedback(rho, (L @ x).T, params, params.spec.d)
+        return x @ model.A.T + u.T @ model.B.T + wave(t)[:, None] * model.E.T, rates
 
+    return rk4_record(cfg, f)
+
+
+def agent_major_loop(cfg):
+    """cfg's record from the closed loop held one agent per row, x of shape (N, n).
+
+    The kernel as it stood before the loop went state-major: Z = L x with
+    the dense Laplacian, one product Z K with K = [P | (B'P)'], the level
+    and |y|^2 by einsum over each row, and xdot = x A' + U B' + w E'.
+    """
+    model, params, g = cfg.model, cfg.params, cfg.graph
+    n, L = model.n, graph.laplacian(g)
+    K = np.hstack([params.P, params.BtP.T])
+    wave = signals.waveform(cfg.disturbance, np.arange(1, g.n_nodes + 1))
+
+    def f(t, x, rho):
+        Z = L @ x
+        ZK = Z @ K
+        Y = ZK[:, n:]
+        V = np.einsum("...j,...j->...", Z, ZK[:, :n])
+        rates = np.where(V >= params.spec.d, np.einsum("...j,...j->...", Y, Y), 0.0)
+        xdot = x @ model.A.T
+        xdot += (-rho[:, None] * Y) @ model.B.T
+        xdot += wave(t)[:, None] * model.E.T
+        return xdot, rates
+
+    return rk4_record(cfg, f)
+
+
+def rk4_record(cfg, f):
+    """cfg's record (times, states, gains) from the classical RK4 loop on agent rows x (N, n).
+
+    f(t, x, rho) gives a stage's derivatives (xdot, rho rates).
+    """
+    model, g = cfg.model, cfg.graph
     dt = cfg.dt
     x = cfg.x0.reshape(g.n_nodes, model.n)
     rho = np.zeros(g.n_nodes) + cfg.rho0
@@ -241,6 +276,27 @@ def test_edge_path_simulation_matches_a_dense_loop(bench_setup, fractal601):
     assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
     assert_is_the_dense_loop(traj)
     assert np.array_equal(traj.zetas, graph.laplacian(fractal601) @ traj.states)
+
+
+def test_state_major_loop_is_the_agent_major_loop_on_directed_fractals(bench_setup, fractal601):
+    # one in-neighbour per node: each coupling entry is one product and one
+    # sum in either layout, so the state-major loop keeps the agent-major
+    # loop's bits; the directed presets and the benchmark's references rest on it
+    g = graph.vicsek_fractal(2, directed=True)
+    lone = [
+        bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.5, record_every=10),
+        bench_cfg(bench_setup, fractal601, signals.chirp_signal(), t_end=0.05, record_every=10),
+    ]
+    copies = union_members(bench_setup, [g] * 3, t_end=0.5)
+    assert graph.LaplacianOperator(g).dense is not None and graph.LaplacianOperator(fractal601).dense is None
+    assert graph.LaplacianOperator(*[g] * 3).copies == 3
+    runs = [sim.simulate(cfg) for cfg in lone] + sim.simulate_union(copies)
+    for traj, cfg in zip(runs, lone + copies, strict=True):
+        times, states, gains = agent_major_loop(cfg)
+        assert np.abs(gains[-1]).max() > 0.0  # the gains have moved
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.gains, gains)
 
 
 def block_steps(n_agents, n_states):
@@ -320,9 +376,9 @@ def test_the_disturbance_block_stays_within_its_budget(bench_setup, fractal601, 
     assert peak - record < sim.BLOCK_BYTES + BLOCK_SLACK
 
 
-# the kernel takes B'P zeta from one product Z @ [P | (B'P)'], a GEMM of width
+# the kernel takes B'P zeta from one product [P | (B'P)']' @ Z, a GEMM of height
 # n + m, where the paper's formula Z @ (B'P)' has width m: OpenBLAS may sum
-# each row in another order, so the two loops agree to round-off, not in bits
+# each entry in another order, so the two loops agree to round-off, not in bits
 PAPER_LOOP_TOL = 1e-12
 
 
@@ -405,6 +461,36 @@ def spanning_digraph(seed):
     g = graph.from_edge_list(n, edges)
     assert graph.has_directed_spanning_tree(g)
     return g
+
+
+def explicit_scatter(g, x):
+    """L x on agent rows x (N, n), accumulated one edge at a time.
+
+    From +0.0, each receiver adds its edge terms x_j (-w) in sorted edge
+    order, then its row sum times x_i.
+    """
+    out, row_sums = np.zeros(x.shape), np.zeros(g.n_nodes)
+    for i, j, w in zip(g.receivers.tolist(), g.senders.tolist(), g.edge_weights.tolist()):
+        out[i] += x[j] * -w
+        row_sums[i] += w
+    return out + row_sums[:, None] * x
+
+
+def test_edge_scatter_sums_each_node_in_sorted_edge_order(monkeypatch):
+    # one np.bincount scatters every state row at once: each bin still sums
+    # its edges in the order the per-column scatter did, bit for bit
+    monkeypatch.setattr(graph, "EDGE_PATH_NODES", 1)
+    rng = np.random.default_rng(5)
+    for g in (graph.vicsek_fractal(4, directed=False), spanning_digraph(2)):
+        assert np.bincount(g.receivers).max() > 1  # a node with several in-neighbours
+        for copies in (1, 2):
+            op = graph.LaplacianOperator(*[g] * copies)
+            assert op.dense is None
+            x = rng.uniform(-5, 5, (2, copies * g.n_nodes, 3))
+            got = op(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+            for s, k in np.ndindex(2, copies):
+                rows = slice(k * g.n_nodes, (k + 1) * g.n_nodes)
+                assert np.array_equal(got[s, rows], explicit_scatter(g, x[s, rows]))
 
 
 def assert_members_are_lone_runs(cfgs):
@@ -620,7 +706,7 @@ def test_derived_record_matches_per_sample_maps(bench_setup):
     for s in (0, traj.n_samples // 2, traj.n_samples - 1):
         zs = protocol.zeta(L, traj.states[s])
         assert np.array_equal(Z[s], zs)
-        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs, params, params.spec.d)[1])
+        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs.T, params, params.spec.d)[1].T)
         expected = np.array([z @ params.P @ z for z in zs])
         assert np.abs(V[s] - expected).max() <= 1e-12 * max(1.0, expected.max())
 
