@@ -17,12 +17,12 @@ def main():
 
     print("swept-sine, agent 1:")
     for t in (0.0, 2.5, 5.0, 10.0):
-        print(f"  w(t={t:5.2f}) = {signals.evaluate_all(chirp, [1], t)[0]:+.6f}")
+        print(f"  w(t={t:5.2f}) = {signals.waveform(chirp, [1])(t)[0]:+.6f}")
     print(f"  amplitude bound: {chirp.bound}")
 
     print("\nsawtooth, agents 1..3 at t=25:")
     for i in (1, 2, 3):
-        print(f"  w_{i}(25) = {signals.evaluate_all(saw, [i], 25.0)[0]:+.4f}")
+        print(f"  w_{i}(25) = {signals.waveform(saw, [i])(25.0)[0]:+.4f}")
     print(f"  amplitude bound: {saw.bound}")
 
     # empirical maxima stay inside the declared bounds
@@ -35,10 +35,10 @@ def main():
         np.array([0.0, 1.0, 2.0]),
         np.array([[0.0, 1.0], [0.5, 1.0], [0.0, 1.0]]),
     )
-    print(f"\ntable w_1(0.5) = {signals.evaluate_all(table, [1], 0.5)[0]}  (linear between 0.0 and 0.5)")
-    print(f"table w_2(1.7) = {signals.evaluate_all(table, [2], 1.7)[0]}  (constant column)")
+    print(f"\ntable w_1(0.5) = {signals.waveform(table, [1])(0.5)[0]}  (linear between 0.0 and 0.5)")
+    print(f"table w_2(1.7) = {signals.waveform(table, [2])(1.7)[0]}  (constant column)")
     try:
-        signals.evaluate_all(table, [1], 2.5)
+        signals.waveform(table, [1])(2.5)
     except ValueError as exc:
         print(f"query past the table: {exc}")
 

@@ -38,7 +38,7 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"{cfg.steps} RK4 steps to t = {cfg.t_end:g} s: {1e6 * elapsed / cfg.steps:.0f} us per step")
 
-    norms = np.linalg.norm(traj.zetas, axis=2)
+    norms = np.linalg.norm(traj.zetas, axis=1)  # one agent per column
     print(f"max |zeta_i|: {norms[0].max():.3f} at t = 0, {norms[-1].max():.3f} at t = {traj.times[-1]:g}")
     print(f"largest gain so far: {traj.gains[-1].max():.4f} (the gains only grow)")
 

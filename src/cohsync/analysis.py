@@ -59,8 +59,8 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=Fal
     ntail = max(1, int(round(tail_fraction * traj.n_samples)))
 
     Z = traj.zetas
-    norms = np.linalg.norm(Z, axis=2)
-    tail_vi_max = float(feedback(traj.gains[-ntail:], Z[-ntail:].swapaxes(-1, -2), params, spec.d)[2].max())
+    norms = np.linalg.norm(Z, axis=1)
+    tail_vi_max = float(feedback(traj.gains[-ntail:], Z[-ntail:], params, spec.d)[2].max())
     ok = (norms <= spec.delta).all(axis=1)
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     settled = bool(suffix_ok.any())

@@ -170,11 +170,6 @@ def _table_waveform(ts, values, agents, times):
     return at
 
 
-def evaluate_all(signal, agents, t):
-    """Disturbance values for an array of 1-based agent labels at time t."""
-    return waveform(signal, agents)(t)
-
-
 def relabel(signal, perm):
     """Signal for a node-relabeled network: node i becomes node perm[i] (0-based).
 

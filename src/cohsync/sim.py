@@ -113,10 +113,10 @@ class SimConfig:
 class Trajectory:
     """Time-sampled record of a closed-loop run: the state (x, rho) and its config.
 
-    times (S,), states (S, N, n) and gains (S, N) share the leading sample
-    axis. Everything else follows from them, the graph and the protocol:
-    the disagreements, controls and levels are derived on access, in one
-    vectorized pass over all samples.
+    times (S,), states (S, n, N), each sample the closed loop's X, and gains
+    (S, N) share the leading sample axis. zetas derives the disagreements
+    from them in one pass; feedback(gains, zetas, params, params.spec.d)
+    gives the inputs and the levels zeta_i' P zeta_i.
     """
 
     times: np.ndarray
@@ -130,24 +130,12 @@ class Trajectory:
 
     @property
     def n_agents(self):
-        return self.states.shape[1]
+        return self.states.shape[2]
 
     @property
     def zetas(self):
-        """Disagreements zeta_i = sum_j l_ij x_j, shape (S, N, n)."""
-        return LaplacianOperator(self.config.graph)(self.states.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-    @property
-    def controls(self):
-        """Control inputs -rho_i B'P zeta_i, shape (S, N, m)."""
-        params = self.config.params
-        return feedback(self.gains, self.zetas.swapaxes(-1, -2), params, params.spec.d)[1].swapaxes(-1, -2)
-
-    @property
-    def vi_values(self):
-        """Levels zeta_i' P zeta_i, shape (S, N)."""
-        params = self.config.params
-        return feedback(self.gains, self.zetas.swapaxes(-1, -2), params, params.spec.d)[2]
+        """Disagreements zeta_i = sum_j l_ij x_j, one agent per column, shape (S, n, N)."""
+        return LaplacianOperator(self.config.graph)(self.states)
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -238,11 +226,11 @@ def simulate_union(cfgs):
     of terms, and at least one step.
 
     Samples are recorded every record_every steps plus the final state, into
-    one preallocated record of shape (S, N, n), X transposed; each run's
-    trajectory holds views of its agents' rows and its own config. A state
-    entry beyond STATE_LIMIT, or not finite, raises DivergenceError naming
-    the agent (and, in a union of several runs, the run's index) with that
-    run's partial trajectory.
+    one preallocated record of shape (S, n, N), each sample X as it is; each
+    run's trajectory holds views of its agents' columns and its own config.
+    A state entry beyond STATE_LIMIT, or not finite, raises DivergenceError
+    naming the agent (and, in a union of several runs, the run's index) with
+    that run's partial trajectory.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -274,19 +262,19 @@ def simulate_union(cfgs):
 
     S = (steps - 1) // every + 2  # samples at k = 0, every, ... below steps, and the final state
     times = np.empty(S)
-    states = np.empty((S, N, n))
+    states = np.empty((S, n, N))
     gains = np.empty((S, N))
 
     def runs(s):
         # each run's trajectory over the first s samples: views of its columns
         return [
-            Trajectory(times[:s], states[:s, lo:hi], gains[:s, lo:hi], cfg)
+            Trajectory(times[:s], states[:s, :, lo:hi], gains[:s, lo:hi], cfg)
             for cfg, lo, hi in zip(cfgs, offsets, offsets[1:])
         ]
 
     def record(s, t):
         # each sample's gains are checked against the previous sample's as they are recorded
-        times[s], states[s], gains[s] = t, x.T, rho
+        times[s], states[s], gains[s] = t, x, rho
         drop = (gains[s - 1] - rho).max() if s else 0.0
         if drop > 1e-12:
             raise RuntimeError(f"recorded gains decreased by {drop:.3e}; integrator invariant broken")
@@ -333,16 +321,17 @@ def simulate(cfg):
 def write_trajectory_csv(traj, path):
     """Write one row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m, zeta_norm, V_i.
 
+    traj.states is (S, n, N), so the rows of sample s are states[s].T.
     Floats are written with repr, so equal trajectories produce
     byte-identical files; lines end in the csv module's "\\r\\n".
     """
-    n = traj.states.shape[2]
-    # the disagreements once, and the inputs and levels from one feedback product
-    # as the properties form them; Z is dropped before the rows are written
+    n = traj.states.shape[1]
+    # the disagreements once, and the inputs and levels from one feedback product;
+    # Z is dropped before the rows are written, so that it does not add to their peak
     Z = traj.zetas
     params = traj.config.params
-    U, V = feedback(traj.gains, Z.swapaxes(-1, -2), params, params.spec.d)[1:]
-    znorm = np.linalg.norm(Z, axis=2)
+    U, V = feedback(traj.gains, Z, params, params.spec.d)[1:]
+    znorm = np.linalg.norm(Z, axis=1)
     del Z
     m = U.shape[1]
     header = (
@@ -355,7 +344,7 @@ def write_trajectory_csv(traj, path):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for s, t in enumerate(traj.times.tolist()):
-            rows = np.column_stack([traj.states[s], traj.gains[s], U[s].T, znorm[s], V[s]]).tolist()
+            rows = np.column_stack([traj.states[s].T, traj.gains[s], U[s].T, znorm[s], V[s]]).tolist()
             fh.writelines(f"{t!r},{a},{','.join(map(repr, row))}\r\n" for a, row in enumerate(rows, 1))
 
 

@@ -11,7 +11,9 @@ from cohsync import analysis, graph, protocol, signals, sim
 def make_traj(times, zetas, gains=None, params=None, delta=1.0):
     """Stand-in with the attributes summarize reads, built from given disagreements.
 
-    Without params, P = I and the spec is formed from delta alone, so delta_bar = delta^2.
+    zetas holds agent rows, shape (S, N, n); the stand-in holds them one
+    agent per column, (S, n, N), as a Trajectory does. Without params,
+    P = I and the spec is formed from delta alone, so delta_bar = delta^2.
     """
     times = np.asarray(times, dtype=float)
     zetas = np.asarray(zetas, dtype=float)
@@ -21,7 +23,7 @@ def make_traj(times, zetas, gains=None, params=None, delta=1.0):
         params = protocol.ProtocolParams(np.eye(n), np.eye(n), delta=delta)
     return SimpleNamespace(
         times=times, gains=gains, config=SimpleNamespace(params=params),
-        n_samples=S, n_agents=N, zetas=zetas,
+        n_samples=S, n_agents=N, zetas=zetas.swapaxes(1, 2),
     )
 
 
@@ -151,8 +153,9 @@ def test_summarize_agrees_with_trajectory_levels(benchmark_model, bench_params):
     traj = sim.simulate(cfg)
     s = analysis.summarize(traj, tail_fraction=0.2)
     ntail = 10  # round(0.2 * 51 samples)
-    assert s.tail_max_Vi == traj.vi_values[-ntail:].max()
-    assert s.tail_max_zeta_norm == np.linalg.norm(traj.zetas[-ntail:], axis=2).max()
+    levels = protocol.feedback(traj.gains, traj.zetas, bench_params, bench_params.spec.d)[2]
+    assert s.tail_max_Vi == levels[-ntail:].max()
+    assert s.tail_max_zeta_norm == np.linalg.norm(traj.zetas[-ntail:], axis=1).max()
     assert s.max_final_gain == traj.gains[-1].max()
 
 

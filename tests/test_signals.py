@@ -13,8 +13,8 @@ from cohsync import signals
 def test_chirp_values():
     assert signals.chirp(1, 0.0) == 0.0
     # 0.1 sin(0.1*1*5 + 0.01*25) = 0.1 sin(0.75)
-    assert signals.evaluate_all(signals.chirp_signal(), [1], 5.0)[0] == pytest.approx(0.068164, abs=1e-6)
-    assert signals.evaluate_all(signals.chirp_signal(), [1], 5.0)[0] == pytest.approx(0.1 * math.sin(0.75), abs=1e-15)
+    assert signals.waveform(signals.chirp_signal(), [1])(5.0)[0] == pytest.approx(0.068164, abs=1e-6)
+    assert signals.waveform(signals.chirp_signal(), [1])(5.0)[0] == pytest.approx(0.1 * math.sin(0.75), abs=1e-15)
 
 
 def test_chirp_respects_bound():
@@ -27,7 +27,7 @@ def test_chirp_respects_bound():
 
 def test_sawtooth_values():
     assert signals.sawtooth(1, 0.0) == 0.0
-    assert signals.evaluate_all(signals.sawtooth_signal(), [1], 25.0)[0] == 0.25
+    assert signals.waveform(signals.sawtooth_signal(), [1])(25.0)[0] == 0.25
     assert signals.sawtooth(3, 10.0) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -50,23 +50,23 @@ def test_sawtooth_respects_bound():
 def test_zero_signal():
     sig = signals.zero_signal()
     assert sig.bound == 0.0
-    assert np.all(signals.evaluate_all(sig, np.arange(1, 9), 3.7) == 0.0)
+    assert np.all(signals.waveform(sig, np.arange(1, 9))(3.7) == 0.0)
 
 
 def test_dispatch_matches_direct_functions():
     agents = np.arange(1, 6)
     for t in (0.0, 1.3, 27.5):
         assert np.array_equal(
-            signals.evaluate_all(signals.chirp_signal(), agents, t), signals.chirp(agents, t)
+            signals.waveform(signals.chirp_signal(), agents)(t), signals.chirp(agents, t)
         )
         assert np.array_equal(
-            signals.evaluate_all(signals.sawtooth_signal(), agents, t), signals.sawtooth(agents, t)
+            signals.waveform(signals.sawtooth_signal(), agents)(t), signals.sawtooth(agents, t)
         )
 
 
 def test_agent_labels_are_one_based():
     with pytest.raises(ValueError, match="1-based"):
-        signals.evaluate_all(signals.chirp_signal(), [0], 1.0)
+        signals.waveform(signals.chirp_signal(), [0])(1.0)
     # refused when the waveform is built, before any time is asked for
     for sig in (signals.zero_signal(), signals.sawtooth_signal(), signals.table_signal([0.0, 1.0], [[1.0], [2.0]])):
         with pytest.raises(ValueError, match="1-based"):
@@ -75,25 +75,25 @@ def test_agent_labels_are_one_based():
 
 def test_table_interpolation():
     sig = signals.table_signal([0.0, 1.0], [[1.0], [2.0]])
-    assert signals.evaluate_all(sig, [1], 0.5)[0] == 1.5
-    assert signals.evaluate_all(sig, [1], 0.0)[0] == 1.0
-    assert signals.evaluate_all(sig, [1], 1.0)[0] == 2.0
+    assert signals.waveform(sig, [1])(0.5)[0] == 1.5
+    assert signals.waveform(sig, [1])(0.0)[0] == 1.0
+    assert signals.waveform(sig, [1])(1.0)[0] == 2.0
     assert sig.bound == 2.0
 
 
 def test_table_multiple_agents():
     sig = signals.table_signal([0.0, 1.0], [[1.0, 10.0], [2.0, 20.0]])
-    assert np.array_equal(signals.evaluate_all(sig, np.array([1, 2]), 0.5), [1.5, 15.0])
+    assert np.array_equal(signals.waveform(sig, np.array([1, 2]))(0.5), [1.5, 15.0])
     with pytest.raises(ValueError, match="agent columns"):
-        signals.evaluate_all(sig, [3], 0.5)
+        signals.waveform(sig, [3])(0.5)
 
 
 def test_table_refuses_extrapolation():
     sig = signals.table_signal([0.0, 1.0], [[1.0], [2.0]])
     with pytest.raises(ValueError, match="extrapolation is refused"):
-        signals.evaluate_all(sig, [1], 1.5)
+        signals.waveform(sig, [1])(1.5)
     with pytest.raises(ValueError, match="extrapolation is refused"):
-        signals.evaluate_all(sig, [1], -0.1)
+        signals.waveform(sig, [1])(-0.1)
     # a waveform built once still refuses each query outside the range
     wave = signals.waveform(sig, [1])
     assert wave(0.5)[0] == 1.5
@@ -162,7 +162,7 @@ def test_load_table(tmp_path):
     sig = signals.load_table(path)
     assert sig.kind == "custom-table"
     assert sig.bound == 20.0
-    assert signals.evaluate_all(sig, [2], 0.5)[0] == 15.0
+    assert signals.waveform(sig, [2])(0.5)[0] == 15.0
 
 
 def test_load_table_header_validation(tmp_path):
@@ -186,7 +186,7 @@ def test_relabel_moves_waveforms_with_the_nodes():
     for i in range(3):
         for t in (0.5, 4.0, 9.25):
             # new position perm[i] carries what old node i produced
-            assert signals.evaluate_all(sig, [int(perm[i]) + 1], t)[0] == signals.chirp(i + 1, t)
+            assert signals.waveform(sig, [int(perm[i]) + 1])(t)[0] == signals.chirp(i + 1, t)
 
 
 def test_relabel_composes():
@@ -195,14 +195,14 @@ def test_relabel_composes():
     once = signals.relabel(signals.relabel(signals.sawtooth_signal(), p1), p2)
     combined = signals.relabel(signals.sawtooth_signal(), p2[p1])
     for label in (1, 2, 3):
-        assert signals.evaluate_all(once, [label], 7.0)[0] == signals.evaluate_all(combined, [label], 7.0)[0]
+        assert signals.waveform(once, [label])(7.0)[0] == signals.waveform(combined, [label])(7.0)[0]
 
 
 def test_relabel_table_signal():
     sig = signals.table_signal([0.0, 1.0], [[1.0, 10.0], [2.0, 20.0]])
     swapped = signals.relabel(sig, np.array([1, 0]))
-    assert signals.evaluate_all(swapped, [2], 0.0)[0] == 1.0
-    assert signals.evaluate_all(swapped, [1], 0.0)[0] == 10.0
+    assert signals.waveform(swapped, [2])(0.0)[0] == 1.0
+    assert signals.waveform(swapped, [1])(0.0)[0] == 10.0
 
 
 def test_relabel_validation():
@@ -260,4 +260,4 @@ def test_waveform_is_the_formula_at_each_label(case):
         else:
             expected = np.array([table_at(sig, c, t) for c in original.tolist()])
         assert np.array_equal(w, expected)
-        assert np.array_equal(w, signals.evaluate_all(sig, labels, t))
+        assert np.array_equal(w, signals.waveform(sig, labels)(t))

@@ -86,18 +86,18 @@ def test_equal_initial_states_follow_open_loop_flow(bench_setup):
         np.full(traj.n_samples, row[2]),
     ], axis=1)
     for a in range(5):
-        assert np.abs(traj.states[:, a, :] - expected).max() <= 1e-8
+        assert np.abs(traj.states[:, :, a] - expected).max() <= 1e-8
     assert np.all(traj.gains == 0.0)
     assert np.abs(traj.zetas).max() <= 1e-10
-    assert np.all(traj.controls == 0.0)
+    assert np.all(protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)[1] == 0.0)
 
 
 def test_zero_disturbance_disagreement_decays(bench_setup):
     g = graph.vicsek_fractal(1)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=30.0)
     traj = sim.simulate(cfg)
-    z0 = np.linalg.norm(traj.zetas[0], axis=1).max()
-    zT = np.linalg.norm(traj.zetas[-1], axis=1).max()
+    z0 = np.linalg.norm(traj.zetas[0], axis=0).max()
+    zT = np.linalg.norm(traj.zetas[-1], axis=0).max()
     assert zT < z0 / 100.0
 
 
@@ -111,7 +111,9 @@ def test_translation_invariance(bench_setup):
     # disagreement dynamics see only state differences
     assert np.abs(ta.zetas - tb.zetas).max() <= 1e-8
     assert np.abs(ta.gains - tb.gains).max() <= 1e-8
-    assert np.abs(ta.controls - tb.controls).max() <= 1e-8
+    _, params = bench_setup
+    ua, ub = (protocol.feedback(t.gains, t.zetas, params, params.spec.d)[1] for t in (ta, tb))
+    assert np.abs(ua - ub).max() <= 1e-8
 
 
 def test_permutation_equivariance(bench_setup):
@@ -128,10 +130,12 @@ def test_permutation_equivariance(bench_setup):
     )
     ta = sim.simulate(base)
     tb = sim.simulate(relabeled)
-    assert np.abs(tb.states[:, perm] - ta.states).max() <= 1e-8
+    assert np.abs(tb.states[:, :, perm] - ta.states).max() <= 1e-8
     assert np.abs(tb.gains[:, perm] - ta.gains).max() <= 1e-8
-    assert np.abs(tb.zetas[:, perm] - ta.zetas).max() <= 1e-8
-    assert np.abs(tb.controls[:, perm] - ta.controls).max() <= 1e-8
+    assert np.abs(tb.zetas[:, :, perm] - ta.zetas).max() <= 1e-8
+    _, params = bench_setup
+    ua, ub = (protocol.feedback(t.gains, t.zetas, params, params.spec.d)[1] for t in (ta, tb))
+    assert np.abs(ub[:, :, perm] - ua).max() <= 1e-8
 
 
 def test_gains_never_decrease(bench_setup):
@@ -234,7 +238,8 @@ def agent_major_loop(cfg):
 def rk4_record(cfg, f):
     """cfg's record (times, states, gains) from the classical RK4 loop on agent rows x (N, n).
 
-    f(t, x, rho) gives a stage's derivatives (xdot, rho rates).
+    f(t, x, rho) gives a stage's derivatives (xdot, rho rates). The states
+    are recorded as a Trajectory holds them, x' of shape (n, N) per sample.
     """
     model, g = cfg.model, cfg.graph
     dt = cfg.dt
@@ -244,14 +249,14 @@ def rk4_record(cfg, f):
     for k in range(cfg.steps):
         t = k * dt
         if k % cfg.record_every == 0:
-            record.append((t, x, rho))
+            record.append((t, x.T, rho))
         k1x, k1r = f(t, x, rho)
         k2x, k2r = f(t + 0.5 * dt, x + 0.5 * dt * k1x, rho + 0.5 * dt * k1r)
         k3x, k3r = f(t + 0.5 * dt, x + 0.5 * dt * k2x, rho + 0.5 * dt * k2r)
         k4x, k4r = f(t + dt, x + dt * k3x, rho + dt * k3r)
         x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    record.append((cfg.steps * dt, x, rho))
+    record.append((cfg.steps * dt, x.T, rho))
     return [np.array(column) for column in zip(*record)]
 
 
@@ -275,7 +280,7 @@ def test_edge_path_simulation_matches_a_dense_loop(bench_setup, fractal601):
     traj = sim.simulate(cfg)
     assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
     assert_is_the_dense_loop(traj)
-    assert np.array_equal(traj.zetas, graph.laplacian(fractal601) @ traj.states)
+    assert np.array_equal(traj.zetas, (graph.laplacian(fractal601) @ traj.states.swapaxes(1, 2)).swapaxes(1, 2))
 
 
 def test_state_major_loop_is_the_agent_major_loop_on_directed_fractals(bench_setup, fractal601):
@@ -422,9 +427,10 @@ def test_simulation_matches_the_papers_formulas(bench_setup):
     levels = np.einsum("sij,jk,sik->si", Z, P, Z)
 
     assert np.abs(gains[-1]).max() > 0.0  # the gains have moved
-    assert traj.states.shape == states.shape
-    for got, want in ((traj.states, states), (traj.gains[..., None], gains[..., None]),
-                      (traj.controls, controls), (traj.vi_values[..., None], levels[..., None])):
+    _, U, V = protocol.feedback(traj.gains, traj.zetas, params, d)
+    assert traj.states.swapaxes(1, 2).shape == states.shape
+    for got, want in ((traj.states.swapaxes(1, 2), states), (traj.gains[..., None], gains[..., None]),
+                      (U.swapaxes(1, 2), controls), (V[..., None], levels[..., None])):
         scale = np.abs(want).max(axis=(0, 1))  # one per column
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= PAPER_LOOP_TOL * scale)
 
@@ -543,7 +549,7 @@ def test_union_members_on_one_repeated_graph_are_their_lone_runs(bench_setup):
     assert not op.blocks and op.copies == len(cfgs)
     for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
         assert traj.config is cfg  # and so its own spec
-        levels = traj.vi_values
+        levels = protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)[2]
         assert (levels < cfg.params.spec.d).any() and (levels >= cfg.params.spec.d).any()
         lone = sim.simulate(cfg)
         for field in ("times", "states", "gains", "zetas"):
@@ -680,8 +686,8 @@ def test_recording_grid(bench_setup):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 2.0
     assert np.allclose(np.diff(traj.times), 0.01, atol=1e-12)
-    assert traj.states.shape == (201, 5, 3)
-    assert traj.controls.shape == (201, 5, 1)
+    assert traj.states.shape == (201, 3, 5)
+    assert protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)[1].shape == (201, 1, 5)
 
 
 def test_simulation_is_deterministic(bench_setup):
@@ -701,20 +707,46 @@ def test_derived_record_matches_per_sample_maps(bench_setup):
     assert traj.config is cfg
     L = graph.laplacian(g)
     params = cfg.params
-    Z, U, V = traj.zetas, traj.controls, traj.vi_values
+    Z = traj.zetas
+    _, U, V = protocol.feedback(traj.gains, Z, params, params.spec.d)
     assert np.abs(U[-1]).max() > 0.0  # the gains have grown, so the inputs are not all zero
     for s in (0, traj.n_samples // 2, traj.n_samples - 1):
-        zs = protocol.zeta(L, traj.states[s])
-        assert np.array_equal(Z[s], zs)
-        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs.T, params, params.spec.d)[1].T)
+        zs = protocol.zeta(L, traj.states[s].T)
+        assert np.array_equal(Z[s], zs.T)
+        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs.T, params, params.spec.d)[1])
         expected = np.array([z @ params.P @ z for z in zs])
         assert np.abs(V[s] - expected).max() <= 1e-12 * max(1.0, expected.max())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph.circulant(121, [1, 2], directed=True), graph.vicsek_fractal(4, directed=False)],
+    ids=["circulant121_dense", "fractal601_undirected_edges"],
+)
+def test_record_reports_what_the_kernel_computed(tmp_path, bench_setup, g):
+    # several in-neighbours per node, where a product of another shape may sum
+    # in another order: the reported zeta, u, |zeta| and V are the kernel's
+    traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.2, record_every=20))
+    params = traj.config.params
+    op = graph.LaplacianOperator(g)
+    assert (op.dense is None) == (g.n_nodes >= graph.EDGE_PATH_NODES)
+    sim.write_trajectory_csv(traj, tmp_path / "traj.csv")
+    with open(tmp_path / "traj.csv", newline="") as fh:
+        rows = np.array(list(csv.reader(fh))[1:], dtype=float).reshape(traj.n_samples, g.n_nodes, -1)
+    assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
+    for s in range(traj.n_samples):
+        Z = op(np.ascontiguousarray(traj.states[s]))  # the kernel's stage-1 product
+        assert np.array_equal(traj.zetas[s], Z)
+        _, U, V = protocol.feedback(traj.gains[s], Z, params, params.spec.d)
+        assert np.array_equal(rows[s, :, 6:], np.column_stack([U.T, np.linalg.norm(Z, axis=0), V]))
 
 
 def test_trajectory_csv_format(tmp_path, bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
     traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(),
                                   t_end=0.1, record_every=20))
+    params = traj.config.params
+    _, U, V = protocol.feedback(traj.gains, traj.zetas, params, params.spec.d)
     path = tmp_path / "traj.csv"
     sim.write_trajectory_csv(traj, path)
     with open(path, newline="") as fh:
@@ -726,11 +758,11 @@ def test_trajectory_csv_format(tmp_path, bench_setup):
     row = rows[1 + s * 5 + a]
     assert float(row[0]) == traj.times[s]
     assert int(row[1]) == a + 1
-    assert [float(v) for v in row[2:5]] == list(traj.states[s, a])
+    assert [float(v) for v in row[2:5]] == list(traj.states[s, :, a])
     assert float(row[5]) == traj.gains[s, a]
-    assert float(row[6]) == traj.controls[s, a, 0]
-    assert float(row[7]) == np.linalg.norm(traj.zetas[s, a])
-    assert float(row[8]) == traj.vi_values[s, a]
+    assert float(row[6]) == U[s, 0, a]
+    assert float(row[7]) == np.linalg.norm(traj.zetas[s, :, a])
+    assert float(row[8]) == V[s, a]
 
 
 def test_trajectory_csv_bytes_are_stable(tmp_path, bench_setup):
@@ -755,11 +787,12 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
     states = rng.normal(size=(S, N, n)) * 10.0 ** rng.integers(-20, 20, size=(S, N, n))
     states[0] = 0.0
     states[1, 0] = [-0.0, 1.0, 1e16]
-    traj = sim.Trajectory(np.arange(S) * 0.01, states, rng.uniform(0, 50, size=(S, N)), cfg)
+    traj = sim.Trajectory(np.arange(S) * 0.01, states.swapaxes(1, 2), rng.uniform(0, 50, size=(S, N)), cfg)
     sim.write_trajectory_csv(traj, tmp_path / "fast.csv")
 
-    U, V = traj.controls, traj.vi_values
-    znorm = np.linalg.norm(traj.zetas, axis=2)
+    _, U, V = protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)
+    U = U.swapaxes(1, 2)
+    znorm = np.linalg.norm(traj.zetas, axis=1)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["t", "agent", "x_1", "x_2", "x_3", "rho", "u_1", "zeta_norm", "V_i"])
