@@ -582,9 +582,11 @@ def cmd_sweep(args):
 
 
 def _deep_merge(base, override):
+    # a mapping merges into the base's, unless it switches the base's kind: then it replaces it
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
+        kept = out.get(key)
+        if isinstance(value, dict) and isinstance(kept, dict) and value.get("kind", kept.get("kind")) == kept.get("kind"):
             out[key] = _deep_merge(out[key], value)
         else:
             out[key] = copy.deepcopy(value)

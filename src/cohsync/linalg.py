@@ -150,14 +150,14 @@ def triple_integrator():
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Stabilizing solution P of A'P + PA - PBB'P + Q = 0 plus its residual norm."""
+    """Stabilizing solution P of A'P + PA - PBB'P + I = 0 plus its residual norm."""
 
     P: np.ndarray
     residual_norm: float
 
 
-def care_residual(P, A, B, Q=None):
-    """Residual A'P + PA - P B B' P + Q (Q defaults to the identity).
+def care_residual(P, A, B):
+    """Residual A'P + PA - P B B' P + I.
 
     The quadratic term is evaluated as K'K with K = B'P: the products then
     stay at the scale of the result, which keeps the rounding floor low
@@ -165,10 +165,8 @@ def care_residual(P, A, B, Q=None):
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
-    if Q is None:
-        Q = np.eye(A.shape[0])
     K = B.T @ P
-    return A.T @ P + P @ A - K.T @ K + Q
+    return A.T @ P + P @ A - K.T @ K + np.eye(A.shape[0])
 
 
 def lyapunov(Ac, rhs):
@@ -184,21 +182,20 @@ def lyapunov(Ac, rhs):
     return 0.5 * (X + X.T)
 
 
-def solve_care(A, B, Q=None):
+def solve_care(A, B):
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
-    Solves A'P + PA - P B B' P + Q = 0 for symmetric positive definite P
-    with A - B B' P Hurwitz. Q defaults to the identity; a different
-    symmetric positive definite Q supports coordinate-change experiments.
+    Solves A'P + PA - P B B' P + I = 0 for symmetric positive definite P
+    with A - B B' P Hurwitz.
 
-    Method: the n eigenvectors of the Hamiltonian [[A, -BB'], [-Q, -A']]
+    Method: the n eigenvectors of the Hamiltonian [[A, -BB'], [-I, -A']]
     whose eigenvalues have negative real part span [I; P] (Laub 1979, here
     in eigenvector form); their blocks U1, U2 give the starting P = U2 U1^-1.
     Newton-Kleinman iterations then polish it, each solving a Lyapunov
     equation for the correction; from a stabilizing iterate Newton
     converges quadratically.
 
-    Memoized on the bytes of (A, B, Q), as a sweep asks it of one model per
+    Memoized on the bytes of (A, B), as a sweep asks it of one model per
     entry: equal inputs share one solution, whose P is read-only; a
     failure is raised anew on every call.
 
@@ -224,30 +221,23 @@ def solve_care(A, B, Q=None):
         raise AssumptionError(
             f"(A, B) is not stabilizable: rank test fails at eigenvalue(s) {desc}"
         )
-    if Q is None:
-        Qm = np.eye(n)
-    else:
-        Qm = _as_matrix(Q, "Q")
-        if np.abs(Qm - Qm.T).max() > 1e-10:
-            raise ValueError("Q must be symmetric")
-        Qm = 0.5 * (Qm + Qm.T)
-    return _care(*keys, (Qm.shape, Qm.tobytes()))
+    return _care(*keys)
 
 
 @lru_cache(maxsize=8)
 def _care(*keys):
-    # solve_care on the shapes and bytes of A, B and Q; lru_cache keeps no call that raised
-    A, B, Qm = (np.frombuffer(data).reshape(shape) for shape, data in keys)
+    # solve_care on the shapes and bytes of A and B; lru_cache keeps no call that raised
+    A, B = (np.frombuffer(data).reshape(shape) for shape, data in keys)
     n = A.shape[0]
     try:
         with np.errstate(all="ignore"):  # an overflow, or NaN, fails the certificate below
             BBt = B @ B.T
-            w, V = np.linalg.eig(np.block([[A, -BBt], [-Qm, -A.T]]))
+            w, V = np.linalg.eig(np.block([[A, -BBt], [-np.eye(n), -A.T]]))
             U = V[:, w.real < 0]
             P = np.real(np.linalg.solve(U[:n].T, U[n:].T).T)
             P = 0.5 * (P + P.T)
             for _ in range(50):
-                R = care_residual(P, A, B, Qm)
+                R = care_residual(P, A, B)
                 # the relative target governs well-scaled problems; the absolute
                 # cap keeps large-norm solutions iterating until the returned
                 # invariant (residual <= 1e-8) actually holds
@@ -258,7 +248,7 @@ def _care(*keys):
                 P = P + delta
                 P = 0.5 * (P + P.T)
 
-            rnorm = float(np.linalg.norm(care_residual(P, A, B, Qm)))
+            rnorm = float(np.linalg.norm(care_residual(P, A, B)))
             sym_err = float(np.abs(P - P.T).max())
             min_eig = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
             cl_max = float(np.linalg.eigvals(A - BBt @ P).real.max())

@@ -10,13 +10,8 @@ KINDS = ("zero", "chirp", "sawtooth", "custom-table")
 
 def chirp(i, t):
     """Frequency-swept sine, amplitude 0.1: 0.1 sin(0.1 i t + 0.01 t^2)."""
-    return _chirp(0.1 * np.asarray(i, dtype=float), np.asarray(t, dtype=float))
-
-
-def _chirp(rate, t):
-    # the chirp of agent i from its rate 0.1 i: 0.1 i t rounds as (0.1 i) t, so
-    # a waveform that scales its labels once gives chirp's values bit for bit
-    return 0.1 * np.sin(rate * t + 0.01 * t * t)
+    i, t = np.asarray(i, dtype=float), np.asarray(t, dtype=float)
+    return 0.1 * np.sin(0.1 * i * t + 0.01 * t * t)
 
 
 def sawtooth(i, t):
@@ -26,12 +21,7 @@ def sawtooth(i, t):
     tie points (e.g. i=2, t=25) are fixed by convention and reproducible
     bit for bit.
     """
-    return _sawtooth(0.01 * np.asarray(i, dtype=float), np.asarray(t, dtype=float))
-
-
-def _sawtooth(rate, t):
-    # the sawtooth of agent i from its rate 0.01 i, as _chirp
-    z = rate * t
+    z = 0.01 * np.asarray(i, dtype=float) * np.asarray(t, dtype=float)
     return z - np.copysign(np.floor(np.abs(z) + 0.5), z)
 
 
@@ -39,16 +29,13 @@ def _sawtooth(rate, t):
 class DisturbanceSignal:
     """A disturbance kind plus a certified amplitude bound.
 
-    index_map, when present, reroutes agent labels: the waveform seen at
-    1-based agent position p is the one the original label index_map[p-1]
-    would produce. Table signals hold samples with one column per agent.
+    Table signals hold samples with one column per agent.
     """
 
     kind: str
     bound: float
     table_times: np.ndarray = None
     table_values: np.ndarray = None
-    index_map: np.ndarray = None
 
 
 def zero_signal():
@@ -67,17 +54,17 @@ def sawtooth_signal():
 def table_signal(times, values):
     """Sampled disturbance, linearly interpolated between rows.
 
-    times must be strictly increasing; values has one row per sample and
-    one column per agent. Queries outside [times[0], times[-1]] are
-    refused rather than extrapolated, so the certified bound (the largest
-    sample magnitude) is honest.
+    times must be finite and strictly increasing; values has one row per
+    sample and one column per agent. Queries outside [times[0], times[-1]]
+    are refused rather than extrapolated, so the certified bound (the
+    largest sample magnitude) is honest.
     """
     times = np.asarray(times, dtype=float)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("table needs at least two sample times")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("table times must be strictly increasing")
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+        raise ValueError("table times must be finite and strictly increasing")
     if values.shape[0] != len(times):
         raise ValueError("one row of values per sample time")
     if not np.isfinite(values).all():
@@ -115,18 +102,14 @@ def load_table(path):
 def waveform(signal, agents):
     """The disturbance at an array of 1-based agent labels, as a function t -> w.
 
-    The labels are checked, routed through index_map and scaled once, here,
-    so each call does only the work that depends on t. t is a time or an
-    array of times, and w has shape t.shape + labels.shape: entry [..., i]
-    is, bit for bit, what the call at that one time gives at label i. A
-    table is read at the labels' columns, and a query outside its
-    tabulated range raises.
+    The labels are checked once, here. t is a time or an array of times,
+    and w has shape t.shape + labels.shape: entry [..., i] is, bit for
+    bit, what the call at that one time gives at label i. A table is read
+    at the labels' columns, and a query outside its tabulated range raises.
     """
     agents = np.asarray(agents, dtype=int)
     if np.any(agents < 1):
         raise ValueError("agent labels are 1-based")
-    if signal.index_map is not None:
-        agents = signal.index_map[agents - 1]
 
     def times(t):
         # t with one unit axis per label axis, so that it broadcasts against the labels
@@ -136,11 +119,9 @@ def waveform(signal, agents):
     if signal.kind == "zero":
         return lambda t: np.zeros(np.shape(t) + agents.shape, dtype=float)
     if signal.kind == "chirp":
-        rate = 0.1 * agents.astype(float)
-        return lambda t: _chirp(rate, times(t))
+        return lambda t: chirp(agents, times(t))
     if signal.kind == "sawtooth":
-        rate = 0.01 * agents.astype(float)
-        return lambda t: _sawtooth(rate, times(t))
+        return lambda t: sawtooth(agents, times(t))
     if signal.kind == "custom-table":
         return _table_waveform(signal.table_times, signal.table_values, agents, times)
     raise ValueError(f"unknown disturbance kind {signal.kind!r}")
@@ -169,30 +150,3 @@ def _table_waveform(ts, values, agents, times):
 
     return at
 
-
-def relabel(signal, perm):
-    """Signal for a node-relabeled network: node i becomes node perm[i] (0-based).
-
-    The relabeled signal produces, at each new position, the waveform its
-    original agent carried, which is what a consistent renaming of the
-    whole closed loop requires.
-    """
-    perm = np.asarray(perm, dtype=int)
-    n = len(perm)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    base = signal.index_map if signal.index_map is not None else np.arange(1, n + 1)
-    if len(base) != n:
-        raise ValueError("permutation length does not match the signal's agent count")
-    new_map = base[inv]
-    new_map = np.asarray(new_map, dtype=int)
-    new_map.setflags(write=False)
-    return DisturbanceSignal(
-        kind=signal.kind,
-        bound=signal.bound,
-        table_times=signal.table_times,
-        table_values=signal.table_values,
-        index_map=new_map,
-    )

@@ -1,8 +1,6 @@
 """Closed-loop network simulation: fixed-step integration, stage-wise deadzone."""
 
-import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import yaml
@@ -83,11 +81,10 @@ class SimConfig:
             t0, t1 = float(sig.table_times[0]), float(sig.table_times[-1])
             horizon = self.steps * float(self.dt)
             cols = sig.table_values.shape[1]
-            label = N if sig.index_map is None else int(max(sig.index_map))
-            if t0 > 0 or t1 < horizon or cols < label:
+            if t0 > 0 or t1 < horizon or cols < N:
                 raise ValueError(
                     f"table covers [{t0:.6g}, {t1:.6g}] for agents 1..{cols} but the run needs "
-                    f"[0, {horizon:.6g}] for agents 1..{label}, and extrapolation is refused"
+                    f"[0, {horizon:.6g}] for agents 1..{N}, and extrapolation is refused"
                 )
         if not is_stabilizable(self.model.A, self.model.B):
             raise AssumptionError("(A, B) is not stabilizable")
@@ -100,13 +97,6 @@ class SimConfig:
     def steps(self):
         """Number of fixed steps simulate takes: t_end / dt, rounded."""
         return int(round(self.t_end / self.dt))
-
-    @cached_property
-    def agents(self):
-        """The 1-based agent labels 1..N, the disturbance's row index; built once."""
-        labels = np.arange(1, self.graph.n_nodes + 1)
-        labels.setflags(write=False)
-        return labels
 
 
 @dataclass
@@ -244,9 +234,7 @@ def simulate_union(cfgs):
     offsets = np.cumsum([0] + sizes)
     N = int(offsets[-1])
     L = LaplacianOperator(*(cfg.graph for cfg in cfgs))
-    labels = [cfg.agents if cfg.disturbance.index_map is None else cfg.disturbance.index_map for cfg in cfgs]
-    signal = dataclasses.replace(head.disturbance, index_map=None)
-    wave = sigs.waveform(signal, np.concatenate(labels))
+    wave = sigs.waveform(head.disturbance, np.concatenate([np.arange(1, size + 1) for size in sizes]))
     model = head.model
     loop = ClosedLoop(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes))
     dt = float(head.dt)

@@ -258,6 +258,7 @@ def test_table_disturbance_runs_when_range_covers(tmp_path):
 
 
 OVERFLOWING_STEPS = {"dt": 1e-300, "t_end": 1e10}  # t_end / dt overflows to inf
+TIMES_REFUSED = "disturbance.path: table times must be finite and strictly increasing"
 # inputs that must exit 2, as overrides of EDGE_LIST_CONFIG plus flags, with the
 # error each must name; the files they point to are written by `input_files`
 REFUSED_INPUTS = {
@@ -283,6 +284,8 @@ REFUSED_INPUTS = {
     "step count overflows": ({"integration": OVERFLOWING_STEPS}, [], "config: t_end / dt = "),
     "end time beyond the float range": ({"integration": {"t_end": 10**400}}, [], "integration.t_end: must be finite"),
     "huge node count": ({"graph": {"path": "huge.txt"}}, [], "graph.path: 100000000 nodes: a graph has 1 to"),
+    "table time nan": ({"disturbance": {"kind": "custom-table", "path": "time_nan.csv"}}, [], TIMES_REFUSED),
+    "table time inf": ({"disturbance": {"kind": "custom-table", "path": "time_inf.csv"}}, [], TIMES_REFUSED),
     "step count overflows with a table": (
         {"integration": OVERFLOWING_STEPS, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
         [],
@@ -304,6 +307,9 @@ def input_files(tmp_path, monkeypatch):
         (tmp_path / f"chain_{weight}.txt").write_text(f"nodes 3\n1 2 1.0\n2 3 {weight}\n")
     (tmp_path / "ends_0.0015.csv").write_text("t,w1,w2,w3\n0,0,0,0\n0.0015,0,0,0\n")
     (tmp_path / "two_agents.csv").write_text("t,w1,w2\n0,0,0\n6,0,0\n")
+    # a NaN time compares false with its neighbours; an inf time would hold its row forever
+    (tmp_path / "time_nan.csv").write_text("t,w1,w2,w3\n0,0,0,0\nnan,1,1,1\n6,0,0,0\n")
+    (tmp_path / "time_inf.csv").write_text("t,w1,w2,w3\n0,0,0,0\ninf,1,1,1\n")
     (tmp_path / "a_directory").mkdir()
     (tmp_path / "huge.txt").write_text("nodes 100000000\n1 2 1.0\n")
     return tmp_path
@@ -733,6 +739,27 @@ def test_sweep_entries_in_one_union_write_what_run_writes(tmp_path, union_calls)
     assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) in (0, 1)
     assert union_calls == [[30] * 4 + [17]]
     assert_entries_write_what_run_writes(tmp_path, base, entries, out)
+
+
+def test_sweep_entry_that_switches_a_kind_replaces_the_section(tmp_path):
+    # graph.generation and disturbance.path are fields of the base's kinds, not of
+    # the entry's, so a section of another kind replaces the base's instead of merging
+    (tmp_path / "w.csv").write_text("t,w1,w2,w3,w4,w5\n0,0,0,0,0,0\n1,0.5,-0.5,0.5,-0.5,0.5\n")
+    base = fast_passing_config(name="k", disturbance={"kind": "custom-table", "path": str(tmp_path / "w.csv")})
+    base["integration"] = {**base["integration"], "t_end": 1.0}
+    switched = {"graph": {"kind": "circulant", "n": 7}, "disturbance": {"kind": "chirp"}}
+    entries = [switched, {"graph": {"generation": 1}}]  # the second merges into the base's graph
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, dict(base, sweep=entries)), "--out", str(out), "--quiet"]) in (0, 1)
+    with open(out / "report.csv", newline="") as fh:
+        assert not any(row[1].startswith("error") for row in list(csv.reader(fh))[1:])
+    for name, cfg in (("k_00", dict(base, **switched)), ("k_01", base)):
+        lone = tmp_path / "lone" / name
+        cfg_path = write_config(tmp_path, dict(cfg, name=name), f"{name}.yaml")
+        assert cli.main(["run", cfg_path, "--out", str(lone), "--quiet"]) in (0, 1)
+        for artifact in ARTIFACTS:
+            assert (out / name / artifact).read_bytes() == (lone / artifact).read_bytes(), (name, artifact)
+    assert yaml.safe_load((out / "k_00" / "metadata.yaml").read_text())["config"]["graph"]["n"] == 7
 
 
 def test_sweep_groups_entries_by_design_up_to_the_edge_path(tmp_path, monkeypatch, union_calls, capsys):

@@ -117,20 +117,12 @@ def stage_times(k0, k1, dt):
 
 
 TABLE_30S = signals.table_signal(np.linspace(0.0, 30.0, 61), np.random.default_rng(5).uniform(-1.0, 1.0, (61, 121)))
-LABEL_PERM = np.random.default_rng(6).permutation(121)
 
 
 @pytest.mark.parametrize(
     "signal",
-    [
-        signals.zero_signal(),
-        signals.chirp_signal(),
-        signals.sawtooth_signal(),
-        TABLE_30S,
-        signals.relabel(signals.chirp_signal(), LABEL_PERM),
-        signals.relabel(TABLE_30S, LABEL_PERM),
-    ],
-    ids=["zero", "chirp", "sawtooth", "table", "relabeled-chirp", "relabeled-table"],
+    [signals.zero_signal(), signals.chirp_signal(), signals.sawtooth_signal(), TABLE_30S],
+    ids=["zero", "chirp", "sawtooth", "table"],
 )
 def test_waveform_of_an_array_of_times_is_the_scalar_calls(signal):
     labels = np.arange(1, 122)
@@ -150,6 +142,11 @@ def test_table_validation():
         signals.table_signal([0.0], [[1.0]])
     with pytest.raises(ValueError, match="strictly increasing"):
         signals.table_signal([0.0, 0.0], [[1.0], [2.0]])
+    # NaN compares false with everything, so no difference of it is <= 0;
+    # inf would hold the last row to the end of time, which is extrapolation
+    for bad in ([0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            signals.table_signal(bad, [[1.0], [2.0], [3.0]])
     with pytest.raises(ValueError, match="one row"):
         signals.table_signal([0.0, 1.0], [[1.0]])
     with pytest.raises(ValueError, match="finite"):
@@ -180,42 +177,9 @@ def test_load_table_header_validation(tmp_path):
         signals.load_table(ragged)
 
 
-def test_relabel_moves_waveforms_with_the_nodes():
-    perm = np.array([2, 0, 1])
-    sig = signals.relabel(signals.chirp_signal(), perm)
-    for i in range(3):
-        for t in (0.5, 4.0, 9.25):
-            # new position perm[i] carries what old node i produced
-            assert signals.waveform(sig, [int(perm[i]) + 1])(t)[0] == signals.chirp(i + 1, t)
-
-
-def test_relabel_composes():
-    p1 = np.array([1, 2, 0])
-    p2 = np.array([2, 1, 0])
-    once = signals.relabel(signals.relabel(signals.sawtooth_signal(), p1), p2)
-    combined = signals.relabel(signals.sawtooth_signal(), p2[p1])
-    for label in (1, 2, 3):
-        assert signals.waveform(once, [label])(7.0)[0] == signals.waveform(combined, [label])(7.0)[0]
-
-
-def test_relabel_table_signal():
-    sig = signals.table_signal([0.0, 1.0], [[1.0, 10.0], [2.0, 20.0]])
-    swapped = signals.relabel(sig, np.array([1, 0]))
-    assert signals.waveform(swapped, [2])(0.0)[0] == 1.0
-    assert signals.waveform(swapped, [1])(0.0)[0] == 10.0
-
-
-def test_relabel_validation():
-    with pytest.raises(ValueError, match="permutation"):
-        signals.relabel(signals.chirp_signal(), np.array([0, 0, 1]))
-    sig3 = signals.relabel(signals.chirp_signal(), np.array([2, 0, 1]))
-    with pytest.raises(ValueError, match="length"):
-        signals.relabel(sig3, np.array([1, 0]))
-
-
 @st.composite
 def signals_at_labels(draw):
-    """A signal of each kind over a few agents, maybe relabeled, labels into it and times it covers."""
+    """A signal of each kind over a few agents, labels into it and times it covers."""
     kind = draw(st.sampled_from(signals.KINDS))
     agents = draw(st.integers(1, 8))
     if kind == "custom-table":
@@ -228,8 +192,6 @@ def signals_at_labels(draw):
     else:
         sig = {"zero": signals.zero_signal, "chirp": signals.chirp_signal, "sawtooth": signals.sawtooth_signal}[kind]()
         moments = st.floats(0.0, 50.0)
-    if draw(st.booleans()):
-        sig = signals.relabel(sig, np.array(draw(st.permutations(range(agents)))))
     labels = draw(hnp.arrays(int, st.integers(1, 12), elements=st.integers(1, agents)))
     return sig, labels, draw(st.lists(moments, min_size=1, max_size=4))
 
@@ -247,17 +209,16 @@ def table_at(sig, column, t):
 def test_waveform_is_the_formula_at_each_label(case):
     sig, labels, moments = case
     wave = signals.waveform(sig, labels)
-    original = labels if sig.index_map is None else sig.index_map[labels - 1]
     for t in moments:
         w = wave(t)
         assert w.shape == labels.shape
         if sig.kind == "zero":
             expected = np.zeros(labels.shape)
         elif sig.kind == "chirp":
-            expected = signals.chirp(original, t)
+            expected = signals.chirp(labels, t)
         elif sig.kind == "sawtooth":
-            expected = signals.sawtooth(original, t)
+            expected = signals.sawtooth(labels, t)
         else:
-            expected = np.array([table_at(sig, c, t) for c in original.tolist()])
+            expected = np.array([table_at(sig, c, t) for c in labels.tolist()])
         assert np.array_equal(w, expected)
         assert np.array_equal(w, signals.waveform(sig, labels)(t))
