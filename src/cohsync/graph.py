@@ -78,11 +78,11 @@ def laplacian(g):
     return L
 
 
-# node count from which LaplacianOperator works per edge rather than densely; per call
-# on (3, N) states (timeit, one vCPU, OpenBLAS on 1 thread), dense against per edge:
-# 2.2 against 3.9-5.5 us at 121 nodes, 82-87 against 6.5-13.8 us at 601 (fractals and
-# the undirected circulant [1, 2], 1 to 4 edges per node); the circulant crosses near 250
-EDGE_PATH_NODES = 450
+# node count from which LaplacianOperator works per edge rather than densely (np.dot); per call on
+# (3, N) states of the undirected circulant [1, 2] (timeit, one vCPU, OpenBLAS on 1 thread, mean over
+# 8 node counts), dense against per edge: 13.2 against 13.8 us at 200-207 nodes, 15.0 against 14.6
+# at 216-223, 20.1 against 15.8 at 248-255, 29.4 against 18.6 at 300-307; they cross near 220
+EDGE_PATH_NODES = 224
 
 
 class LaplacianOperator:
@@ -124,12 +124,13 @@ class LaplacianOperator:
     def __call__(self, X, out=None):
         """X L' for X of shape (..., n, N), written into out when it is given."""
         if self.blocks:
-            out = np.empty(X.shape)
+            out = np.empty(X.shape) if out is None else out
             for b, lo, hi in zip(self.blocks, self.cols, self.cols[1:]):
                 b(X[..., lo:hi], out[..., lo:hi])
             return out
         if self.dense is not None and self.copies == 1:  # exactly one X @ L'
-            return np.matmul(X, self.dense, out=out)
+            fast = X.ndim == 2 and (out is None or out.flags.c_contiguous)  # np.dot: the same GEMM, called faster
+            return (np.dot if fast else np.matmul)(X, self.dense, out=out)
         g, out = self.graph, np.empty(X.shape) if out is None else out
         shape = X.shape[:-1] + (self.copies, g.n_nodes)
         X, Z = X.reshape(shape), out.reshape(shape)  # views, the copies split off the node axis

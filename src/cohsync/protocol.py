@@ -70,16 +70,9 @@ class ProtocolParams:
                 )
         self.P = P
         self.BtP = B.T @ P
+        self.m, self.n = self.BtP.shape  # input and state dimensions
         self.Kt = np.ascontiguousarray(np.hstack([P, self.BtP.T]).T)
         self.spec = CoherenceSpec(delta=float(delta), delta_bar=delta_bar, d=float(d))
-
-    @property
-    def n(self):
-        return self.P.shape[0]
-
-    @property
-    def m(self):
-        return self.BtP.shape[0]
 
 
 def zeta(L, x):
@@ -100,8 +93,8 @@ def zeta(L, x):
     return L @ x
 
 
-def feedback(rho, zetas, params, d):
-    """Gain rates, control inputs and levels of all agents, from one product [P | (B'P)']' @ Z.
+def feedback(rho, zetas, params, d, out=None):
+    """Gain rates, control inputs and levels of all agents, from one product KZ = [P | (B'P)']' @ Z.
 
     Z holds one agent's zeta_i per column, shape (n, N). Column i's level
     is V_i = zeta_i' P zeta_i. With y_i = B'P zeta_i, its rate is |y_i|^2
@@ -111,10 +104,23 @@ def feedback(rho, zetas, params, d):
     threshold d broadcasts against the levels: a run's spec.d, or one level
     per column where runs of different specs share a closed loop. Leading
     sample axes broadcast: gains (S, N) with disagreements (S, n, N) give
-    rates (S, N), inputs (S, m, N) and levels (S, N).
+    rates (S, N), inputs (S, m, N) and levels (S, N). The levels' products
+    are formed in place in KZ and the rates' row by row, so no temporary is
+    the size of Z.
+    out, for Z of shape (n, N), holds the C-contiguous arrays to write
+    into: (rates (N,), inputs (m, N), levels (N,), KZ (n + m, N)).
     """
-    ZK = params.Kt @ zetas
-    Y = ZK[..., params.n :, :]
-    V = (zetas * ZK[..., : params.n, :]).sum(axis=-2)
-    rates = np.where(V >= d, (Y * Y).sum(axis=-2), 0.0)
-    return rates, -np.asarray(rho, dtype=float)[..., None, :] * Y, V
+    n = params.n
+    if out is None:
+        rates, U, V, KZ = None, None, None, params.Kt @ zetas
+    else:
+        rates, U, V, KZ = out
+        np.dot(params.Kt, zetas, out=KZ)
+    PZ, Y = KZ[..., :n, :], KZ[..., n:, :]
+    V = np.add.reduce(np.multiply(zetas, PZ, out=PZ), axis=-2, out=V)
+    rates = np.multiply(Y[..., 0, :], Y[..., 0, :], out=rates)
+    for j in range(1, params.m):  # row by row, as a sum over the axis adds them
+        rates += Y[..., j, :] * Y[..., j, :]
+    rates *= V >= d
+    U = np.multiply(np.asarray(rho, dtype=float)[..., None, :], Y, out=U)
+    return rates, np.negative(U, out=U), V

@@ -137,35 +137,46 @@ def default_initial_state(n_agents, n_states, seed):
     return rng.uniform(-INITIAL_SPAN, INITIAL_SPAN, size=(n_agents, n_states)).reshape(-1)
 
 
-@dataclass(frozen=True)
-class ClosedLoop:
-    """What rhs reads of a closed loop: the protocol params, the model's A and B, and each agent's d.
+class RK4Step:
+    """One in-place classical RK4 step of the closed loop, on its stacked state S = [X; rho], shape (n + 1, N).
 
-    d holds the deadzone threshold of every agent, shape (N,): each run's
-    spec.d, repeated over its agents (protocol.feedback broadcasts it).
+    X holds one agent state per column, the last row the gains; d holds each agent's deadzone threshold.
+    Every array a stage writes is allocated once: the derivative D, the stage input T = S + c D and the
+    RK4 sum, which adds each stage as it ends, ((k1 + 2 k2) + 2 k3) + k4, as the textbook formula rounds.
     """
 
-    params: ProtocolParams
-    A: np.ndarray
-    B: np.ndarray
-    d: np.ndarray
+    def __init__(self, params, A, B, d, L, dt):
+        n, N = params.n, L.n_nodes
+        self.params, self.A, self.B, self.d, self.L, self.dt = params, A, B, d, L, dt
+        self.D, self.T, self.acc = (np.empty((n + 1, N)) for _ in range(3))
+        self.Xdot, self.TX, self.Trho = self.D[:n], self.T[:n], self.T[n]
+        # feedback's buffers: rates into D's last row, inputs, levels, and [P | (B'P)']' Z,
+        # whose first n rows are free again for B U and the caller's |X| once the inputs are formed
+        KZ = np.empty((n + params.m, N))
+        self.buffers, self.work = (self.D[n], np.empty((params.m, N)), np.empty(N), KZ), KZ[:n]
 
+    def derivative(self, X, rho, wE):
+        """Write A X + B U + E w, then the gain rates, into D and return it; wE = E w is the stage's term."""
+        Xdot = self.Xdot  # first the disagreements: feedback, their last use, comes before A X is written
+        U = feedback(rho, self.L(X, out=Xdot), self.params, self.d, out=self.buffers)[1]
+        np.dot(self.A, X, out=Xdot)
+        Xdot += np.dot(self.B, U, out=self.work)
+        Xdot += wE
+        return self.D
 
-def rhs(loop, L, wE, X, rho):
-    """Time derivative (Xdot, rho rates) of the closed loop at one stage.
-
-    loop is a ClosedLoop. X holds one agent state per column, shape (n, N),
-    rho the N gains; L is the LaplacianOperator of the graph (or graphs),
-    built once by the caller. wE is the stage's disturbance term E w(t),
-    shape (n, N): it does not depend on the state, so the caller evaluates
-    it ahead. One protocol product gives every agent's rate and input
-    (protocol.feedback), and Xdot = A X + B U + E w is assembled in place.
-    """
-    rates, U = feedback(rho, L(X), loop.params, loop.d)[:2]
-    Xdot = loop.A @ X
-    Xdot += loop.B @ U
-    Xdot += wE
-    return Xdot, rates
+    def __call__(self, S, w1, w2, w4):
+        """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt."""
+        D, T, acc, dt = self.D, self.T, self.acc, self.dt
+        np.copyto(acc, self.derivative(S[:-1], S[-1], w1))
+        np.add(S, np.multiply(D, 0.5 * dt, out=T), out=T)
+        self.derivative(self.TX, self.Trho, w2)
+        np.add(S, np.multiply(D, 0.5 * dt, out=T), out=T)
+        acc += np.multiply(D, 2.0, out=D)
+        self.derivative(self.TX, self.Trho, w2)
+        np.add(S, np.multiply(D, dt, out=T), out=T)
+        acc += np.multiply(D, 2.0, out=D)
+        acc += self.derivative(self.TX, self.Trho, w4)
+        S += np.multiply(acc, dt / 6.0, out=acc)
 
 
 def can_join(a, b):
@@ -193,15 +204,15 @@ def simulate_union(cfgs):
 
     The protocol is fully distributed and its design P does not depend on
     the graph, so runs that share it are one closed loop over the disjoint
-    union of their graphs, whose Laplacian is block-diagonal. The state X
-    has shape (n, N), one agent per column: agent i of run k is column i of
-    that run's block. Each agent keeps its own run's deadzone threshold
-    spec.d (ClosedLoop.d), so runs of different specs join too. This is the
-    one integrator: the classical fixed-step 4th-order scheme, with the
-    deadzone condition re-evaluated at every stage and no event detection
-    (the gain rate is bounded, and the discontinuity enters the state
-    dynamics only through the continuous gains, so the per-crossing error is
-    O(dt) on a measure-zero set). Every rate is a sum of squares or zero, so
+    union of their graphs, whose Laplacian is block-diagonal. The state
+    [X; rho] has shape (n + 1, N), one agent per column: agent i of run k is
+    column i of that run's block. Each agent keeps its own run's deadzone
+    threshold spec.d (RK4Step.d), so runs of different specs join too. This
+    is the one integrator, RK4Step: the classical fixed-step 4th-order
+    scheme, with the deadzone condition re-evaluated at every stage and no
+    event detection (the gain rate is bounded, and the discontinuity enters
+    the state dynamics only through the continuous gains, so the
+    per-crossing error is O(dt) on a measure-zero set). Every rate is a sum of squares or zero, so
     no step lowers a gain. The coupling is one graph.LaplacianOperator over
     all the graphs, which applies each graph's own map to its columns, as
     its lone run does, so on any graph every run's values are its lone
@@ -236,17 +247,16 @@ def simulate_union(cfgs):
     L = LaplacianOperator(*(cfg.graph for cfg in cfgs))
     wave = sigs.waveform(head.disturbance, np.concatenate([np.arange(1, size + 1) for size in sizes]))
     model = head.model
-    loop = ClosedLoop(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes))
     dt = float(head.dt)
-    half = 0.5 * dt
+    step = RK4Step(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes), L, dt)
     every = int(head.record_every)
     steps = head.steps
     block = max(1, BLOCK_BYTES // (3 * N * n * 8))
 
-    x = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs]).T.copy()
-    rho = np.concatenate(
-        [np.broadcast_to(np.asarray(cfg.rho0, dtype=float).reshape(-1), (size,)) for cfg, size in zip(cfgs, sizes)]
-    )
+    state = np.empty((n + 1, N))  # [X; rho]
+    x, rho = state[:n], state[n]  # views, advanced in place
+    x[:] = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs]).T
+    rho[:] = np.concatenate([np.broadcast_to(np.reshape(cfg.rho0, -1), (size,)) for cfg, size in zip(cfgs, sizes)])
 
     S = (steps - 1) // every + 2  # samples at k = 0, every, ... below steps, and the final state
     times = np.empty(S)
@@ -271,19 +281,14 @@ def simulate_union(cfgs):
     terms = np.empty((min(block, steps), 3, n, N))  # each block's E w, rewritten in place
     for k0 in range(0, steps, block):
         tk = np.arange(k0, min(k0 + block, steps)) * dt
-        stage_times = np.stack([tk, tk + half, tk + dt], axis=1)
+        stage_times = np.stack([tk, tk + 0.5 * dt, tk + dt], axis=1)
         wE = np.multiply(wave(stage_times)[..., None, :], model.E, out=terms[: tk.size])
         for k, (w1, w2, w4) in enumerate(wE, k0):
             if k % every == 0:
                 record(s, k * dt)
                 s += 1
-            k1x, k1r = rhs(loop, L, w1, x, rho)
-            k2x, k2r = rhs(loop, L, w2, x + half * k1x, rho + half * k1r)
-            k3x, k3r = rhs(loop, L, w2, x + half * k2x, rho + half * k2r)
-            k4x, k4r = rhs(loop, L, w4, x + dt * k3x, rho + dt * k3r)
-            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            if not np.abs(x).max() <= STATE_LIMIT:  # NaN fails the comparison too
+            step(state, w1, w2, w4)
+            if not np.abs(x, out=step.work).max() <= STATE_LIMIT:  # NaN fails the comparison too
                 t = (k + 1) * dt
                 bad = ~np.isfinite(x).all(axis=0) | (np.abs(x).max(axis=0) > STATE_LIMIT)
                 col = int(np.argmax(bad))

@@ -151,6 +151,20 @@ def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
             assert np.abs(part - ref).max() <= ORDER_TOL * np.abs(ref).max()
 
 
+def test_operator_of_a_union_writes_into_the_given_array(monkeypatch):
+    # a lone dense graph, dense copies and a per-edge graph: each block writes
+    # its columns of the caller's array, which the union returns
+    monkeypatch.setattr(graph, "EDGE_PATH_NODES", 26)
+    graphs = [graph.vicsek_fractal(1), *[graph.circulant(7, [1, 2])] * 2, graph.vicsek_fractal(3, directed=True)]
+    op = graph.LaplacianOperator(*graphs)
+    assert structure(op) == [(1, (5, 5)), (2, (7, 7)), (1, None)]
+    rng = np.random.default_rng(4)
+    for shape in ((3, op.n_nodes), (2, 3, op.n_nodes)):
+        X, out = rng.uniform(-5, 5, shape), np.full(shape, np.nan)
+        assert op(X, out=out) is out
+        assert np.array_equal(out, op(X))
+
+
 def test_operator_path_follows_the_node_count():
     one, other, big = graph.vicsek_fractal(2), graph.circulant(25, [1, 2]), graph.vicsek_fractal(4)
     cases = [

@@ -31,32 +31,31 @@ def bench_cfg(bench_setup, g, signal, t_end=5.0, seed=7, record_every=10, **kw):
     )
 
 
-def test_rhs_hand_checked_two_node_chain():
+def test_derivative_hand_checked_two_node_chain():
     model, params = scalar_params(d=0.5)
     g = graph.from_edge_list(2, [(1, 2, 1.0)])
-    loop = sim.ClosedLoop(params, model.A, model.B, np.full(2, 0.5))
     L = graph.LaplacianOperator(g)
     wE = np.array([[0.25], [0.5]]).T
-    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]).T, np.array([0.0, 1.0]))
+    X, rho = np.array([[0.0], [1.0]]).T, np.array([0.0, 1.0])
+    D = sim.RK4Step(params, model.A, model.B, np.full(2, 0.5), L, 1e-3).derivative(X, rho, wE)
     # agent 2 sees zeta = 1: u = -1, xdot = -1 + 0.5, gain grows at 1; agent 1 only its term
-    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]).T)
-    assert np.array_equal(rates, np.array([0.0, 1.0]))
+    assert np.array_equal(D[:1], np.array([[0.25], [-0.5]]).T)
+    assert np.array_equal(D[1], np.array([0.0, 1.0]))
     # each row has its own threshold: at d = 2 agent 2's level 1 lies inside its deadzone
-    loop = dataclasses.replace(loop, d=np.array([0.5, 2.0]))
-    xdot, rates = sim.rhs(loop, L, wE, np.array([[0.0], [1.0]]).T, np.array([0.0, 1.0]))
-    assert np.array_equal(xdot, np.array([[0.25], [-0.5]]).T)
-    assert np.array_equal(rates, np.array([0.0, 0.0]))
+    D = sim.RK4Step(params, model.A, model.B, np.array([0.5, 2.0]), L, 1e-3).derivative(X, rho, wE)
+    assert np.array_equal(D[:1], np.array([[0.25], [-0.5]]).T)
+    assert np.array_equal(D[1], np.array([0.0, 0.0]))
 
 
-def test_rhs_equal_states_coast(bench_setup):
+def test_derivative_equal_states_coast(bench_setup):
     model, params = bench_setup
     g = graph.vicsek_fractal(1)
     x = np.tile(np.array([3.0, -2.0, 5.0]), (5, 1))
-    loop = sim.ClosedLoop(params, model.A, model.B, np.full(5, 0.5))
-    xdot, rates = sim.rhs(loop, graph.LaplacianOperator(g), np.zeros((5, 3)).T, x.T, np.zeros(5))
+    step = sim.RK4Step(params, model.A, model.B, np.full(5, 0.5), graph.LaplacianOperator(g), 1e-3)
+    D = step.derivative(x.T, np.zeros(5), np.zeros((5, 3)).T)
     expected = np.tile(model.A @ np.array([3.0, -2.0, 5.0]), (5, 1))
-    assert np.array_equal(xdot, expected.T)
-    assert np.all(rates == 0.0)
+    assert np.array_equal(D[:3], expected.T)
+    assert np.all(D[3] == 0.0)
 
 
 def test_simulate_flags_nonfinite_agent(bench_setup):
@@ -166,13 +165,14 @@ def test_deadzone_keeps_gains_bit_identical():
 
 
 def test_a_gain_that_falls_between_samples_breaks_the_integrator_invariant(monkeypatch, bench_setup):
-    kernel = sim.rhs
+    kernel = sim.feedback
 
-    def falling_gains(*args):
-        xdot, rates = kernel(*args)
-        return xdot, rates - 1.0
+    def falling_gains(*args, **kwargs):
+        rates, U, V = kernel(*args, **kwargs)
+        rates -= 1.0  # in the step's own buffer, which it reads the rates from
+        return rates, U, V
 
-    monkeypatch.setattr(sim, "rhs", falling_gains)
+    monkeypatch.setattr(sim, "feedback", falling_gains)
     g = graph.vicsek_fractal(1, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=0.01, record_every=2, rho0=1.0)
     with pytest.raises(RuntimeError, match=r"recorded gains decreased by 2\.000e-03; integrator invariant broken"):
@@ -362,8 +362,8 @@ def test_blocked_disturbance_in_a_union_of_two_index_maps(bench_setup, fractal60
 # what simulate allocates beyond its record and the block of disturbance
 # terms: the waveform's values and their temporaries (each a third of the
 # block at n = 3), the RK4 stage arrays, the coupling operator and the gains'
-# monotonicity check, one sample's worth (measured: 0.36 MiB with chirp,
-# 0.45 MiB with a table)
+# monotonicity check, one sample's worth (measured: 0.37 MiB with chirp,
+# 0.47 MiB with a table)
 BLOCK_SLACK = 512 * 1024
 
 
