@@ -4,8 +4,10 @@ The design is scale-free: P and d come from the agent model alone, so the
 gains that steer the 5-agent star steer fifteen thousand agents too. A
 graph holds only its edges (15,000 here, where a dense weight matrix
 would take 1.8 GB), and from graph.EDGE_PATH_NODES agents on the coupling
-is applied per edge. The closed loop holds its state as X of shape
-(n, N), one agent per column, so every gather, scatter and product of a
+is applied per edge. The graph is a directed tree, every agent hearing at
+most one other, so a stage couples the agents by one gather of each
+agent's parent, with no scatter. The closed loop holds its state as X of
+shape (n, N), one agent per column, so every gather and product of a
 stage runs along the 15,001-agent axis, not along the 3 states. This demo
 builds the graph, checks its spanning tree, integrates a short closed loop
 and reports the cost per RK4 step.

@@ -48,6 +48,8 @@ REFUSALS = {
 }
 # what a simulation may raise once its directory is made: it writes nothing then
 RUN_FAILURES = (sim.DivergenceError, MemoryError)
+# a sweep union holds fewer agents than this, which bounds the record it holds at once
+UNION_AGENTS = 450
 
 
 def _vicsek_preset(generation, directed, d=0.5, kind="chirp", t_end=30.0, record_every=10):
@@ -488,16 +490,15 @@ def _unions(entries):
     Each entry joins the first union whose runs it can join (sim.can_join:
     one model, P, step and recording grid, and one disturbance kind; the
     graph, seed, rho0, d and delta may differ) while the union stays below
-    graph.EDGE_PATH_NODES agents, which bounds the record one union holds
-    at once; otherwise it starts a union of its own. Each entry's graph
-    couples its rows as alone, so every entry writes what `cohsync run`
-    writes, byte for byte.
+    UNION_AGENTS agents; otherwise it starts a union of its own. Each
+    entry's graph couples its rows as alone, so every entry writes what
+    `cohsync run` writes, byte for byte.
     """
     unions = []
     for entry in entries:
         for union in unions:
             agents = sum(member.cfg.graph.n_nodes for member in union) + entry.cfg.graph.n_nodes
-            if agents < graphmod.EDGE_PATH_NODES and sim.can_join(union[0].cfg, entry.cfg):
+            if agents < UNION_AGENTS and sim.can_join(union[0].cfg, entry.cfg):
                 union.append(entry)
                 break
         else:

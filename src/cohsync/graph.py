@@ -97,12 +97,16 @@ class LaplacianOperator:
 
     - below EDGE_PATH_NODES, the dense product with L', held contiguous:
       exactly one X @ L' for a lone graph, one per copy for copies;
-    - from there on, O(E n) whatever the in-degrees: it gathers the
-      senders' columns times the negated weights, scatters them onto the
-      receivers with one np.bincount over every row's bins, and adds the
-      row sums (one np.bincount of the weights) times X. Where every node
-      has at most one in-neighbour it rounds as the dense product does,
-      once per entry; elsewhere it sums in a different order.
+    - from there on, O(E n): the row sums (one np.bincount of the weights)
+      times X, plus each node's edge terms, the senders' columns times the
+      negated weights, summed from +0.0. Where no node has two
+      in-neighbours (a directed tree, as every directed fractal) that is one
+      take of each node's parent, weight 0 at a root, over every copy at
+      once (each parent offset by its copy's columns), plus +0.0, which
+      turns a -0.0 term into +0.0 as a bin of the scatter does; elsewhere one
+      np.bincount scatters every row's terms into the receivers' bins (kept
+      for the next call), in sorted edge order. The gather rounds as the
+      dense product does, once per entry; the scatter sums in another order.
     """
 
     def __init__(self, *graphs):
@@ -120,6 +124,15 @@ class LaplacianOperator:
         self.neg_weights = -g.edge_weights
         self.row_sums = np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes)
         self.bins = np.empty(0, dtype=np.intp)  # the scatter's bins for the last row count
+        self.parents = None  # on the per-edge path of a tree, each column's one in-neighbour's column
+        if self.dense is None and np.all(np.diff(g.receivers) > 0):  # sorted: no receiver twice
+            parents = np.arange(g.n_nodes)  # a root gathers itself, with weight 0
+            parents[g.receivers] = g.senders
+            weights = np.zeros(g.n_nodes)
+            weights[g.receivers] = self.neg_weights
+            # node i of the k-th copy is column k*N + i and hears column k*N + parents[i], with i's weights
+            self.parents = (parents + g.n_nodes * np.arange(self.copies)[:, None]).reshape(-1)
+            self.neg_weights, self.row_sums = np.tile(weights, self.copies), np.tile(self.row_sums, self.copies)
 
     def __call__(self, X, out=None):
         """X L' for X of shape (..., n, N), written into out when it is given."""
@@ -131,6 +144,13 @@ class LaplacianOperator:
         if self.dense is not None and self.copies == 1:  # exactly one X @ L'
             fast = X.ndim == 2 and (out is None or out.flags.c_contiguous)  # np.dot: the same GEMM, called faster
             return (np.dot if fast else np.matmul)(X, self.dense, out=out)
+        if self.parents is not None:  # the one term of each column, its parent's, summed from +0.0 as in a bin
+            terms = X.take(self.parents, axis=-1)
+            terms *= self.neg_weights
+            terms += 0.0  # a -0.0 term becomes +0.0; a root gets 0*x + +0.0, as densely
+            out = np.multiply(self.row_sums, X, out=out)
+            out += terms
+            return out
         g, out = self.graph, np.empty(X.shape) if out is None else out
         shape = X.shape[:-1] + (self.copies, g.n_nodes)
         X, Z = X.reshape(shape), out.reshape(shape)  # views, the copies split off the node axis

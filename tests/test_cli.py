@@ -762,7 +762,7 @@ def test_sweep_entry_that_switches_a_kind_replaces_the_section(tmp_path):
     assert yaml.safe_load((out / "k_00" / "metadata.yaml").read_text())["config"]["graph"]["n"] == 7
 
 
-def test_sweep_groups_entries_by_design_up_to_the_edge_path(tmp_path, monkeypatch, union_calls, capsys):
+def test_sweep_groups_entries_by_design_below_the_union_bound(tmp_path, monkeypatch, union_calls, capsys):
     # two recording grids alternate: each union gathers the entries of one grid, in entry order
     entries = [{"integration": {"seed": s, "record_every": r}} for s in range(4) for r in (10, 5)]
     cfg = fast_passing_config(sweep=entries)
@@ -771,9 +771,9 @@ def test_sweep_groups_entries_by_design_up_to_the_edge_path(tmp_path, monkeypatc
     assert union_calls == [[5] * 4, [5] * 4]
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == [f"[{k}]" for k in range(8)]
-    # a union stays below EDGE_PATH_NODES agents, and an entry that large runs alone
+    # a union stays below UNION_AGENTS agents, and an entry that large runs alone
     union_calls.clear()
-    monkeypatch.setattr(cli.graphmod, "EDGE_PATH_NODES", 25)
+    monkeypatch.setattr(cli, "UNION_AGENTS", 25)
     large = {"graph": {"generation": 2}}
     cfg = fast_passing_config(sweep=[large] + [{"integration": {"seed": s}} for s in range(6)] + [large])
     assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) in (0, 1)

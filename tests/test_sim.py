@@ -276,7 +276,8 @@ def assert_is_the_dense_loop(traj):
 
 @pytest.fixture(scope="module")
 def fractal601():
-    # 601 agents take the per-edge Laplacian; on a tree it rounds as L @ x does
+    # 601 agents take the per-edge Laplacian, on a tree the gather of each
+    # agent's parent: one product and one sum per entry, rounded as L @ x is
     g = graph.vicsek_fractal(4, directed=True)
     assert g.n_nodes >= graph.EDGE_PATH_NODES
     return g
@@ -503,6 +504,33 @@ def test_edge_scatter_sums_each_node_in_sorted_edge_order(monkeypatch):
             for s, k in np.ndindex(2, copies):
                 rows = slice(k * g.n_nodes, (k + 1) * g.n_nodes)
                 assert np.array_equal(got[s, rows], explicit_scatter(g, x[s, rows]))
+
+
+def test_tree_gather_is_the_scatter_in_value_and_sign_bit():
+    # a graph of EDGE_PATH_NODES nodes or more where no node hears two others
+    # gathers each node's parent; its one term is summed from +0.0, as in a
+    # bin, so zero states of either sign give the scatter's zeros, sign and all
+    rng = np.random.default_rng(11)
+    fractal = graph.vicsek_fractal(4, directed=True)
+    perm = rng.permutation(fractal.n_nodes)  # a weighted tree, relabelled
+    edges = zip(perm[fractal.senders] + 1, perm[fractal.receivers] + 1, rng.uniform(0.2, 3.0, fractal.n_edges))
+    weighted = graph.from_edge_list(fractal.n_nodes, [(int(j), int(i), w) for j, i, w in edges])
+    assert graph.LaplacianOperator(graph.vicsek_fractal(4)).parents is None  # in-degree >= 2 scatters
+    for g in (fractal, weighted):
+        assert g.n_nodes >= graph.EDGE_PATH_NODES and np.bincount(g.receivers).max() == 1
+        for copies in (1, 2):
+            op = graph.LaplacianOperator(*[g] * copies)
+            assert op.dense is None and op.parents is not None
+            for lead in ((), (2,)):
+                X = rng.choice([0.0, -0.0, 1.5, -2.25], lead + (3, copies * g.n_nodes))
+                out = np.full(X.shape, np.nan)
+                for got in (op(X), op(X, out=out)):
+                    for idx in np.ndindex(*lead, copies):
+                        cols = slice(idx[-1] * g.n_nodes, (idx[-1] + 1) * g.n_nodes)
+                        ref = explicit_scatter(g, X[idx[:-1]][:, cols].T).T
+                        part = got[idx[:-1]][:, cols]
+                        assert np.array_equal(part, ref) and np.array_equal(np.signbit(part), np.signbit(ref))
+                assert got is out
 
 
 def assert_members_are_lone_runs(cfgs):
