@@ -109,13 +109,6 @@ PRESETS = {
 }
 
 
-def preset_config(name):
-    """Deep copy of a preset's raw config dict."""
-    if name not in PRESETS:
-        raise SchemaError("config", f"unknown preset {name!r}; see `cohsync list-presets`")
-    return copy.deepcopy(PRESETS[name][1])
-
-
 def load_config(source):
     """Raw config from a YAML file path or a preset name; returns (dict, default name)."""
     path = Path(source)
@@ -128,7 +121,7 @@ def load_config(source):
             raise SchemaError("config", "top level must be a mapping")
         return raw, path.stem
     if source in PRESETS:
-        return preset_config(source), source
+        return copy.deepcopy(PRESETS[source][1]), source
     raise SchemaError("config", f"{source!r} is neither a config file nor a preset name")
 
 
@@ -214,6 +207,11 @@ class Variants(NamedTuple):
 
     pick: Callable
     table: dict  # variant name -> (field table, builder of what the normalized fields describe)
+
+    def admits(self, section, override):
+        """Whether override merges into a valid section: the variant stays, and has every field override names."""
+        variant = self.pick(section)
+        return self.pick({**section, **override}) == variant and override.keys() <= self.table[variant][0].keys()
 
 
 REQUIRED = object()  # the default of a field that must be given
@@ -555,16 +553,17 @@ def cmd_sweep(args):
     # every entry is built, claimed and given its directory first; refusals become error rows
     results = {}  # entry index -> (report row, stdout line)
     built = []
-    owners = {}  # entry directory -> the first entry to claim it
+    owners = {(outdir / report).resolve(): "a report file of the sweep" for report in ("report.csv", "report.txt")}
     for idx, overrides in enumerate(entries):
         try:
             merged = _with_flags(_deep_merge(base_raw, overrides), args)
             norm = normalize_config(merged, f"{base_norm['name']}_{idx:02d}")
             norm.pop("sweep", None)
             entry_dir = _inside(outdir, norm["name"], f"sweep[{idx}].name")
-            owner = owners.setdefault(entry_dir.resolve(), idx)
-            if owner != idx:
-                raise SchemaError(f"sweep[{idx}].name", f"{norm['name']!r} is already the directory of entry {owner}")
+            claim = f"the directory of entry {idx}"  # the first to claim a path keeps it
+            owner = owners.setdefault(entry_dir.resolve(), claim)
+            if owner != claim:
+                raise SchemaError(f"sweep[{idx}].name", f"{norm['name']!r} is already {owner}")
             cfg, checks, _ = build_experiment(norm)
             built.append(_Entry(idx, norm, entry_dir, cfg, checks, _make_dir(entry_dir, source)))
         except tuple(REFUSALS) as exc:
@@ -583,11 +582,11 @@ def cmd_sweep(args):
 
 
 def _deep_merge(base, override):
-    # a mapping merges into the base's, unless it switches the base's kind: then it replaces it
+    # a mapping merges into the base's, unless it leaves the base's variant (Variants.admits): then it replaces it
     out = copy.deepcopy(base)
     for key, value in override.items():
-        kept = out.get(key)
-        if isinstance(value, dict) and isinstance(kept, dict) and value.get("kind", kept.get("kind")) == kept.get("kind"):
+        kept, table = out.get(key), SCHEMA.get(key)
+        if isinstance(value, dict) and isinstance(kept, dict) and (not isinstance(table, Variants) or table.admits(kept, value)):
             out[key] = _deep_merge(out[key], value)
         else:
             out[key] = copy.deepcopy(value)

@@ -344,15 +344,6 @@ def from_edge_list(n, edges):
     return WeightedDigraph(n, [i for i, _ in W], [j for _, j in W], list(W.values()))
 
 
-def relabel(g, perm):
-    """Relabeled copy of g: node i becomes node perm[i] (0-based)."""
-    perm = np.asarray(perm, dtype=int)
-    n = g.n_nodes
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    return WeightedDigraph(n, perm[g.receivers], perm[g.senders], g.edge_weights)
-
-
 def write_edge_list(g, path):
     """Write the plain-text exchange format.
 

@@ -76,21 +76,8 @@ class ProtocolParams:
 
 
 def zeta(L, x):
-    """Disagreement signals: block i is sum_j l_ij x_j.
-
-    Accepts a stacked vector of length N*n or an (N, n) array of agent
-    rows; the output matches the input layout.
-    """
-    L = np.asarray(L, dtype=float)
-    x = np.asarray(x, dtype=float)
-    N = L.shape[0]
-    if x.ndim == 1:
-        if x.size % N != 0:
-            raise ValueError(f"stacked state length {x.size} is not a multiple of the node count {N}")
-        return (L @ x.reshape(N, -1)).reshape(-1)
-    if x.shape[0] != N:
-        raise ValueError("state rows must match the node count")
-    return L @ x
+    """Disagreement signals of agent rows x, shape (N, n): row i is sum_j l_ij x_j."""
+    return np.asarray(L, dtype=float) @ np.asarray(x, dtype=float)
 
 
 def feedback(rho, zetas, params, d, out=None):

@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("zero", "chirp", "sawtooth", "custom-table")
-
 
 def chirp(i, t):
     """Frequency-swept sine, amplitude 0.1: 0.1 sin(0.1 i t + 0.01 t^2)."""

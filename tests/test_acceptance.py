@@ -22,7 +22,7 @@ def preset_run():
 
     def run(name):
         if name not in cache:
-            norm = cli.normalize_config(cli.preset_config(name), name)
+            norm = cli.normalize_config(cli.load_config(name)[0], name)
             cfg, _, _ = cli.build_experiment(norm)
             start = time.perf_counter()
             traj = sim.simulate(cfg)
@@ -179,7 +179,7 @@ def test_criterion_7_invariant_suite():
     times = np.linspace(0.0, cfg.t_end, 21)
     values = np.random.default_rng(3).uniform(-2.0, 2.0, (21, 5))
     tt = sim.simulate(dataclasses.replace(cfg, disturbance=signals.table_signal(times, values)))
-    gp = graph.relabel(cfg.graph, perm)
+    gp = graph.WeightedDigraph(5, perm[cfg.graph.receivers], perm[cfg.graph.senders], cfg.graph.edge_weights)
     xp = cfg.x0.reshape(5, -1)[np.argsort(perm)].reshape(-1)
     permuted = dataclasses.replace(
         cfg, graph=gp, x0=xp, disturbance=signals.table_signal(times, values[:, np.argsort(perm)]))
@@ -228,7 +228,7 @@ def test_criterion_7_invariant_suite():
 
 
 def test_criterion_8_step_halving_order():
-    norm = cli.normalize_config(cli.preset_config("fig3a"), "fig3a")
+    norm = cli.normalize_config(cli.load_config("fig3a")[0], "fig3a")
     cfg, _, _ = cli.build_experiment(norm)
 
     def run(dt, every):
@@ -263,7 +263,7 @@ def halving_through_crossings():
     The window holds fig3a's four deadzone crossings (4.75 to 5.27 s).
     Returns the largest state and gain error of each of the three steps.
     """
-    norm = cli.normalize_config(cli.preset_config("fig3a"), "fig3a")
+    norm = cli.normalize_config(cli.load_config("fig3a")[0], "fig3a")
     cfg, _, _ = cli.build_experiment(norm)
     *runs, ref = [
         sim.simulate(dataclasses.replace(cfg, dt=1e-3 / 2**j, t_end=5.3, record_every=2**j)) for j in range(4)

@@ -154,7 +154,7 @@ def test_metadata_reconstructs_the_experiment(tmp_path):
 
 def test_normalize_is_idempotent_on_presets():
     for name in cli.PRESETS:
-        norm = cli.normalize_config(cli.preset_config(name), name)
+        norm = cli.normalize_config(cli.load_config(name)[0], name)
         assert cli.normalize_config(norm, name) == norm
 
 
@@ -166,7 +166,7 @@ def test_config_files_mirror_presets():
         path = configs / f"{name}.yaml"
         assert path.exists(), f"missing {path}"
         from_file = cli.normalize_config(yaml.safe_load(path.read_text()), name)
-        from_preset = cli.normalize_config(cli.preset_config(name), name)
+        from_preset = cli.normalize_config(cli.load_config(name)[0], name)
         assert from_file == from_preset, name
 
 
@@ -530,7 +530,7 @@ def test_unreachable_one_state_mode_exits_3(tmp_path, capsys):
 def test_build_experiment_runs_the_pbh_test_once(tmp_path, capsys):
     # solve_care and SimConfig both ask it of one (A, B); the second asks the memo
     cli.linalg._pbh_test.cache_clear()
-    cli.build_experiment(cli.normalize_config(cli.preset_config("fig3a"), "fig3a"))
+    cli.build_experiment(cli.normalize_config(cli.load_config("fig3a")[0], "fig3a"))
     info = cli.linalg._pbh_test.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     # an unstabilizable pair is refused as before, by solve_care's message
@@ -760,6 +760,41 @@ def test_sweep_entry_that_switches_a_kind_replaces_the_section(tmp_path):
         for artifact in ARTIFACTS:
             assert (out / name / artifact).read_bytes() == (lone / artifact).read_bytes(), (name, artifact)
     assert yaml.safe_load((out / "k_00" / "metadata.yaml").read_text())["config"]["graph"]["n"] == 7
+
+
+def test_sweep_entry_that_switches_the_model_variant_replaces_it(tmp_path):
+    # a named preset and inline matrices are the model's two variants: an entry of the
+    # other variant replaces the base's model, one of the same variant merges into it
+    model = cli.linalg.triple_integrator()
+    inline = {"A": model.A.tolist(), "B": model.B.tolist(), "E": model.E.tolist()}
+    damped = {"A": (model.A - 0.5 * np.eye(3)).tolist()}
+    preset = {"preset": "triple-integrator"}
+    for k, (base_model, entries, expected) in enumerate((
+        (preset, [inline, {}], [inline, preset]),
+        (inline, [preset, damped], [preset, {**inline, **damped}]),
+    )):
+        cfg = fast_passing_config(name=f"m{k}", model=base_model, sweep=[{"model": m} for m in entries])
+        out = tmp_path / f"sweep{k}"
+        assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) == 1
+        with open(out / "report.csv", newline="") as fh:
+            assert not any(row[1].startswith("error") for row in list(csv.reader(fh))[1:])
+        for idx, model_cfg in enumerate(expected):
+            meta = yaml.safe_load((out / f"m{k}_{idx:02d}" / "metadata.yaml").read_text())
+            assert meta["config"]["model"] == model_cfg, (k, idx)
+
+
+def test_sweep_entry_named_after_a_sweep_report_is_refused(tmp_path):
+    # the sweep writes report.csv and report.txt into its directory, so no entry may take those names
+    cfg = fast_passing_config(sweep=[{"name": "report.csv"}, {}, {"name": "report.txt"}])
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [r[1] for r in list(csv.reader(fh))[1:]]
+    assert status[0] == "error: sweep[0].name: 'report.csv' is already a report file of the sweep"
+    assert status[2] == "error: sweep[2].name: 'report.txt' is already a report file of the sweep"
+    assert not status[1].startswith("error")
+    assert (out / "report.txt").is_file()
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["exp_01"]
 
 
 def test_sweep_groups_entries_by_design_below_the_union_bound(tmp_path, monkeypatch, union_calls, capsys):

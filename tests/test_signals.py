@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cohsync import signals
+from cohsync import cli, signals
 
 
 def test_chirp_values():
@@ -180,7 +180,7 @@ def test_load_table_header_validation(tmp_path):
 @st.composite
 def signals_at_labels(draw):
     """A signal of each kind over a few agents, labels into it and times it covers."""
-    kind = draw(st.sampled_from(signals.KINDS))
+    kind = draw(st.sampled_from(tuple(cli.SCHEMA["disturbance"].table)))
     agents = draw(st.integers(1, 8))
     if kind == "custom-table":
         times = sorted(set(draw(st.lists(st.floats(-5.0, 40.0), min_size=2, max_size=6))))
