@@ -83,6 +83,10 @@ def laplacian(g):
 # 8 node counts), dense against per edge: 13.2 against 13.8 us at 200-207 nodes, 15.0 against 14.6
 # at 216-223, 20.1 against 15.8 at 248-255, 29.4 against 18.6 at 300-307; they cross near 220
 EDGE_PATH_NODES = 224
+# columns (copies x nodes) from which a block of unit-weight trees gathers x_i - x_parent; per call on (3, N)
+# states of lone trees, dense against gather (min of 7 x 20,000, as above): 1.45 against 1.81 us at 36 nodes,
+# 2.29 against 1.96 at 48, 2.23 against 1.98 at 56, 4.72 against 2.40 at 121; 40 to 46 nodes lie in the noise
+TREE_GATHER_COLUMNS = 48
 
 
 class LaplacianOperator:
@@ -107,6 +111,10 @@ class LaplacianOperator:
       np.bincount scatters every row's terms into the receivers' bins (kept
       for the next call), in sorted edge order. The gather rounds as the
       dense product does, once per entry; the scatter sums in another order.
+
+    A block of unit-weight trees with TREE_GATHER_COLUMNS columns (copies x
+    nodes) takes neither: it gathers the parents into out, subtracts them from
+    X and adds +0.0, the scatter's bits in three calls (+0.0 at a root).
     """
 
     def __init__(self, *graphs):
@@ -120,12 +128,15 @@ class LaplacianOperator:
             return
         g = self.graph = graphs[0]
         self.copies = len(graphs)
-        self.dense = np.ascontiguousarray(laplacian(g).T) if g.n_nodes < EDGE_PATH_NODES else None
+        tree = bool(np.all(np.diff(g.receivers) > 0))  # sorted: no receiver twice
+        self.unit_tree = tree and self.copies * g.n_nodes >= TREE_GATHER_COLUMNS and not np.any(g.edge_weights != 1)
+        dense = g.n_nodes < EDGE_PATH_NODES and not self.unit_tree
+        self.dense = np.ascontiguousarray(laplacian(g).T) if dense else None
         self.neg_weights = -g.edge_weights
         self.row_sums = np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes)
         self.bins = np.empty(0, dtype=np.intp)  # the scatter's bins for the last row count
-        self.parents = None  # on the per-edge path of a tree, each column's one in-neighbour's column
-        if self.dense is None and np.all(np.diff(g.receivers) > 0):  # sorted: no receiver twice
+        self.parents = None  # on a tree's gather (per edge or unit-weight), each column's one in-neighbour's column
+        if self.dense is None and tree:
             parents = np.arange(g.n_nodes)  # a root gathers itself, with weight 0
             parents[g.receivers] = g.senders
             weights = np.zeros(g.n_nodes)
@@ -141,6 +152,9 @@ class LaplacianOperator:
             for b, lo, hi in zip(self.blocks, self.cols, self.cols[1:]):
                 b(X[..., lo:hi], out[..., lo:hi])
             return out
+        if self.unit_tree:  # x_i - x_parent, then +0.0 for a -0.0; mode "clip" lets take write out unbuffered
+            out = X.take(self.parents, axis=-1, out=out, mode="clip")
+            return np.add(np.subtract(X, out, out=out), 0.0, out=out)
         if self.dense is not None and self.copies == 1:  # exactly one X @ L'
             fast = X.ndim == 2 and (out is None or out.flags.c_contiguous)  # np.dot: the same GEMM, called faster
             return (np.dot if fast else np.matmul)(X, self.dense, out=out)

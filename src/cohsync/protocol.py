@@ -94,20 +94,21 @@ def feedback(rho, zetas, params, d, out=None):
     rates (S, N), inputs (S, m, N) and levels (S, N). The levels' products
     are formed in place in KZ and the rates' row by row, so no temporary is
     the size of Z.
-    out, for Z of shape (n, N), holds the C-contiguous arrays to write
-    into: (rates (N,), inputs (m, N), levels (N,), KZ (n + m, N)).
+    out, for Z (n, N) and gains (N,), holds what a stage writes and the views it reads, so
+    that it forms no view and allocates nothing: (rates (N,), inputs (m, N), levels (N,),
+    KZ (n + m, N) C-contiguous, KZ[:n], KZ[n:], tuple(KZ[n:]), a bool array (N,) for V >= d).
     """
-    n = params.n
     if out is None:
-        rates, U, V, KZ = None, None, None, params.Kt @ zetas
+        n, KZ, rho = params.n, params.Kt @ zetas, np.asarray(rho, dtype=float)[..., None, :]
+        PZ, Y, rates, U, V, active = KZ[..., :n, :], KZ[..., n:, :], None, None, None, None
+        rows = [Y[..., j, :] for j in range(params.m)]
     else:
-        rates, U, V, KZ = out
+        rates, U, V, KZ, PZ, Y, rows, active = out
         np.dot(params.Kt, zetas, out=KZ)
-    PZ, Y = KZ[..., :n, :], KZ[..., n:, :]
     V = np.add.reduce(np.multiply(zetas, PZ, out=PZ), axis=-2, out=V)
-    rates = np.multiply(Y[..., 0, :], Y[..., 0, :], out=rates)
-    for j in range(1, params.m):  # row by row, as a sum over the axis adds them
-        rates += Y[..., j, :] * Y[..., j, :]
-    rates *= V >= d
-    U = np.multiply(np.asarray(rho, dtype=float)[..., None, :], Y, out=U)
+    rates = np.multiply(rows[0], rows[0], out=rates)
+    for y in rows[1:]:  # row by row, as a sum over the axis adds them
+        rates += y * y
+    rates *= np.greater_equal(V, d, out=active)
+    U = np.multiply(rho, Y, out=U)
     return rates, np.negative(U, out=U), V

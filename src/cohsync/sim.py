@@ -141,34 +141,34 @@ class RK4Step:
     """One in-place classical RK4 step of the closed loop, on its stacked state S = [X; rho], shape (n + 1, N).
 
     X holds one agent state per column, the last row the gains; d holds each agent's deadzone threshold.
-    Every array a stage writes is allocated once: the derivative D, the stage input T = S + c D and the
-    RK4 sum, which adds each stage as it ends, ((k1 + 2 k2) + 2 k3) + k4, as the textbook formula rounds.
+    Every array a stage writes, and every view it reads, is formed once: the derivative D, the stage input
+    T = S + c k and the RK4 sum, which stage 1 writes and later stages add to, ((k1 + 2 k2) + 2 k3) + k4.
     """
 
     def __init__(self, params, A, B, d, L, dt):
-        n, N = params.n, L.n_nodes
+        n, m, N = params.n, params.m, L.n_nodes
         self.params, self.A, self.B, self.d, self.L, self.dt = params, A, B, d, L, dt
         self.D, self.T, self.acc = (np.empty((n + 1, N)) for _ in range(3))
-        self.Xdot, self.TX, self.Trho = self.D[:n], self.T[:n], self.T[n]
-        # feedback's buffers: rates into D's last row, inputs, levels, and [P | (B'P)']' Z,
-        # whose first n rows are free again for B U and the caller's |X| once the inputs are formed
-        KZ = np.empty((n + params.m, N))
-        self.buffers, self.work = (self.D[n], np.empty((params.m, N)), np.empty(N), KZ), KZ[:n]
+        KZ = np.empty((n + m, N))  # [P | (B'P)']' Z: its P Z rows are free for B U and the caller's |X| after feedback
+        self.TX, self.Trho, self.work = self.T[:n], self.T[n], KZ[:n]
+        # a derivative's target (D or acc), its rows A X + B U + E w, and feedback's buffers, rates into its last row
+        shared = (np.empty((m, N)), np.empty(N), KZ, KZ[:n], KZ[n:], tuple(KZ[n:]), np.empty(N, dtype=bool))
+        self.into_D, self.into_acc = ((D, D[:n], (D[n], *shared)) for D in (self.D, self.acc))
 
-    def derivative(self, X, rho, wE):
-        """Write A X + B U + E w, then the gain rates, into D and return it; wE = E w is the stage's term."""
-        Xdot = self.Xdot  # first the disagreements: feedback, their last use, comes before A X is written
-        U = feedback(rho, self.L(X, out=Xdot), self.params, self.d, out=self.buffers)[1]
+    def derivative(self, X, rho, wE, into=None):
+        """Write A X + B U + E w, then the gain rates, into D (or into's target) and return it; wE = E w."""
+        D, Xdot, buffers = into or self.into_D  # first the disagreements: feedback, their last use, comes before A X
+        U = feedback(rho, self.L(X, out=Xdot), self.params, self.d, out=buffers)[1]
         np.dot(self.A, X, out=Xdot)
         Xdot += np.dot(self.B, U, out=self.work)
         Xdot += wE
-        return self.D
+        return D
 
     def __call__(self, S, w1, w2, w4):
         """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt."""
         D, T, acc, dt = self.D, self.T, self.acc, self.dt
-        np.copyto(acc, self.derivative(S[:-1], S[-1], w1))
-        np.add(S, np.multiply(D, 0.5 * dt, out=T), out=T)
+        self.derivative(S[:-1], S[-1], w1, self.into_acc)  # k1, straight into the sum
+        np.add(S, np.multiply(acc, 0.5 * dt, out=T), out=T)
         self.derivative(self.TX, self.Trho, w2)
         np.add(S, np.multiply(D, 0.5 * dt, out=T), out=T)
         acc += np.multiply(D, 2.0, out=D)
@@ -288,7 +288,7 @@ def simulate_union(cfgs):
                 record(s, k * dt)
                 s += 1
             step(state, w1, w2, w4)
-            if not np.abs(x, out=step.work).max() <= STATE_LIMIT:  # NaN fails the comparison too
+            if not np.maximum.reduce(np.abs(x, out=step.work), axis=None) <= STATE_LIMIT:  # NaN fails it too
                 t = (k + 1) * dt
                 bad = ~np.isfinite(x).all(axis=0) | (np.abs(x).max(axis=0) > STATE_LIMIT)
                 col = int(np.argmax(bad))
@@ -336,9 +336,9 @@ def write_trajectory_csv(traj, path):
     )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for s, t in enumerate(traj.times.tolist()):
+        for s, head in enumerate(f"{t!r}," for t in traj.times.tolist()):  # each time formatted once for its rows
             rows = np.column_stack([traj.states[s].T, traj.gains[s], U[s].T, znorm[s], V[s]]).tolist()
-            fh.writelines(f"{t!r},{a},{','.join(map(repr, row))}\r\n" for a, row in enumerate(rows, 1))
+            fh.writelines(f"{head}{a},{','.join(map(repr, row))}\r\n" for a, row in enumerate(rows, 1))
 
 
 def write_metadata(path, meta):

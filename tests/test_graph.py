@@ -47,7 +47,8 @@ ORDER_TOL = 1e-14
 
 
 def both_paths(g, monkeypatch):
-    """The operator of g built densely, then per edge."""
+    """The operator of g built densely, then per edge, neither the gather of a unit-weight tree."""
+    monkeypatch.setattr(graph, "TREE_GATHER_COLUMNS", np.inf)
     ops = []
     for threshold in (g.n_nodes + 1, g.n_nodes):
         monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
@@ -139,6 +140,7 @@ def test_operator_of_a_disjoint_union_acts_per_block(monkeypatch):
     sizes = [g.n_nodes for g in graphs]
     x = np.random.default_rng(3).uniform(-5, 5, (2, sum(sizes), 3))
     blocks = np.split(x, np.cumsum(sizes)[:-1], axis=1)
+    monkeypatch.setattr(graph, "TREE_GATHER_COLUMNS", np.inf)  # the directed fractal too follows its node count
     for threshold, dense in ((26, [True] * 3), (7, [False, False, True]), (1, [False] * 3)):
         monkeypatch.setattr(graph, "EDGE_PATH_NODES", threshold)
         op = graph.LaplacianOperator(*graphs)

@@ -255,7 +255,9 @@ def test_feedback_into_buffers_is_the_allocating_call():
         d = rng.choice([0.05, 0.5, 5.0], 30)  # some columns inside their deadzone, some outside
         record = protocol.feedback(rho, Z, params, d)
         for s in range(4):
-            out = (np.empty(30), np.empty((m, 30)), np.empty(30), np.empty((n + m, 30)))
+            KZ = np.empty((n + m, 30))
+            out = (np.empty(30), np.empty((m, 30)), np.empty(30), KZ, KZ[:n], KZ[n:], tuple(KZ[n:]),
+                   np.empty(30, dtype=bool))
             got = protocol.feedback(rho[s], np.ascontiguousarray(Z[s]), params, d, out=out)
             assert all(g is o for g, o in zip(got, out[:3]))
             for g, r in zip(got, record, strict=True):

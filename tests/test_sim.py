@@ -532,6 +532,34 @@ def test_tree_gather_is_the_scatter_in_value_and_sign_bit():
                 assert got is out
 
 
+def test_unit_weight_tree_blocks_gather_as_the_scatter_sums():
+    # from TREE_GATHER_COLUMNS columns (copies x nodes) on, a block of directed trees
+    # of unit weights forms x_i - x_parent and adds +0.0: the scatter's values and
+    # sign bits, allocated or into out, where a union's block writes a strided slice
+    rng = np.random.default_rng(12)
+    g25, g121, star = graph.vicsek_fractal(2, True), graph.vicsek_fractal(3, True), graph.vicsek_fractal(1)
+    assert not graph.LaplacianOperator(g25).unit_tree  # a lone tree below the crossover keeps the dense product
+    cases = (([g121], [True]), ([g25] * 2, [True]), ([g25] * 8, [True]), ([star, g25, g25], [False, True]))
+    for graphs, gathers in cases:
+        op = graph.LaplacianOperator(*graphs)
+        assert [b.unit_tree for b in op.blocks or [op]] == gathers
+        # weighted, the same trees keep the dense product, one per copy
+        heavy = graph.LaplacianOperator(*[graph.WeightedDigraph(g.n_nodes, g.receivers, g.senders,
+                                                                0.5 * g.edge_weights) for g in graphs])
+        assert [(b.unit_tree, b.dense is not None) for b in heavy.blocks or [heavy]] == [(False, True)] * len(gathers)
+        cols = np.cumsum([0] + [g.n_nodes for g in graphs])
+        for lead in ((), (2,)):
+            X = rng.choice([0.0, -0.0, 1.5, -2.25], lead + (3, op.n_nodes))
+            out = np.full(X.shape, np.nan)
+            for got in (op(X), op(X, out=out)):
+                for g, lo, hi in zip(graphs, cols, cols[1:]):
+                    for idx in np.ndindex(*lead):
+                        part, x = got[idx][:, lo:hi], X[idx][:, lo:hi]
+                        ref = explicit_scatter(g, x.T).T if g is not star else graph.LaplacianOperator(g)(x)
+                        assert np.array_equal(part, ref) and np.array_equal(np.signbit(part), np.signbit(ref))
+            assert got is out
+
+
 def assert_members_are_lone_runs(cfgs):
     union = sim.simulate_union(cfgs)
     assert [traj.config for traj in union] == cfgs
