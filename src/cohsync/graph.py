@@ -83,9 +83,9 @@ def laplacian(g):
 # 8 node counts), dense against per edge: 13.2 against 13.8 us at 200-207 nodes, 15.0 against 14.6
 # at 216-223, 20.1 against 15.8 at 248-255, 29.4 against 18.6 at 300-307; they cross near 220
 EDGE_PATH_NODES = 224
-# columns (copies x nodes) from which a block of unit-weight trees gathers x_i - x_parent; per call on (3, N)
-# states of lone trees, dense against gather (min of 7 x 20,000, as above): 1.45 against 1.81 us at 36 nodes,
-# 2.29 against 1.96 at 48, 2.23 against 1.98 at 56, 4.72 against 2.40 at 121; 40 to 46 nodes lie in the noise
+# nodes from which a lone unit-weight tree gathers x_i - x_parent (copies gather at any count: 8 copies of the
+# 5-node star took 3.44 us densely); per call on (3, N) states, dense against gather (min of 7 x 20,000): 1.45
+# against 1.81 us at 36 nodes, 2.29 against 1.96 at 48, 4.72 against 2.40 at 121; 40 to 46 lie in the noise
 TREE_GATHER_COLUMNS = 48
 
 
@@ -112,9 +112,9 @@ class LaplacianOperator:
       for the next call), in sorted edge order. The gather rounds as the
       dense product does, once per entry; the scatter sums in another order.
 
-    A block of unit-weight trees with TREE_GATHER_COLUMNS columns (copies x
-    nodes) takes neither: it gathers the parents into out, subtracts them from
-    X and adds +0.0, the scatter's bits in three calls (+0.0 at a root).
+    Copies of a unit-weight tree, or a lone one of TREE_GATHER_COLUMNS nodes,
+    take neither: they gather the parents into out, subtract them from X and
+    add +0.0, the scatter's bits in three calls (+0.0 at a root).
     """
 
     def __init__(self, *graphs):
@@ -129,7 +129,8 @@ class LaplacianOperator:
         g = self.graph = graphs[0]
         self.copies = len(graphs)
         tree = bool(np.all(np.diff(g.receivers) > 0))  # sorted: no receiver twice
-        self.unit_tree = tree and self.copies * g.n_nodes >= TREE_GATHER_COLUMNS and not np.any(g.edge_weights != 1)
+        self.unit_tree = tree and (self.copies > 1 or g.n_nodes >= TREE_GATHER_COLUMNS) and np.all(g.edge_weights == 1)
+        self.zero = np.array(0.0)  # +0.0, a 0-d operand: a Python float costs the ufunc more to convert
         dense = g.n_nodes < EDGE_PATH_NODES and not self.unit_tree
         self.dense = np.ascontiguousarray(laplacian(g).T) if dense else None
         self.neg_weights = -g.edge_weights
@@ -153,8 +154,8 @@ class LaplacianOperator:
                 b(X[..., lo:hi], out[..., lo:hi])
             return out
         if self.unit_tree:  # x_i - x_parent, then +0.0 for a -0.0; mode "clip" lets take write out unbuffered
-            out = X.take(self.parents, axis=-1, out=out, mode="clip")
-            return np.add(np.subtract(X, out, out=out), 0.0, out=out)
+            out = X.take(self.parents, -1, out, "clip")  # every out positional: a keyword costs more to parse
+            return np.add(np.subtract(X, out, out), self.zero, out)
         if self.dense is not None and self.copies == 1:  # exactly one X @ L'
             fast = X.ndim == 2 and (out is None or out.flags.c_contiguous)  # np.dot: the same GEMM, called faster
             return (np.dot if fast else np.matmul)(X, self.dense, out=out)

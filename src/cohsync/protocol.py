@@ -104,11 +104,12 @@ def feedback(rho, zetas, params, d, out=None):
         rows = [Y[..., j, :] for j in range(params.m)]
     else:
         rates, U, V, KZ, PZ, Y, rows, active = out
-        np.dot(params.Kt, zetas, out=KZ)
-    V = np.add.reduce(np.multiply(zetas, PZ, out=PZ), axis=-2, out=V)
-    rates = np.multiply(rows[0], rows[0], out=rates)
+        np.dot(params.Kt, zetas, KZ)
+    multiply = np.multiply  # every out positional: a keyword costs each call more to parse
+    V = np.add.reduce(multiply(zetas, PZ, PZ), -2, None, V)
+    rates = multiply(rows[0], rows[0], rates)
     for y in rows[1:]:  # row by row, as a sum over the axis adds them
         rates += y * y
-    rates *= np.greater_equal(V, d, out=active)
-    U = np.multiply(rho, Y, out=U)
-    return rates, np.negative(U, out=U), V
+    multiply(rates, np.greater_equal(V, d, active), rates)  # a bool mask: a float one was slower
+    U = multiply(rho, Y, U)
+    return rates, np.negative(U, U), V

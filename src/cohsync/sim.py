@@ -143,40 +143,44 @@ class RK4Step:
     X holds one agent state per column, the last row the gains; d holds each agent's deadzone threshold.
     Every array a stage writes, and every view it reads, is formed once: the derivative D, the stage input
     T = S + c k and the RK4 sum, which stage 1 writes and later stages add to, ((k1 + 2 k2) + 2 k3) + k4.
+    So are the coefficients dt/2, 2, dt and dt/6, 0-d arrays that a ufunc takes faster than Python floats.
     """
 
     def __init__(self, params, A, B, d, L, dt):
         n, m, N = params.n, params.m, L.n_nodes
-        self.params, self.A, self.B, self.d, self.L, self.dt = params, A, B, d, L, dt
+        self.params, self.A, self.B, self.d, self.L = params, A, B, d, L
         self.D, self.T, self.acc = (np.empty((n + 1, N)) for _ in range(3))
         KZ = np.empty((n + m, N))  # [P | (B'P)']' Z: its P Z rows are free for B U and the caller's |X| after feedback
         self.TX, self.Trho, self.work = self.T[:n], self.T[n], KZ[:n]
         # a derivative's target (D or acc), its rows A X + B U + E w, and feedback's buffers, rates into its last row
         shared = (np.empty((m, N)), np.empty(N), KZ, KZ[:n], KZ[n:], tuple(KZ[n:]), np.empty(N, dtype=bool))
         self.into_D, self.into_acc = ((D, D[:n], (D[n], *shared)) for D in (self.D, self.acc))
+        self.coefficients = tuple(np.array(c) for c in (0.5 * dt, 2.0, dt, dt / 6.0))
 
     def derivative(self, X, rho, wE, into=None):
         """Write A X + B U + E w, then the gain rates, into D (or into's target) and return it; wE = E w."""
         D, Xdot, buffers = into or self.into_D  # first the disagreements: feedback, their last use, comes before A X
-        U = feedback(rho, self.L(X, out=Xdot), self.params, self.d, out=buffers)[1]
-        np.dot(self.A, X, out=Xdot)
-        Xdot += np.dot(self.B, U, out=self.work)
-        Xdot += wE
+        U = feedback(rho, self.L(X, Xdot), self.params, self.d, buffers)[1]
+        dot, add = np.dot, np.add
+        dot(self.A, X, Xdot)
+        add(Xdot, dot(self.B, U, self.work), Xdot)
+        add(Xdot, wE, Xdot)
         return D
 
     def __call__(self, S, w1, w2, w4):
         """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt."""
-        D, T, acc, dt = self.D, self.T, self.acc, self.dt
-        self.derivative(S[:-1], S[-1], w1, self.into_acc)  # k1, straight into the sum
-        np.add(S, np.multiply(acc, 0.5 * dt, out=T), out=T)
-        self.derivative(self.TX, self.Trho, w2)
-        np.add(S, np.multiply(D, 0.5 * dt, out=T), out=T)
-        acc += np.multiply(D, 2.0, out=D)
-        self.derivative(self.TX, self.Trho, w2)
-        np.add(S, np.multiply(D, dt, out=T), out=T)
-        acc += np.multiply(D, 2.0, out=D)
-        acc += self.derivative(self.TX, self.Trho, w4)
-        S += np.multiply(acc, dt / 6.0, out=acc)
+        D, T, acc, TX, Trho, derivative = self.D, self.T, self.acc, self.TX, self.Trho, self.derivative
+        (half, two, whole, sixth), add, multiply = self.coefficients, np.add, np.multiply  # every out positional
+        derivative(S[:-1], S[-1], w1, self.into_acc)  # k1, straight into the sum
+        add(S, multiply(acc, half, T), T)
+        derivative(TX, Trho, w2)
+        add(S, multiply(D, half, T), T)
+        add(acc, multiply(D, two, D), acc)
+        derivative(TX, Trho, w2)
+        add(S, multiply(D, whole, T), T)
+        add(acc, multiply(D, two, D), acc)
+        add(acc, derivative(TX, Trho, w4), acc)
+        add(S, multiply(acc, sixth, acc), S)
 
 
 def can_join(a, b):
@@ -216,10 +220,12 @@ def simulate_union(cfgs):
     no step lowers a gain. The coupling is one graph.LaplacianOperator over
     all the graphs, which applies each graph's own map to its columns, as
     its lone run does, so on any graph every run's values are its lone
-    simulate's bit for bit. The disturbance is one signals.waveform at each
-    run's own labels, concatenated. Both are built here once; a stage makes
-    one coupling product per block of equal graphs and one protocol product
-    (protocol.feedback). The disturbance does not depend on the state: it is
+    simulate's bit for bit. The disturbance is one signals.waveform at the
+    distinct labels 1..max N_k, in a union gathered to each run's agents
+    1..N_k (a waveform is elementwise in label and time). Both are built
+    here once; a stage makes one coupling product per block of equal graphs
+    and one protocol product (protocol.feedback), its coefficients 0-d
+    arrays (RK4Step). The disturbance does not depend on the state: it is
     evaluated a block of steps ahead, at every step's t_k, t_k + dt/2 and
     t_k + dt with t_k = k dt, in one call of the waveform and one product
     with E, as terms of shape (block, 3, n, N), and each stage adds its
@@ -231,7 +237,9 @@ def simulate_union(cfgs):
     run's trajectory holds views of its agents' columns and its own config.
     A state entry beyond STATE_LIMIT, or not finite, raises DivergenceError
     naming the agent (and, in a union of several runs, the run's index) with
-    that run's partial trajectory.
+    that run's partial trajectory. A step checks each entry only when the
+    state's sum of squares exceeds STATE_LIMIT**2 (or is NaN): no rounded sum
+    of squares lies below one of them, and none beyond the limit rounds to it.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -245,16 +253,18 @@ def simulate_union(cfgs):
     offsets = np.cumsum([0] + sizes)
     N = int(offsets[-1])
     L = LaplacianOperator(*(cfg.graph for cfg in cfgs))
-    wave = sigs.waveform(head.disturbance, np.concatenate([np.arange(1, size + 1) for size in sizes]))
+    wave = sigs.waveform(head.disturbance, np.arange(1, max(sizes) + 1))  # every distinct label, once
+    label_of = np.concatenate([np.arange(size) for size in sizes]) if len(cfgs) > 1 else slice(None)
     model = head.model
     dt = float(head.dt)
     step = RK4Step(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes), L, dt)
     every = int(head.record_every)
     steps = head.steps
     block = max(1, BLOCK_BYTES // (3 * N * n * 8))
+    limit = STATE_LIMIT**2
 
     state = np.empty((n + 1, N))  # [X; rho]
-    x, rho = state[:n], state[n]  # views, advanced in place
+    x, rho, flat = state[:n], state[n], state[:n].reshape(-1)  # views, advanced in place
     x[:] = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs]).T
     rho[:] = np.concatenate([np.broadcast_to(np.reshape(cfg.rho0, -1), (size,)) for cfg, size in zip(cfgs, sizes)])
 
@@ -282,13 +292,13 @@ def simulate_union(cfgs):
     for k0 in range(0, steps, block):
         tk = np.arange(k0, min(k0 + block, steps)) * dt
         stage_times = np.stack([tk, tk + 0.5 * dt, tk + dt], axis=1)
-        wE = np.multiply(wave(stage_times)[..., None, :], model.E, out=terms[: tk.size])
+        wE = np.multiply(wave(stage_times)[..., None, label_of], model.E, out=terms[: tk.size])
         for k, (w1, w2, w4) in enumerate(wE, k0):
             if k % every == 0:
                 record(s, k * dt)
                 s += 1
             step(state, w1, w2, w4)
-            if not np.maximum.reduce(np.abs(x, out=step.work), axis=None) <= STATE_LIMIT:  # NaN fails it too
+            if not np.dot(flat, flat) <= limit and not np.maximum.reduce(np.abs(x, step.work), None) <= STATE_LIMIT:
                 t = (k + 1) * dt
                 bad = ~np.isfinite(x).all(axis=0) | (np.abs(x).max(axis=0) > STATE_LIMIT)
                 col = int(np.argmax(bad))

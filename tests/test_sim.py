@@ -198,6 +198,54 @@ def test_divergence_guard_reports_agent_and_keeps_partial():
     assert part.times[-1] < err.value.time
 
 
+def poked_step(at, value, rows, cols):
+    """RK4Step, except that its call number at (from 0) ends by writing value into S[rows, cols]."""
+
+    class Poked(sim.RK4Step):
+        calls = 0
+
+        def __call__(self, S, *w):
+            super().__call__(S, *w)
+            if Poked.calls == at:
+                S[rows, cols] = value
+            Poked.calls += 1
+
+    return Poked
+
+
+@pytest.mark.parametrize(
+    "value", [np.nextafter(sim.STATE_LIMIT, np.inf), -np.nextafter(sim.STATE_LIMIT, np.inf), np.nan, np.inf, -np.inf],
+    ids=["above", "below", "nan", "inf", "-inf"],
+)
+def test_divergence_check_aborts_past_the_limit(bench_setup, monkeypatch, value):
+    # one entry just past STATE_LIMIT, or not finite, after step 4: the step's
+    # sum of squares check fails, and the entries name agent 7 of run 1 at t = 4 dt
+    g = graph.vicsek_fractal(2, directed=True)
+    cfgs = union_members(bench_setup, [g, g], t_end=0.01)
+    monkeypatch.setattr(sim, "RK4Step", poked_step(3, value, 1, g.n_nodes + 6))
+    with pytest.raises(sim.DivergenceError, match=r"agent 7 of run 1 at t=0\.004 ") as err:
+        sim.simulate_union(cfgs)
+    assert (err.value.agent, err.value.time) == (7, 4 * 1e-3)
+    assert err.value.partial.config is cfgs[1] and err.value.partial.n_samples == 1
+
+
+@pytest.mark.parametrize(
+    "value, rows, cols",
+    [(sim.STATE_LIMIT, 1, 6), (-sim.STATE_LIMIT, 0, 120), (0.9 * sim.STATE_LIMIT, slice(0, 3), slice(None))],
+    ids=["at", "at-negative", "all-near"],
+)
+def test_divergence_check_lets_entries_at_the_limit_pass(bench_setup, monkeypatch, value, rows, cols):
+    # written by the last step: an entry at the limit is within it, and so is a
+    # (3, 121) state all at 0.9 of it, whose sum of squares exceeds STATE_LIMIT**2
+    # (so the entries decide)
+    g = graph.vicsek_fractal(3, directed=True)
+    cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.005, record_every=2)
+    monkeypatch.setattr(sim, "RK4Step", poked_step(cfg.steps - 1, value, rows, cols))
+    last = sim.simulate(cfg).states[-1]
+    assert np.all(last[rows, cols] == value)
+    assert (np.dot(last.reshape(-1), last.reshape(-1)) > sim.STATE_LIMIT**2) == (value == 0.9 * sim.STATE_LIMIT)
+
+
 def dense_loop(cfg):
     """cfg's record (times, states, gains) from an RK4 loop that takes each stage on its own.
 
@@ -359,6 +407,35 @@ def test_blocked_disturbance_in_a_union_of_two_index_maps(bench_setup, fractal60
         assert_is_the_dense_loop(traj)
 
 
+def counting_waveform(monkeypatch):
+    """Patch signals.waveform to record the labels of each waveform and the times of each evaluation."""
+    labels, times, waveform = [], [], signals.waveform
+
+    def counted(signal, agents):
+        labels.append(np.asarray(agents))
+        wave = waveform(signal, agents)
+        return lambda t: times.append(np.asarray(t)) or wave(t)
+
+    monkeypatch.setattr(sim.sigs, "waveform", counted)
+    return labels, times
+
+
+def test_a_union_evaluates_each_disturbance_label_once(bench_setup, monkeypatch):
+    # a sweep's union asks for labels 1..25 eight times: each is evaluated once per
+    # stage time and gathered, so every run is still its lone run and the per-stage loop
+    g = graph.vicsek_fractal(2, directed=True)
+    cfgs = union_members(bench_setup, [g] * 8, t_end=0.1)
+    labels, times = counting_waveform(monkeypatch)
+    union = sim.simulate_union(cfgs)
+    assert len(labels) == 1 and np.array_equal(labels[0], np.arange(1, 26))
+    assert sum(t.size for t in times) == 3 * cfgs[0].steps  # each stage time once
+    monkeypatch.undo()
+    for cfg, traj in zip(cfgs, union, strict=True):
+        assert_is_the_dense_loop(traj)
+        for field in ("times", "states", "gains"):
+            assert np.array_equal(getattr(traj, field), getattr(sim.simulate(cfg), field)), field
+
+
 # what simulate allocates beyond its record and the block of disturbance
 # terms: the waveform's values and their temporaries (each a third of the
 # block at n = 3), the RK4 stage arrays, the coupling operator and the gains'
@@ -385,6 +462,27 @@ def test_the_disturbance_block_stays_within_its_budget(bench_setup, fractal601, 
         tracemalloc.stop()
     record = traj.times.nbytes + traj.states.nbytes + traj.gains.nbytes
     assert peak - record < sim.BLOCK_BYTES + BLOCK_SLACK
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_rk4_steps_allocate_less_than_one_state(bench_setup, copies):
+    # every array a step writes is the step's own, formed once: 100 steps on the
+    # 121-agent tree, lone or three copies, allocate less than one (n + 1, N) state
+    model, params = bench_setup
+    L = graph.LaplacianOperator(*[graph.vicsek_fractal(3, directed=True)] * copies)
+    step = sim.RK4Step(params, model.A, model.B, np.full(L.n_nodes, params.spec.d), L, 1e-3)
+    S = np.vstack([np.random.default_rng(8).uniform(-5, 5, (model.n, L.n_nodes)), np.zeros(L.n_nodes)])
+    w = np.full((3, model.n, L.n_nodes), 0.1)
+    step(S, *w)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            step(S, *w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S[-1].max() > 0.0  # the gains have moved
+    assert peak < S.nbytes
 
 
 # the kernel takes B'P zeta from one product [P | (B'P)']' @ Z, a GEMM of height
@@ -533,13 +631,15 @@ def test_tree_gather_is_the_scatter_in_value_and_sign_bit():
 
 
 def test_unit_weight_tree_blocks_gather_as_the_scatter_sums():
-    # from TREE_GATHER_COLUMNS columns (copies x nodes) on, a block of directed trees
-    # of unit weights forms x_i - x_parent and adds +0.0: the scatter's values and
+    # copies of a directed tree of unit weights, at any column count, and a lone one of
+    # TREE_GATHER_COLUMNS nodes form x_i - x_parent and add +0.0: the scatter's values and
     # sign bits, allocated or into out, where a union's block writes a strided slice
     rng = np.random.default_rng(12)
     g25, g121, star = graph.vicsek_fractal(2, True), graph.vicsek_fractal(3, True), graph.vicsek_fractal(1)
     assert not graph.LaplacianOperator(g25).unit_tree  # a lone tree below the crossover keeps the dense product
-    cases = (([g121], [True]), ([g25] * 2, [True]), ([g25] * 8, [True]), ([star, g25, g25], [False, True]))
+    dstar = graph.vicsek_fractal(1, True)  # 8 copies: a sweep of eight fig3a runs, 40 columns
+    cases = (([g121], [True]), ([g25] * 2, [True]), ([g25] * 8, [True]), ([star, g25, g25], [False, True]),
+             ([dstar] * 8, [True]))
     for graphs, gathers in cases:
         op = graph.LaplacianOperator(*graphs)
         assert [b.unit_tree for b in op.blocks or [op]] == gathers
