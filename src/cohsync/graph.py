@@ -78,6 +78,7 @@ def laplacian(g):
     return L
 
 
+DOT = getattr(np.dot, "_implementation", np.dot)  # np.dot's C function, less a dispatcher's Python frame (0.4 us)
 # node count from which LaplacianOperator works per edge rather than densely (np.dot); per call on
 # (3, N) states of the undirected circulant [1, 2] (timeit, one vCPU, OpenBLAS on 1 thread, mean over
 # 8 node counts), dense against per edge: 13.2 against 13.8 us at 200-207 nodes, 15.0 against 14.6
@@ -101,16 +102,14 @@ class LaplacianOperator:
 
     - below EDGE_PATH_NODES, the dense product with L', held contiguous:
       exactly one X @ L' for a lone graph, one per copy for copies;
-    - from there on, O(E n): the row sums (one np.bincount of the weights)
-      times X, plus each node's edge terms, the senders' columns times the
-      negated weights, summed from +0.0. Where no node has two
-      in-neighbours (a directed tree, as every directed fractal) that is one
-      take of each node's parent, weight 0 at a root, over every copy at
-      once (each parent offset by its copy's columns), plus +0.0, which
-      turns a -0.0 term into +0.0 as a bin of the scatter does; elsewhere one
-      np.bincount scatters every row's terms into the receivers' bins (kept
-      for the next call), in sorted edge order. The gather rounds as the
-      dense product does, once per entry; the scatter sums in another order.
+    - from there on, O(E n), over every copy at once (node i of copy k is
+      column k N + i): the row sums times X, plus each node's edge terms,
+      the senders' columns times the negated weights, summed from +0.0.
+      Where no node has two in-neighbours (a directed tree, as every
+      directed fractal) that is one take of each node's parent, weight 0 at
+      a root, plus +0.0, which turns a -0.0 term into +0.0 as a bin does; it
+      rounds as the dense product does. Elsewhere np.add.at adds every row's
+      terms into the receivers' bins, zeroed first, in sorted edge order.
 
     Copies of a unit-weight tree, or a lone one of TREE_GATHER_COLUMNS nodes,
     take neither: they gather the parents into out, subtract them from X and
@@ -133,54 +132,50 @@ class LaplacianOperator:
         self.zero = np.array(0.0)  # +0.0, a 0-d operand: a Python float costs the ufunc more to convert
         dense = g.n_nodes < EDGE_PATH_NODES and not self.unit_tree
         self.dense = np.ascontiguousarray(laplacian(g).T) if dense else None
-        self.neg_weights = -g.edge_weights
-        self.row_sums = np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes)
-        self.bins = np.empty(0, dtype=np.intp)  # the scatter's bins for the last row count
         self.parents = None  # on a tree's gather (per edge or unit-weight), each column's one in-neighbour's column
-        if self.dense is None and tree:
-            parents = np.arange(g.n_nodes)  # a root gathers itself, with weight 0
-            parents[g.receivers] = g.senders
-            weights = np.zeros(g.n_nodes)
-            weights[g.receivers] = self.neg_weights
-            # node i of the k-th copy is column k*N + i and hears column k*N + parents[i], with i's weights
-            self.parents = (parents + g.n_nodes * np.arange(self.copies)[:, None]).reshape(-1)
-            self.neg_weights, self.row_sums = np.tile(weights, self.copies), np.tile(self.row_sums, self.copies)
+        if self.dense is None:  # node i of the k-th copy is column k*N + i and hears columns of its copy
+            senders, weights = g.senders, -g.edge_weights
+            if tree:  # one term per column, its parent's; a root's is its own, with weight 0
+                senders, weights = np.arange(g.n_nodes), np.zeros(g.n_nodes)
+                senders[g.receivers], weights[g.receivers] = g.senders, -g.edge_weights
+            offsets = g.n_nodes * np.arange(self.copies)[:, None]
+            self.senders, self.receivers = ((a + offsets).reshape(-1) for a in (senders, g.receivers))
+            self.parents = self.senders if tree else None
+            self.neg_weights = np.tile(weights, self.copies)
+            self.row_sums = np.tile(np.bincount(g.receivers, g.edge_weights, minlength=g.n_nodes), self.copies)
 
     def __call__(self, X, out=None):
         """X L' for X of shape (..., n, N), written into out when it is given."""
-        if self.blocks:
-            out = np.empty(X.shape) if out is None else out
-            for b, lo, hi in zip(self.blocks, self.cols, self.cols[1:]):
-                b(X[..., lo:hi], out[..., lo:hi])
-            return out
-        if self.unit_tree:  # x_i - x_parent, then +0.0 for a -0.0; mode "clip" lets take write out unbuffered
-            out = X.take(self.parents, -1, out, "clip")  # every out positional: a keyword costs more to parse
-            return np.add(np.subtract(X, out, out), self.zero, out)
-        if self.dense is not None and self.copies == 1:  # exactly one X @ L'
-            fast = X.ndim == 2 and (out is None or out.flags.c_contiguous)  # np.dot: the same GEMM, called faster
-            return (np.dot if fast else np.matmul)(X, self.dense, out=out)
-        if self.parents is not None:  # the one term of each column, its parent's, summed from +0.0 as in a bin
-            terms = X.take(self.parents, axis=-1)
-            terms *= self.neg_weights
-            terms += 0.0  # a -0.0 term becomes +0.0; a root gets 0*x + +0.0, as densely
-            out = np.multiply(self.row_sums, X, out=out)
-            out += terms
-            return out
-        g, out = self.graph, np.empty(X.shape) if out is None else out
-        shape = X.shape[:-1] + (self.copies, g.n_nodes)
-        X, Z = X.reshape(shape), out.reshape(shape)  # views, the copies split off the node axis
-        if self.dense is not None:  # one product per copy, its lone graph's: one of all rows rounds otherwise at n = 1
-            np.matmul(X.swapaxes(-2, -3), self.dense, out=Z.swapaxes(-2, -3))
-            return out
-        terms = X.take(g.senders, axis=-1)
-        terms *= self.neg_weights
-        bins = self.bins  # read once: another caller may replace it
-        if bins.size != Z.size // g.n_nodes * g.n_edges:  # row r, receiver i lands in bin r*N + i
-            bins = self.bins = (g.receivers + g.n_nodes * np.arange(Z.size // g.n_nodes)[:, None]).reshape(-1)
-        np.multiply(self.row_sums, X, out=Z)
-        # each bin sums its edges in sorted order from +0.0, so a node without in-edges gets 0*x + +0.0, as densely
-        Z += np.bincount(bins, terms.reshape(-1), minlength=Z.size).reshape(shape)
+        out = np.empty(X.shape) if out is None else out
+        for call, args in self.calls(X, out):
+            call(*args)
         return out
+
+    def calls(self, X, out):
+        """X -> X L' into out as (NumPy function, arguments) pairs, called in turn, every operand, scratch array
+        and out bound, positionally: they run no Python frame and, densely or on a unit tree, allocate nothing.
+        Each map is defined here once; __call__ runs these, and an RK4 stage binds them once for its arrays."""
+        if self.blocks:
+            spans = zip(self.blocks, self.cols, self.cols[1:])
+            return [c for b, lo, hi in spans for c in b.calls(X[..., lo:hi], out[..., lo:hi])]
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+        if self.unit_tree:  # x_i - x_parent, then +0.0 for a -0.0; mode "clip" lets take write out unbuffered
+            return [(X.take, (self.parents, -1, out, "clip")), (subtract, (X, out, out)), (add, (out, self.zero, out))]
+        if self.dense is None:  # row sums times X, plus the senders' columns times the negated weights, from +0.0
+            terms = np.empty(X.shape[:-1] + self.senders.shape)
+            if self.parents is not None:  # a term per column, + 0.0: a root gets 0*x + +0.0, as densely
+                sums, summed = terms, [(add, (terms, self.zero, terms))]
+            else:  # each bin (row r, receiver column i: r*N + i) adds its edges' terms in sorted order to +0.0
+                sums = np.empty(X.shape)
+                bins = (self.receivers + X.shape[-1] * np.arange(X.size // X.shape[-1])[:, None]).reshape(-1)
+                summed = [(sums.fill, (0.0,)), (np.add.at, (sums.reshape(-1), bins, terms.reshape(-1)))]
+            return [(X.take, (self.senders, -1, terms, "clip")), (multiply, (terms, self.neg_weights, terms)),
+                    *summed, (multiply, (self.row_sums, X, out)), (add, (out, sums, out))]
+        if self.copies == 1:  # exactly one X @ L'; np.dot: the same GEMM, called faster
+            return [(DOT if X.ndim == 2 and out.flags.c_contiguous else np.matmul, (X, self.dense, out))]
+        # one product per copy (views split the copies off the node axis): one of all rows rounds otherwise at n = 1
+        shape = X.shape[:-1] + (self.copies, self.graph.n_nodes)
+        return [(np.matmul, (X.reshape(shape).swapaxes(-2, -3), self.dense, out.reshape(shape).swapaxes(-2, -3)))]
 
 
 def _same_edges(g, h):

@@ -32,8 +32,7 @@ class ProtocolParams:
 
     BtP = B'P steers the control, and its output's squared norm drives
     gain growth. Kt = [P | (B'P)']', held contiguous, stacks the two maps an
-    agent reads of its own zeta_i, so that one product Kt @ Z per stage
-    gives every agent's level, gain rate and input (see feedback).
+    agent reads of its own zeta_i: one product Kt @ Z gives all feedback returns.
 
     The spec is formed from this P: delta_bar = delta^2 lambda_min(P), so
     zeta' P zeta <= delta_bar implies |zeta| <= delta, and 0 < d < delta_bar.
@@ -80,7 +79,7 @@ def zeta(L, x):
     return np.asarray(L, dtype=float) @ np.asarray(x, dtype=float)
 
 
-def feedback(rho, zetas, params, d, out=None):
+def feedback(rho, zetas, params, d):
     """Gain rates, control inputs and levels of all agents, from one product KZ = [P | (B'P)']' @ Z.
 
     Z holds one agent's zeta_i per column, shape (n, N). Column i's level
@@ -93,23 +92,15 @@ def feedback(rho, zetas, params, d, out=None):
     sample axes broadcast: gains (S, N) with disagreements (S, n, N) give
     rates (S, N), inputs (S, m, N) and levels (S, N). The levels' products
     are formed in place in KZ and the rates' row by row, so no temporary is
-    the size of Z.
-    out, for Z (n, N) and gains (N,), holds what a stage writes and the views it reads, so
-    that it forms no view and allocates nothing: (rates (N,), inputs (m, N), levels (N,),
-    KZ (n + m, N) C-contiguous, KZ[:n], KZ[n:], tuple(KZ[n:]), a bool array (N,) for V >= d).
+    the size of Z. An RK4 stage forms these products, sums and signs in its
+    own buffers (sim.RK4Step).
     """
-    if out is None:
-        n, KZ, rho = params.n, params.Kt @ zetas, np.asarray(rho, dtype=float)[..., None, :]
-        PZ, Y, rates, U, V, active = KZ[..., :n, :], KZ[..., n:, :], None, None, None, None
-        rows = [Y[..., j, :] for j in range(params.m)]
-    else:
-        rates, U, V, KZ, PZ, Y, rows, active = out
-        np.dot(params.Kt, zetas, KZ)
-    multiply = np.multiply  # every out positional: a keyword costs each call more to parse
-    V = np.add.reduce(multiply(zetas, PZ, PZ), -2, None, V)
-    rates = multiply(rows[0], rows[0], rates)
-    for y in rows[1:]:  # row by row, as a sum over the axis adds them
-        rates += y * y
-    multiply(rates, np.greater_equal(V, d, active), rates)  # a bool mask: a float one was slower
-    U = multiply(rho, Y, U)
-    return rates, np.negative(U, U), V
+    n, KZ = params.n, params.Kt @ zetas
+    PZ, Y = KZ[..., :n, :], KZ[..., n:, :]
+    V = np.add.reduce(np.multiply(zetas, PZ, PZ), -2)
+    rates = Y[..., 0, :] * Y[..., 0, :]
+    for j in range(1, params.m):  # row by row, as a sum over the axis adds them
+        rates += Y[..., j, :] * Y[..., j, :]
+    rates *= V >= d
+    U = np.asarray(rho, dtype=float)[..., None, :] * Y
+    return rates, np.negative(U, U), V  # in place: a record's inputs take no second array

@@ -6,7 +6,7 @@ import numpy as np
 import yaml
 
 from . import signals as sigs
-from .graph import LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
+from .graph import DOT, LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
 from .linalg import AgentModel, AssumptionError, is_stabilizable
 from .protocol import ProtocolParams, feedback
 
@@ -140,46 +140,62 @@ def default_initial_state(n_agents, n_states, seed):
 class RK4Step:
     """One in-place classical RK4 step of the closed loop, on its stacked state S = [X; rho], shape (n + 1, N).
 
-    X holds one agent state per column, the last row the gains; d holds each agent's deadzone threshold.
-    Every array a stage writes, and every view it reads, is formed once: the derivative D, the stage input
-    T = S + c k and the RK4 sum, which stage 1 writes and later stages add to, ((k1 + 2 k2) + 2 k3) + k4.
-    So are the coefficients dt/2, 2, dt and dt/6, 0-d arrays that a ufunc takes faster than Python floats.
+    X holds one agent per column, the last row the gains; d, each agent's deadzone threshold. Every operand is
+    bound once, here: S, the derivative D, the stage input T = S + c k, the RK4 sum ((k1 + 2 k2) + 2 k3) + k4,
+    the 0-d coefficients dt/2, 2, dt and dt/6, and each stage, one closure wE -> D: first reads S and writes
+    into the sum, later reads T and writes D. A stage writes Z = X L' by the calls L binds for (X, Z), then
+    K Z with K = [B'P; P; B'P] just after it, so one multiply of [Z; Y] by [P Z; Y] (Y = B'P Z) forms Z*PZ and
+    Y*Y, which a reduce over rows adds in order: feedback's products and sums. -B carries the inputs' sign,
+    exactly: (-b)(rho y) = b(-(rho y)). 13 NumPy calls on a unit-weight tree with m = 1, no other Python frame.
     """
 
-    def __init__(self, params, A, B, d, L, dt):
+    def __init__(self, params, A, B, d, L, dt, S):
         n, m, N = params.n, params.m, L.n_nodes
-        self.params, self.A, self.B, self.d, self.L = params, A, B, d, L
-        self.D, self.T, self.acc = (np.empty((n + 1, N)) for _ in range(3))
-        KZ = np.empty((n + m, N))  # [P | (B'P)']' Z: its P Z rows are free for B U and the caller's |X| after feedback
-        self.TX, self.Trho, self.work = self.T[:n], self.T[n], KZ[:n]
-        # a derivative's target (D or acc), its rows A X + B U + E w, and feedback's buffers, rates into its last row
-        shared = (np.empty((m, N)), np.empty(N), KZ, KZ[:n], KZ[n:], tuple(KZ[n:]), np.empty(N, dtype=bool))
-        self.into_D, self.into_acc = ((D, D[:n], (D[n], *shared)) for D in (self.D, self.acc))
+        self.S, self.D, self.T, self.acc = S, *(np.empty((n + 1, N)) for _ in range(3))
+        W, V, active = np.empty((2 * (n + m), N)), np.empty(N), np.empty(N, dtype=bool)  # W = [Z; Y; P Z; Y]
+        K, negB = np.vstack([params.BtP, params.P, params.BtP]), -np.asarray(B, dtype=float)
+        dot, multiply, add, reduce, greater_equal = DOT, np.multiply, np.add, np.add.reduce, np.greater_equal
+
+        def stage(S, D):
+            X, rho, Xdot, rates = S[:n], S[n], D[:n], D[n]
+            Z, ZY, KZ, PZY, Y = W[:n], W[: n + m], W[n:], W[n + m :], W[n : n + m]
+            ZPZ, YY = PZY[:n], PZY[n:]
+            y, squares = (Y, rates) if m > 1 else (Y[0], YY[0])  # 1-D at m = 1: a broadcast rho costs more
+            coupling = L.calls(X, Z)
+
+            def derivative(wE):  # every out positional: a keyword costs each call more to parse
+                for call, args in coupling:
+                    call(*args)
+                dot(K, Z, KZ)
+                multiply(ZY, PZY, PZY)
+                reduce(ZPZ, 0, None, V)
+                if m > 1:
+                    reduce(YY, 0, None, rates)
+                multiply(squares, greater_equal(V, d, active), rates)  # a bool mask: a float one was slower
+                multiply(rho, y, y)
+                dot(A, X, Xdot)
+                add(Xdot, dot(negB, Y, Z), Xdot)
+                add(Xdot, wE, Xdot)
+                return D
+
+            return derivative
+
+        self.first, self.later = stage(S, self.acc), stage(self.T, self.D)
         self.coefficients = tuple(np.array(c) for c in (0.5 * dt, 2.0, dt, dt / 6.0))
 
-    def derivative(self, X, rho, wE, into=None):
-        """Write A X + B U + E w, then the gain rates, into D (or into's target) and return it; wE = E w."""
-        D, Xdot, buffers = into or self.into_D  # first the disagreements: feedback, their last use, comes before A X
-        U = feedback(rho, self.L(X, Xdot), self.params, self.d, buffers)[1]
-        dot, add = np.dot, np.add
-        dot(self.A, X, Xdot)
-        add(Xdot, dot(self.B, U, self.work), Xdot)
-        add(Xdot, wE, Xdot)
-        return D
-
-    def __call__(self, S, w1, w2, w4):
+    def __call__(self, w1, w2, w4):
         """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt."""
-        D, T, acc, TX, Trho, derivative = self.D, self.T, self.acc, self.TX, self.Trho, self.derivative
+        S, D, T, acc, first, later = self.S, self.D, self.T, self.acc, self.first, self.later
         (half, two, whole, sixth), add, multiply = self.coefficients, np.add, np.multiply  # every out positional
-        derivative(S[:-1], S[-1], w1, self.into_acc)  # k1, straight into the sum
+        first(w1)  # k1, straight into the sum
         add(S, multiply(acc, half, T), T)
-        derivative(TX, Trho, w2)
+        later(w2)
         add(S, multiply(D, half, T), T)
         add(acc, multiply(D, two, D), acc)
-        derivative(TX, Trho, w2)
+        later(w2)
         add(S, multiply(D, whole, T), T)
         add(acc, multiply(D, two, D), acc)
-        add(acc, derivative(TX, Trho, w4), acc)
+        add(acc, later(w4), acc)
         add(S, multiply(acc, sixth, acc), S)
 
 
@@ -211,26 +227,24 @@ def simulate_union(cfgs):
     union of their graphs, whose Laplacian is block-diagonal. The state
     [X; rho] has shape (n + 1, N), one agent per column: agent i of run k is
     column i of that run's block. Each agent keeps its own run's deadzone
-    threshold spec.d (RK4Step.d), so runs of different specs join too. This
-    is the one integrator, RK4Step: the classical fixed-step 4th-order
-    scheme, with the deadzone condition re-evaluated at every stage and no
-    event detection (the gain rate is bounded, and the discontinuity enters
-    the state dynamics only through the continuous gains, so the
-    per-crossing error is O(dt) on a measure-zero set). Every rate is a sum of squares or zero, so
-    no step lowers a gain. The coupling is one graph.LaplacianOperator over
-    all the graphs, which applies each graph's own map to its columns, as
-    its lone run does, so on any graph every run's values are its lone
-    simulate's bit for bit. The disturbance is one signals.waveform at the
-    distinct labels 1..max N_k, in a union gathered to each run's agents
-    1..N_k (a waveform is elementwise in label and time). Both are built
-    here once; a stage makes one coupling product per block of equal graphs
-    and one protocol product (protocol.feedback), its coefficients 0-d
-    arrays (RK4Step). The disturbance does not depend on the state: it is
-    evaluated a block of steps ahead, at every step's t_k, t_k + dt/2 and
-    t_k + dt with t_k = k dt, in one call of the waveform and one product
-    with E, as terms of shape (block, 3, n, N), and each stage adds its
-    slice (the two midpoint stages share one). The block holds BLOCK_BYTES
-    of terms, and at least one step.
+    threshold spec.d, so runs of different specs join too. This is the one
+    integrator, RK4Step: the classical fixed-step 4th-order scheme, with the
+    deadzone condition re-evaluated at every stage and no event detection
+    (the gain rate is bounded, and the discontinuity enters the state
+    dynamics only through the continuous gains, so the per-crossing error
+    is O(dt) on a measure-zero set). Every rate is a sum of squares or zero,
+    so no step lowers a gain. The coupling is one graph.LaplacianOperator
+    over all the graphs, which applies each graph's own map to its columns,
+    so every run's values are its lone simulate's bit for bit. Each stage
+    is one closure of 13 NumPy calls (RK4Step): the coupling's bound calls,
+    one product K Z with K = [B'P; P; B'P], one multiply [Z; Y] * [P Z; Y],
+    feedback's row-ordered sums, and -B for the inputs' sign: feedback's bits.
+    The disturbance, one signals.waveform at the distinct labels 1..max N_k
+    gathered to each run's agents 1..N_k, does not depend on the state: it
+    is evaluated a block of steps ahead (BLOCK_BYTES of terms, at least one
+    step), at every step's t_k = k dt, t_k + dt/2 and t_k + dt, in one call
+    and one product with E, as terms (block, 3, n, N); each stage adds its
+    slice (the two midpoint stages share one).
 
     Samples are recorded every record_every steps plus the final state, into
     one preallocated record of shape (S, n, N), each sample X as it is; each
@@ -257,7 +271,6 @@ def simulate_union(cfgs):
     label_of = np.concatenate([np.arange(size) for size in sizes]) if len(cfgs) > 1 else slice(None)
     model = head.model
     dt = float(head.dt)
-    step = RK4Step(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes), L, dt)
     every = int(head.record_every)
     steps = head.steps
     block = max(1, BLOCK_BYTES // (3 * N * n * 8))
@@ -267,6 +280,7 @@ def simulate_union(cfgs):
     x, rho, flat = state[:n], state[n], state[:n].reshape(-1)  # views, advanced in place
     x[:] = np.concatenate([np.asarray(cfg.x0, dtype=float).reshape(-1, n) for cfg in cfgs]).T
     rho[:] = np.concatenate([np.broadcast_to(np.reshape(cfg.rho0, -1), (size,)) for cfg, size in zip(cfgs, sizes)])
+    step = RK4Step(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes), L, dt, state)
 
     S = (steps - 1) // every + 2  # samples at k = 0, every, ... below steps, and the final state
     times = np.empty(S)
@@ -297,8 +311,8 @@ def simulate_union(cfgs):
             if k % every == 0:
                 record(s, k * dt)
                 s += 1
-            step(state, w1, w2, w4)
-            if not np.dot(flat, flat) <= limit and not np.maximum.reduce(np.abs(x, step.work), None) <= STATE_LIMIT:
+            step(w1, w2, w4)
+            if not DOT(flat, flat) <= limit and not np.abs(x).max() <= STATE_LIMIT:
                 t = (k + 1) * dt
                 bad = ~np.isfinite(x).all(axis=0) | (np.abs(x).max(axis=0) > STATE_LIMIT)
                 col = int(np.argmax(bad))

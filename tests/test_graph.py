@@ -208,6 +208,78 @@ def test_operator_of_copies_of_one_graph_is_each_copy_alone():
                     assert np.array_equal(got[..., b * N1 : (b + 1) * N1, :], on_rows(lone, block))
 
 
+def weighted(g, seed):
+    """g with seeded weights in [0.5, 2)."""
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, g.n_edges)
+    return graph.WeightedDigraph(g.n_nodes, g.receivers, g.senders, w)
+
+
+# one case per map, then a union of blocks mixing them: (graphs, each block's (copies, unit_tree, dense,
+# parents)), each block's map asserted so that no case silently falls onto another branch
+BOUND_CASES = {
+    "dense": ([graph.vicsek_fractal(2)], [(1, False, True, False)]),
+    "dense-copies": ([graph.circulant(7, [1, 2])] * 3, [(3, False, True, False)]),
+    "tree": ([graph.vicsek_fractal(3, directed=True)], [(1, True, False, True)]),
+    "tree-copies": ([graph.vicsek_fractal(1, directed=True)] * 4, [(4, True, False, True)]),
+    "weighted-tree": ([weighted(graph.vicsek_fractal(4, directed=True), 1)], [(1, False, False, True)]),
+    "scatter": ([graph.circulant(240, [1, 2], directed=False)], [(1, False, False, False)]),
+    "union": (
+        [graph.vicsek_fractal(2), *[graph.vicsek_fractal(1, directed=True)] * 2, graph.circulant(7, [1, 2]),
+         weighted(graph.vicsek_fractal(4, directed=True), 2), graph.circulant(240, [1, 2], directed=False)],
+        [(1, False, True, False), (2, True, False, True), (1, False, True, False), (1, False, False, True),
+         (1, False, False, False)],
+    ),
+}
+
+
+def bound_calls(op, n):
+    """op's calls bound as a stage binds them: X the state rows of an (n + 1, N) array, out the first rows of a buffer."""
+    S, W = np.empty((n + 1, op.n_nodes)), np.full((2 * n + 2, op.n_nodes), np.nan)
+    return S[:n], W[:n], op.calls(S[:n], W[:n])
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_bound_calls_are_the_operator_for_the_values_they_find(case):
+    # the calls bound once for (X, out) read X as it stands when they run and write out, equal to a
+    # fresh op(X, out) in value and in the sign of every zero, X rewritten in place between runs
+    graphs, blocks = BOUND_CASES[case]
+    op = graph.LaplacianOperator(*graphs)
+    got = [(b.copies, b.unit_tree, b.dense is not None, b.parents is not None) for b in op.blocks or [op]]
+    assert got == blocks
+    rng = np.random.default_rng(len(case))
+    for n in (1, 3):
+        X, out, calls = bound_calls(op, n)
+        for trial in range(3):
+            # a few values, so that neighbours are often equal (a zero, whose sign the maps fix),
+            # and signed zeros among them; the draws change between runs
+            X[:] = rng.integers(-2, 3, X.shape) * rng.choice([1.0, -1.0, 0.5], X.shape)
+            X[:, trial::5] = -0.0
+            for call, args in calls:
+                call(*args)
+            want = op(X.copy(), np.empty(X.shape))
+            assert np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
+
+
+@pytest.mark.parametrize("case", ["dense", "tree", "tree-copies"])
+def test_bound_calls_of_the_dense_and_gather_maps_allocate_nothing(case):
+    # 100 runs of the calls on 3 state rows, densely or by the unit-weight tree's gather, allocate less than
+    # one (3, N) array (a weighted tree's broadcast multiplies buffer one: NumPy's, not the operator's)
+    op = graph.LaplacianOperator(*BOUND_CASES[case][0])
+    X, out, calls = bound_calls(op, 3)
+    X[:] = np.random.default_rng(5).uniform(-5, 5, X.shape)
+    for call, args in calls:
+        call(*args)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            for call, args in calls:
+                call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
+
+
 def test_digraph_validation():
     with pytest.raises(ValueError, match="positive"):
         from_matrix([[0.0, -1.0], [0.0, 0.0]])

@@ -244,27 +244,6 @@ def test_feedback_shapes(bench_params):
     assert u.shape == (1, 1)
 
 
-def test_feedback_into_buffers_is_the_allocating_call():
-    # the stage's call writes into the arrays it is given and returns them, with
-    # the bits of the record-wide call that allocates, whatever n and m
-    rng = np.random.default_rng(8)
-    for n, m in ((1, 1), (3, 1), (4, 2), (3, 3)):
-        A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
-        params = protocol.ProtocolParams(linalg.solve_care(A, B).P, B, d=0.5)
-        Z, rho = rng.normal(size=(4, n, 30)), rng.uniform(0, 3, (4, 30))
-        d = rng.choice([0.05, 0.5, 5.0], 30)  # some columns inside their deadzone, some outside
-        record = protocol.feedback(rho, Z, params, d)
-        for s in range(4):
-            KZ = np.empty((n + m, 30))
-            out = (np.empty(30), np.empty((m, 30)), np.empty(30), KZ, KZ[:n], KZ[n:], tuple(KZ[n:]),
-                   np.empty(30, dtype=bool))
-            got = protocol.feedback(rho[s], np.ascontiguousarray(Z[s]), params, d, out=out)
-            assert all(g is o for g, o in zip(got, out[:3]))
-            for g, r in zip(got, record, strict=True):
-                assert np.array_equal(g, r[s]) and np.array_equal(np.signbit(g), np.signbit(r[s]))
-        assert (record[0] == 0.0).any() and (record[0] > 0.0).any()
-
-
 # feedback forms B'P zeta from one product with P beside it, so its sums may
 # round in another order than a per-agent matvec: allow a few ulps of the
 # scale |B'P| |zeta| of each output

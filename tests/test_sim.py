@@ -36,13 +36,13 @@ def test_derivative_hand_checked_two_node_chain():
     g = graph.from_edge_list(2, [(1, 2, 1.0)])
     L = graph.LaplacianOperator(g)
     wE = np.array([[0.25], [0.5]]).T
-    X, rho = np.array([[0.0], [1.0]]).T, np.array([0.0, 1.0])
-    D = sim.RK4Step(params, model.A, model.B, np.full(2, 0.5), L, 1e-3).derivative(X, rho, wE)
+    S = np.array([[0.0, 1.0], [0.0, 1.0]])  # [X; rho]
+    D = sim.RK4Step(params, model.A, model.B, np.full(2, 0.5), L, 1e-3, S).first(wE)
     # agent 2 sees zeta = 1: u = -1, xdot = -1 + 0.5, gain grows at 1; agent 1 only its term
     assert np.array_equal(D[:1], np.array([[0.25], [-0.5]]).T)
     assert np.array_equal(D[1], np.array([0.0, 1.0]))
     # each row has its own threshold: at d = 2 agent 2's level 1 lies inside its deadzone
-    D = sim.RK4Step(params, model.A, model.B, np.array([0.5, 2.0]), L, 1e-3).derivative(X, rho, wE)
+    D = sim.RK4Step(params, model.A, model.B, np.array([0.5, 2.0]), L, 1e-3, S).first(wE)
     assert np.array_equal(D[:1], np.array([[0.25], [-0.5]]).T)
     assert np.array_equal(D[1], np.array([0.0, 0.0]))
 
@@ -51,8 +51,9 @@ def test_derivative_equal_states_coast(bench_setup):
     model, params = bench_setup
     g = graph.vicsek_fractal(1)
     x = np.tile(np.array([3.0, -2.0, 5.0]), (5, 1))
-    step = sim.RK4Step(params, model.A, model.B, np.full(5, 0.5), graph.LaplacianOperator(g), 1e-3)
-    D = step.derivative(x.T, np.zeros(5), np.zeros((5, 3)).T)
+    S = np.vstack([x.T, np.zeros(5)])
+    step = sim.RK4Step(params, model.A, model.B, np.full(5, 0.5), graph.LaplacianOperator(g), 1e-3, S)
+    D = step.first(np.zeros((5, 3)).T)
     expected = np.tile(model.A @ np.array([3.0, -2.0, 5.0]), (5, 1))
     assert np.array_equal(D[:3], expected.T)
     assert np.all(D[3] == 0.0)
@@ -164,14 +165,12 @@ def test_deadzone_keeps_gains_bit_identical():
 
 
 def test_a_gain_that_falls_between_samples_breaks_the_integrator_invariant(monkeypatch, bench_setup):
-    kernel = sim.feedback
+    class Falling(sim.RK4Step):
+        def __call__(self, *w):
+            super().__call__(*w)
+            self.S[-1] -= 1e-3  # every gain falls by dt a step; the root's (zeta = 0) by exactly that
 
-    def falling_gains(*args, **kwargs):
-        rates, U, V = kernel(*args, **kwargs)
-        rates -= 1.0  # in the step's own buffer, which it reads the rates from
-        return rates, U, V
-
-    monkeypatch.setattr(sim, "feedback", falling_gains)
+    monkeypatch.setattr(sim, "RK4Step", Falling)
     g = graph.vicsek_fractal(1, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=0.01, record_every=2, rho0=1.0)
     with pytest.raises(RuntimeError, match=r"recorded gains decreased by 2\.000e-03; integrator invariant broken"):
@@ -204,10 +203,10 @@ def poked_step(at, value, rows, cols):
     class Poked(sim.RK4Step):
         calls = 0
 
-        def __call__(self, S, *w):
-            super().__call__(S, *w)
+        def __call__(self, *w):
+            super().__call__(*w)
             if Poked.calls == at:
-                S[rows, cols] = value
+                self.S[rows, cols] = value
             Poked.calls += 1
 
     return Poked
@@ -319,6 +318,34 @@ def assert_is_the_dense_loop(traj):
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.gains, gains)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2), (3, 3)])
+def test_every_stage_forms_the_record_wide_feedback(n, m):
+    # a stage forms feedback's products, sums and signs in its own buffers, whatever n and m: with m >= 2
+    # it sums its rates row by row. One union per seeded model: three copies of the directed 25-agent
+    # fractal, one per deadzone threshold, gather as one block, and a 7-node circulant takes the dense
+    # product; every run is dense_loop's, which calls feedback on each stage's whole state
+    rng = np.random.default_rng(10 * n + m)
+    A, B = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, m))
+    model = linalg.AgentModel(A, B, B[:, :1])
+    P = linalg.solve_care(A, B).P
+    tree, ring = graph.vicsek_fractal(2, directed=True), graph.circulant(7, [1, 2])
+    cfgs = [
+        sim.SimConfig(
+            model=model, graph=g, params=protocol.ProtocolParams(P, B, d=d), disturbance=signals.chirp_signal(),
+            x0=sim.default_initial_state(g.n_nodes, n, k), rho0=0.1 * k, t_end=0.3, dt=1e-3, record_every=5,
+        )
+        for k, (g, d) in enumerate([(tree, 0.05), (tree, 0.5), (tree, 5.0), (ring, 0.5)])
+    ]
+    L = graph.LaplacianOperator(*(cfg.graph for cfg in cfgs))
+    assert [(b.copies, b.unit_tree, b.dense is not None) for b in L.blocks] == [(3, True, False), (1, False, True)]
+    union = sim.simulate_union(cfgs)
+    for traj in union:
+        for got, want in zip((traj.times, traj.states, traj.gains), dense_loop(traj.config), strict=True):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    first, last = (np.concatenate([traj.gains[s] for traj in union]) for s in (0, -1))
+    assert (last > first).any() and (last == first).any()  # some gain grows, some never leaves its deadzone
 
 
 @pytest.fixture(scope="module")
@@ -470,14 +497,14 @@ def test_rk4_steps_allocate_less_than_one_state(bench_setup, copies):
     # 121-agent tree, lone or three copies, allocate less than one (n + 1, N) state
     model, params = bench_setup
     L = graph.LaplacianOperator(*[graph.vicsek_fractal(3, directed=True)] * copies)
-    step = sim.RK4Step(params, model.A, model.B, np.full(L.n_nodes, params.spec.d), L, 1e-3)
     S = np.vstack([np.random.default_rng(8).uniform(-5, 5, (model.n, L.n_nodes)), np.zeros(L.n_nodes)])
+    step = sim.RK4Step(params, model.A, model.B, np.full(L.n_nodes, params.spec.d), L, 1e-3, S)
     w = np.full((3, model.n, L.n_nodes), 0.1)
-    step(S, *w)
+    step(*w)
     tracemalloc.start()
     try:
         for _ in range(100):
-            step(S, *w)
+            step(*w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
