@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .protocol import feedback, minimal_delta
+from .sim import chunks
 
 
 @dataclass
@@ -45,7 +46,10 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=Fal
     """Run every standard check on traj in one pass over its disagreements, and judge it.
 
     P and the coherency spec come from traj.config.params; bound defaults
-    to the protocol's ellipsoid level delta_bar.
+    to the protocol's ellipsoid level delta_bar. The pass takes the record
+    chunk by chunk (sim.chunks, traj.zetas_at) and keeps running figures
+    only: per sample, whether every |zeta_i| <= delta, and over the tail
+    window each agent's largest |zeta_i| and the largest level.
     """
     params = traj.config.params
     spec = params.spec
@@ -58,13 +62,20 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=Fal
         raise ValueError("tol must be positive")
     ntail = max(1, int(round(tail_fraction * traj.n_samples)))
 
-    Z = traj.zetas
-    norms = np.linalg.norm(Z, axis=1)
-    tail_vi_max = float(feedback(traj.gains[-ntail:], Z[-ntail:], params, spec.d)[2].max())
-    ok = (norms <= spec.delta).all(axis=1)
+    tail_start = traj.n_samples - ntail
+    ok = np.empty(traj.n_samples, dtype=bool)
+    tail_norms, tail_vi_max = np.full(traj.n_agents, -np.inf), -np.inf
+    for samples in chunks(traj):
+        Z = traj.zetas_at(samples)
+        norms = np.linalg.norm(Z, axis=1)
+        ok[samples] = (norms <= spec.delta).all(axis=1)
+        k = max(0, tail_start - samples.start)  # the chunk's first sample in the tail window
+        if k < norms.shape[0]:
+            tail_norms = np.maximum(tail_norms, norms[k:].max(axis=0))
+            tail_vi_max = np.maximum(tail_vi_max, feedback(traj.gains[samples][k:], Z[k:], params, spec.d)[2].max())
+    tail_vi_max = float(tail_vi_max)
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     settled = bool(suffix_ok.any())
-    tail_norms = norms[-ntail:]
     bound_ok = bool(tail_vi_max <= bound)
 
     gains = traj.gains[-ntail:]
@@ -84,7 +95,7 @@ def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=Fal
         settled=settled,
         T=float(traj.times[int(np.argmax(suffix_ok))]) if settled else None,
         tail_max_zeta_norm=float(tail_norms.max()),
-        worst_agent=int(np.argmax(tail_norms.max(axis=0))) + 1,
+        worst_agent=int(np.argmax(tail_norms)) + 1,
         gains_converged=gains_converged,
         n_converged=int(converged.sum()),
         max_final_gain=float(traj.gains[-1].max()),

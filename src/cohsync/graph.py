@@ -163,14 +163,17 @@ class LaplacianOperator:
             return [(X.take, (self.parents, -1, out, "clip")), (subtract, (X, out, out)), (add, (out, self.zero, out))]
         if self.dense is None:  # row sums times X, plus the senders' columns times the negated weights, from +0.0
             terms = np.empty(X.shape[:-1] + self.senders.shape)
+            neg_weights, row_sums = self.neg_weights, self.row_sums
+            if X.ndim == 2:  # (n, .) copies: NumPy buffers a multiply that broadcasts an (N,) row, on every call
+                neg_weights, row_sums = (np.tile(a, (X.shape[0], 1)) for a in (neg_weights, row_sums))
             if self.parents is not None:  # a term per column, + 0.0: a root gets 0*x + +0.0, as densely
                 sums, summed = terms, [(add, (terms, self.zero, terms))]
             else:  # each bin (row r, receiver column i: r*N + i) adds its edges' terms in sorted order to +0.0
                 sums = np.empty(X.shape)
                 bins = (self.receivers + X.shape[-1] * np.arange(X.size // X.shape[-1])[:, None]).reshape(-1)
                 summed = [(sums.fill, (0.0,)), (np.add.at, (sums.reshape(-1), bins, terms.reshape(-1)))]
-            return [(X.take, (self.senders, -1, terms, "clip")), (multiply, (terms, self.neg_weights, terms)),
-                    *summed, (multiply, (self.row_sums, X, out)), (add, (out, sums, out))]
+            return [(X.take, (self.senders, -1, terms, "clip")), (multiply, (terms, neg_weights, terms)),
+                    *summed, (multiply, (row_sums, X, out)), (add, (out, sums, out))]
         if self.copies == 1:  # exactly one X @ L'; np.dot: the same GEMM, called faster
             return [(DOT if X.ndim == 2 and out.flags.c_contiguous else np.matmul, (X, self.dense, out))]
         # one product per copy (views split the copies off the node axis): one of all rows rounds otherwise at n = 1

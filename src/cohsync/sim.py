@@ -15,6 +15,9 @@ STATE_LIMIT = 1e12  # abort threshold for any state entry
 # bytes of the disturbance terms simulate_union evaluates ahead at once: a block
 # of steps, each with its three stage times, of (n, N) terms each
 BLOCK_BYTES = 256 * 1024
+# bytes of disagreements the post-run pass (summarize, write_trajectory_csv) derives
+# at once: the record is walked in chunks of samples of this size, at least one each
+CHUNK_BYTES = 64 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -104,9 +107,11 @@ class Trajectory:
     """Time-sampled record of a closed-loop run: the state (x, rho) and its config.
 
     times (S,), states (S, n, N), each sample the closed loop's X, and gains
-    (S, N) share the leading sample axis. zetas derives the disagreements
-    from them in one pass; feedback(gains, zetas, params, params.spec.d)
-    gives the inputs and the levels zeta_i' P zeta_i.
+    (S, N) share the leading sample axis. zetas_at derives the disagreements
+    of a slice of samples from those samples alone, so the post-run pass
+    walks the record in chunks (chunks) and holds no derived array of the
+    whole record; feedback(gains[samples], Z, params, params.spec.d) gives
+    their inputs and levels zeta_i' P zeta_i.
     """
 
     times: np.ndarray
@@ -122,10 +127,20 @@ class Trajectory:
     def n_agents(self):
         return self.states.shape[2]
 
+    def zetas_at(self, samples):
+        """Disagreements zeta_i = sum_j l_ij x_j of states[samples], shape (s, n, N): each sample's own product."""
+        return LaplacianOperator(self.config.graph)(self.states[samples])
+
     @property
     def zetas(self):
-        """Disagreements zeta_i = sum_j l_ij x_j, one agent per column, shape (S, n, N)."""
-        return LaplacianOperator(self.config.graph)(self.states)
+        """Disagreements of every sample, shape (S, n, N): zetas_at(slice(None))."""
+        return self.zetas_at(slice(None))
+
+
+def chunks(traj):
+    """Slices of traj's samples, in order, each of at most CHUNK_BYTES of disagreements and at least one sample."""
+    size = max(1, CHUNK_BYTES // (8 * traj.config.params.n * traj.n_agents))
+    return (slice(lo, min(lo + size, traj.n_samples)) for lo in range(0, traj.n_samples, size))
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -338,19 +353,15 @@ def simulate(cfg):
 def write_trajectory_csv(traj, path):
     """Write one row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m, zeta_norm, V_i.
 
-    traj.states is (S, n, N), so the rows of sample s are states[s].T.
-    Floats are written with repr, so equal trajectories produce
-    byte-identical files; lines end in the csv module's "\\r\\n".
+    Per chunk of samples (chunks): its disagreements once, and its inputs
+    and levels from one feedback product, so the writer holds a few
+    CHUNK_BYTES of derived values however long the record is. Each
+    sample's N rows are one %r template; floats are written with repr, so
+    equal trajectories produce byte-identical files; lines end in the csv
+    module's "\\r\\n".
     """
-    n = traj.states.shape[1]
-    # the disagreements once, and the inputs and levels from one feedback product;
-    # Z is dropped before the rows are written, so that it does not add to their peak
-    Z = traj.zetas
     params = traj.config.params
-    U, V = feedback(traj.gains, Z, params, params.spec.d)[1:]
-    znorm = np.linalg.norm(Z, axis=1)
-    del Z
-    m = U.shape[1]
+    n, m, N = params.n, params.m, traj.n_agents
     header = (
         ["t", "agent"]
         + [f"x_{j + 1}" for j in range(n)]
@@ -358,11 +369,24 @@ def write_trajectory_csv(traj, path):
         + [f"u_{j + 1}" for j in range(m)]
         + ["zeta_norm", "V_i"]
     )
+    cells = ",".join(["%r"] * (n + m + 3))
+    template = "".join(f"%r,{a},{cells}\r\n" for a in range(1, N + 1))  # a sample's rows: t, agent, the rest
+    rows = np.empty((N, n + m + 4))  # one sample's values, agent by agent: t, x, rho, u, |zeta|, V
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for s, head in enumerate(f"{t!r}," for t in traj.times.tolist()):  # each time formatted once for its rows
-            rows = np.column_stack([traj.states[s].T, traj.gains[s], U[s].T, znorm[s], V[s]]).tolist()
-            fh.writelines(f"{head}{a},{','.join(map(repr, row))}\r\n" for a, row in enumerate(rows, 1))
+        for samples in chunks(traj):
+            Z = traj.zetas_at(samples)
+            U, V = feedback(traj.gains[samples], Z, params, params.spec.d)[1:]
+            znorm = np.linalg.norm(Z, axis=1)
+            del Z  # dropped before the rows are formatted, so that it does not add to their peak
+            for k, s in enumerate(range(samples.start, samples.stop)):
+                rows[:, 0] = traj.times[s]
+                rows[:, 1 : n + 1] = traj.states[s].T
+                rows[:, n + 1] = traj.gains[s]
+                rows[:, n + 2 : -2] = U[k].T
+                rows[:, -2] = znorm[k]
+                rows[:, -1] = V[k]
+                fh.write(template % tuple(rows.ravel().tolist()))
 
 
 def write_metadata(path, meta):

@@ -12,7 +12,8 @@ def make_traj(times, zetas, gains=None, params=None, delta=1.0):
     """Stand-in with the attributes summarize reads, built from given disagreements.
 
     zetas holds agent rows, shape (S, N, n); the stand-in holds them one
-    agent per column, (S, n, N), as a Trajectory does. Without params,
+    agent per column, (S, n, N), and hands out the samples a slice selects
+    through zetas_at, as a Trajectory does. Without params,
     P = I and the spec is formed from delta alone, so delta_bar = delta^2.
     """
     times = np.asarray(times, dtype=float)
@@ -23,7 +24,7 @@ def make_traj(times, zetas, gains=None, params=None, delta=1.0):
         params = protocol.ProtocolParams(np.eye(n), np.eye(n), delta=delta)
     return SimpleNamespace(
         times=times, gains=gains, config=SimpleNamespace(params=params),
-        n_samples=S, n_agents=N, zetas=zetas.swapaxes(1, 2),
+        n_samples=S, n_agents=N, zetas_at=zetas.swapaxes(1, 2).__getitem__,
     )
 
 

@@ -260,10 +260,11 @@ def test_bound_calls_are_the_operator_for_the_values_they_find(case):
             assert np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
 
 
-@pytest.mark.parametrize("case", ["dense", "tree", "tree-copies"])
+@pytest.mark.parametrize("case", ["dense", "tree", "tree-copies", "weighted-tree"])
 def test_bound_calls_of_the_dense_and_gather_maps_allocate_nothing(case):
-    # 100 runs of the calls on 3 state rows, densely or by the unit-weight tree's gather, allocate less than
-    # one (3, N) array (a weighted tree's broadcast multiplies buffer one: NumPy's, not the operator's)
+    # 100 runs of the calls on 3 state rows, densely, by the unit-weight tree's gather or by the weighted tree's
+    # per-edge terms (its weights and row sums bound as (3, .) copies, so no multiply broadcasts a row), allocate
+    # less than one (3, N) array
     op = graph.LaplacianOperator(*BOUND_CASES[case][0])
     X, out, calls = bound_calls(op, 3)
     X[:] = np.random.default_rng(5).uniform(-5, 5, X.shape)

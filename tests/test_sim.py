@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cohsync import graph, linalg, protocol, signals, sim
+from cohsync import analysis, graph, linalg, protocol, signals, sim
 
 
 def scalar_params(d=0.5):
@@ -988,6 +988,71 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
             row += [repr(float(znorm[s, a])), repr(float(V[s, a]))]
             writer.writerow(row)
     assert (tmp_path / "fast.csv").read_bytes() == buf.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def chunked_runs(bench_setup):
+    """51 samples each: a lone run on a dense graph, and a union member whose columns are strided views."""
+    lone = sim.simulate(bench_cfg(bench_setup, graph.vicsek_fractal(2), signals.chirp_signal(), t_end=1.0,
+                                  record_every=20))
+    member = sim.simulate_union(union_members(bench_setup, [graph.vicsek_fractal(2, directed=True),
+                                                            graph.circulant(30, [1, 3])]))[1]
+    return {"lone": lone, "union-member": member}
+
+
+@pytest.mark.parametrize("run", ["lone", "union-member"])
+def test_the_post_run_pass_is_the_same_for_every_chunk_size(tmp_path, monkeypatch, chunked_runs, run):
+    # chunks of one sample; of 7, which divide neither the 51 samples nor the 41 before the 10-sample tail
+    # window, so the window starts mid-chunk; and of the whole record: the same report fields, to the sign
+    # of a zero, and the same CSV bytes
+    traj = chunked_runs[run]
+    assert traj.states.flags.c_contiguous == (run == "lone") and np.abs(traj.gains[-1]).max() > 0.0
+    sample = traj.states[0].nbytes
+    reports, files = [], []
+    for k, (budget, sizes) in enumerate([(sample, {1}), (7 * sample, {7, 2}), (51 * sample, {51})]):
+        monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
+        assert {c.stop - c.start for c in sim.chunks(traj)} == sizes
+        reports.append(analysis.summary_csv_row(analysis.summarize(traj)))
+        sim.write_trajectory_csv(traj, tmp_path / f"{k}.csv")
+        files.append((tmp_path / f"{k}.csv").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert files[0] == files[1] == files[2]
+
+
+# what summarize and the CSV writer may allocate, in chunk budgets: a chunk's zeta, the feedback product's
+# K Z (4/3 of it at n = 3, m = 1), its inputs, levels and rates, and one sample's rows as Python floats
+POST_RUN_CHUNKS = 8
+
+
+def traced_peak(run, *args):
+    """The tracemalloc peak of run(*args), in bytes; the arguments are made before tracing starts."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_post_run_pass_holds_a_few_chunks_however_long_the_record(tmp_path, bench_setup):
+    # fig3c-shaped records (121 agents on the directed fractal, 601 samples), and a longer and a shorter one:
+    # summarize and the CSV writer hold a few CHUNK_BYTES, and under 64 bytes more a sample (a sample's flag),
+    # where a sample's zeta is 2,904; deriving zeta, K Z, u, V and |zeta| of the whole 601-sample record at
+    # once took 4.4 (summarize) and 5.6 MiB (CSV). Tracing each Python float the CSV writer makes is slow, so
+    # its second record is the short one, of two chunks, one full
+    cfg = bench_cfg(bench_setup, graph.vicsek_fractal(3, directed=True), signals.chirp_signal(), t_end=30.0,
+                    record_every=50)
+
+    def record(S):
+        rng = np.random.default_rng(S)
+        gains = np.cumsum(rng.uniform(0.0, 1e-3, (S, 121)), axis=0)
+        return sim.Trajectory(np.arange(S) * 0.05, rng.uniform(-1.0, 1.0, (S, 3, 121)), gains, cfg)
+
+    for run, path, lengths in [(analysis.summarize, (), (601, 2401)),
+                               (sim.write_trajectory_csv, (tmp_path / "traj.csv",), (45, 601))]:
+        short, long = (traced_peak(run, record(S), *path) for S in lengths)
+        assert max(short, long) < POST_RUN_CHUNKS * sim.CHUNK_BYTES, run.__name__
+        assert long - short < 64 * (lengths[1] - lengths[0]), run.__name__
 
 
 def test_write_metadata_round_trip(tmp_path):
