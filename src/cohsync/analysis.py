@@ -1,11 +1,11 @@
-"""Post-run checks of coherency, settling and gain convergence, and the run report."""
+"""Checks of coherency, settling and gain convergence, judged as a run's samples arrive, and the run report."""
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .protocol import feedback, minimal_delta
-from .sim import chunks
+from .protocol import minimal_delta
+from .sim import replay
 
 
 @dataclass
@@ -42,66 +42,76 @@ class RunSummary:
     passed: bool
 
 
-def summarize(traj, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=False, label="run"):
-    """Run every standard check on traj in one pass over its disagreements, and judge it.
+class Verdict:
+    """A run's checks as a sink of sim.simulate_union: it keeps running figures only, and summary() judges them.
 
-    P and the coherency spec come from traj.config.params; bound defaults
-    to the protocol's ellipsoid level delta_bar. The pass takes the record
-    chunk by chunk (sim.chunks, traj.zetas_at) and keeps running figures
-    only: per sample, whether every |zeta_i| <= delta, and over the tail
-    window each agent's largest |zeta_i| and the largest level.
+    Called as verdict(t, X, rho, Z, U, V) on each of cfg.samples samples in
+    order. P and the coherency spec come from cfg.params; bound defaults to
+    the protocol's ellipsoid level delta_bar. It keeps the time of the
+    sample after the last one with some |zeta_i| > delta, and over the tail
+    window, whose first sample is known from cfg.samples, each agent's
+    largest |zeta_i|, the largest level and each agent's gain range.
     """
-    params = traj.config.params
-    spec = params.spec
-    bound = spec.delta_bar if bound is None else bound
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    if not 0 < tail_fraction < 1:
-        raise ValueError("tail_fraction must lie in (0, 1)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ntail = max(1, int(round(tail_fraction * traj.n_samples)))
 
-    tail_start = traj.n_samples - ntail
-    ok = np.empty(traj.n_samples, dtype=bool)
-    tail_norms, tail_vi_max = np.full(traj.n_agents, -np.inf), -np.inf
-    for samples in chunks(traj):
-        Z = traj.zetas_at(samples)
-        norms = np.linalg.norm(Z, axis=1)
-        ok[samples] = (norms <= spec.delta).all(axis=1)
-        k = max(0, tail_start - samples.start)  # the chunk's first sample in the tail window
-        if k < norms.shape[0]:
-            tail_norms = np.maximum(tail_norms, norms[k:].max(axis=0))
-            tail_vi_max = np.maximum(tail_vi_max, feedback(traj.gains[samples][k:], Z[k:], params, spec.d)[2].max())
-    tail_vi_max = float(tail_vi_max)
-    suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
-    settled = bool(suffix_ok.any())
-    bound_ok = bool(tail_vi_max <= bound)
+    def __init__(self, cfg, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=False, label="run"):
+        self.params = cfg.params
+        bound = self.params.spec.delta_bar if bound is None else bound
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        if not 0 < tail_fraction < 1:
+            raise ValueError("tail_fraction must lie in (0, 1)")
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        self.bound, self.tol, self.require_settled, self.label = float(bound), tol, require_settled, label
+        self.tail = cfg.samples - max(1, int(round(tail_fraction * cfg.samples)))  # the window's first sample
+        self.s, self.since = 0, None  # samples seen; the time from which every |zeta_i| <= delta
+        self.norms = self.high = self.vmax = -np.inf  # over the tail: per agent, but for the largest level
+        self.low = np.inf
 
-    gains = traj.gains[-ntail:]
-    variation = gains.max(axis=0) - gains.min(axis=0)
-    converged = variation < tol
-    gains_converged = bool(converged.all())
-    return RunSummary(
-        label=label,
-        n_agents=traj.n_agents,
-        d=spec.d,
-        delta=spec.delta,
-        delta_bar=spec.delta_bar,
-        min_delta=minimal_delta(spec.d, params.P),
-        bound=float(bound),
-        bound_ok=bound_ok,
-        tail_max_Vi=tail_vi_max,
-        settled=settled,
-        T=float(traj.times[int(np.argmax(suffix_ok))]) if settled else None,
-        tail_max_zeta_norm=float(tail_norms.max()),
-        worst_agent=int(np.argmax(tail_norms)) + 1,
-        gains_converged=gains_converged,
-        n_converged=int(converged.sum()),
-        max_final_gain=float(traj.gains[-1].max()),
-        max_gain_variation=float(variation.max()),
-        passed=bound_ok and gains_converged and (settled or not require_settled),
-    )
+    def __call__(self, t, X, rho, Z, U, V):
+        norms = np.sqrt(np.add.reduce(Z * Z, 0))  # np.linalg.norm(Z, axis=0), less its checks
+        if not (norms <= self.params.spec.delta).all():
+            self.since = None
+        elif self.since is None:
+            self.since = float(t)
+        if self.s >= self.tail:
+            self.norms, self.vmax = np.maximum(self.norms, norms), max(self.vmax, V.max())
+            self.low, self.high, self.final_gain = np.minimum(self.low, rho), np.maximum(self.high, rho), rho.max()
+        self.s += 1
+
+    def summary(self):
+        """The RunSummary of the samples seen."""
+        spec, variation = self.params.spec, self.high - self.low
+        converged = variation < self.tol
+        settled, bound_ok = self.since is not None, bool(self.vmax <= self.bound)
+        gains_converged = bool(converged.all())
+        return RunSummary(
+            label=self.label,
+            n_agents=self.norms.size,
+            d=spec.d,
+            delta=spec.delta,
+            delta_bar=spec.delta_bar,
+            min_delta=minimal_delta(spec.d, self.params.P),
+            bound=self.bound,
+            bound_ok=bound_ok,
+            tail_max_Vi=float(self.vmax),
+            settled=settled,
+            T=self.since,
+            tail_max_zeta_norm=float(self.norms.max()),
+            worst_agent=int(np.argmax(self.norms)) + 1,
+            gains_converged=gains_converged,
+            n_converged=int(converged.sum()),
+            max_final_gain=float(self.final_gain),
+            max_gain_variation=float(variation.max()),
+            passed=bound_ok and gains_converged and (settled or not self.require_settled),
+        )
+
+
+def summarize(traj, **checks):
+    """Judge a recorded run: replay traj through a Verdict of traj.config and the checks given, and summarize it."""
+    verdict = Verdict(traj.config, **checks)
+    replay(traj, verdict)
+    return verdict.summary()
 
 
 def summary_text(s):

@@ -48,7 +48,8 @@ REFUSALS = {
 }
 # what a simulation may raise once its directory is made: it writes nothing then
 RUN_FAILURES = (sim.DivergenceError, MemoryError)
-# a sweep union holds fewer agents than this, which bounds the record it holds at once
+# a sweep union holds fewer agents than this; a run holds no record, so what it bounds is the work
+# that one diverging member makes the union run again, member by member
 UNION_AGENTS = 450
 
 
@@ -432,22 +433,17 @@ def _unmake_dirs(made):
             return
 
 
-def _finish(outdir, norm, checks, traj):
-    """Judge a simulated run and write the artifacts its formats ask for; returns the summary."""
-    summary = analysis.summarize(traj, label=norm["name"], **checks)
-    formats = norm["output"]["formats"]
-    if "trajectory" in formats:
-        sim.write_trajectory_csv(traj, outdir / "trajectory.csv")
-    if "report" in formats:
-        with open(outdir / "report.txt", "w") as fh:
+def _finish(entry, summary):
+    """Write the reports an entry's formats ask for, beside its trajectory CSV, and its metadata."""
+    if "report" in entry.norm["output"]["formats"]:
+        with open(entry.outdir / "report.txt", "w") as fh:
             fh.write(analysis.summary_text(summary) + "\n")
-        with open(outdir / "report.csv", "w", newline="") as fh:
+        with open(entry.outdir / "report.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([analysis.REPORT_CSV_HEADER, analysis.summary_csv_row(summary)])
     sim.write_metadata(
-        outdir / "metadata.yaml",
-        {"version": __version__, "seed": norm["integration"]["seed"], "config": norm},
+        entry.outdir / "metadata.yaml",
+        {"version": __version__, "seed": entry.norm["integration"]["seed"], "config": entry.norm},
     )
-    return summary
 
 
 def cmd_run(args):
@@ -456,20 +452,16 @@ def cmd_run(args):
     norm.pop("sweep", None)
     outdir, source = _resolve_outdir(args, norm["name"], norm["output"])
     cfg, checks, _ = build_experiment(norm)
-    made = _make_dir(outdir, source)
-    try:
-        traj = sim.simulate(cfg)
-    except RUN_FAILURES:
-        _unmake_dirs(made)  # a failed run writes nothing, so it leaves no directory behind
-        raise
-    summary = _finish(outdir, norm, checks, traj)
+    (outcome,) = _run([_Entry(0, norm, outdir, cfg, checks, _make_dir(outdir, source))])
+    if isinstance(outcome, RUN_FAILURES):
+        raise outcome
     if not args.quiet:
-        _say(analysis.summary_text(summary), f"artifacts written to {outdir}")
-    return 0 if summary.passed else 1
+        _say(analysis.summary_text(outcome), f"artifacts written to {outdir}")
+    return 0 if outcome.passed else 1
 
 
 class _Entry(NamedTuple):
-    """A sweep entry that was built and may run: index, normalized config, directory, SimConfig, checks.
+    """A run, or a sweep entry, that was built and may run: index, normalized config, directory, SimConfig, checks.
 
     made lists the directories _make_dir created for it, removed again if its run fails.
     """
@@ -504,39 +496,40 @@ def _unions(entries):
     return unions
 
 
-def _simulate_union(cfgs):
-    """Each run's trajectory, or the RUN_FAILURES error it raises alone.
+def _run(entries):
+    """Run a union of entries and write what each asks for; return each one's RunSummary, or its RUN_FAILURES error.
 
-    A union that fails so is run again member by member, so every run
-    reports exactly what its lone simulation does.
+    One closed loop hands each entry's samples to its analysis.Verdict and, if asked for, its sim.TrajectoryCSV.
+    A union that fails so runs again member by member, each CSV written afresh, so every run reports what it
+    does alone; a failed run writes nothing and removes the directories it made.
     """
+    sinks = []  # each run's Verdict first, then its writer, made (and so its file opened) only if asked for
+    for entry in entries:
+        sinks.append([analysis.Verdict(entry.cfg, label=entry.norm["name"], **entry.checks)])
+        if "trajectory" in entry.norm["output"]["formats"]:
+            sinks[-1].append(sim.TrajectoryCSV(entry.outdir / "trajectory.csv", entry.cfg))
+    writers = [writer for run_sinks in sinks for writer in run_sinks[1:]]
     try:
-        return sim.simulate_union(cfgs)
-    except RUN_FAILURES as exc:
-        if len(cfgs) == 1:
-            return [exc]
-    return [_simulate_union([cfg])[0] for cfg in cfgs]
+        sim.simulate_union([entry.cfg for entry in entries], sinks)
+    except BaseException as exc:
+        for writer in writers:
+            writer.close(keep=False)
+        if not isinstance(exc, RUN_FAILURES):
+            raise
+        if len(entries) > 1:
+            return [_run([entry])[0] for entry in entries]
+        _unmake_dirs(entries[0].made)
+        return [exc]
+    for writer in writers:
+        writer.close(keep=True)
+    summaries = [run_sinks[0].summary() for run_sinks in sinks]
+    for entry, summary in zip(entries, summaries):
+        _finish(entry, summary)
+    return summaries
 
 
 def _error_result(idx, exc):
     return [str(idx), f"error: {exc}"] + [""] * len(analysis.REPORT_CSV_HEADER), f"[{idx}] error: {exc}"
-
-
-def _run_union(union):
-    """Simulate one union and write its entries' artifacts; returns {entry index: (row, line)}."""
-    results = {}
-    for entry, outcome in zip(union, _simulate_union([entry.cfg for entry in union])):
-        if isinstance(outcome, RUN_FAILURES):
-            _unmake_dirs(entry.made)
-            results[entry.idx] = _error_result(entry.idx, outcome)
-            continue
-        summary = _finish(entry.outdir, entry.norm, entry.checks, outcome)
-        verdict = "pass" if summary.passed else "fail"
-        results[entry.idx] = (
-            [str(entry.idx), verdict] + analysis.summary_csv_row(summary),
-            f"[{entry.idx}] {entry.norm['name']}: {verdict.upper()}",
-        )
-    return results
 
 
 def cmd_sweep(args):
@@ -569,7 +562,15 @@ def cmd_sweep(args):
         except tuple(REFUSALS) as exc:
             results[idx] = _error_result(idx, exc)
     for union in _unions(built):
-        results.update(_run_union(union))
+        for entry, outcome in zip(union, _run(union)):
+            if isinstance(outcome, RUN_FAILURES):
+                results[entry.idx] = _error_result(entry.idx, outcome)
+                continue
+            verdict = "pass" if outcome.passed else "fail"
+            results[entry.idx] = (
+                [str(entry.idx), verdict] + analysis.summary_csv_row(outcome),
+                f"[{entry.idx}] {entry.norm['name']}: {verdict.upper()}",
+            )
 
     rows, lines = zip(*(results[idx] for idx in sorted(results)))
     with open(outdir / "report.csv", "w", newline="") as fh:

@@ -31,8 +31,7 @@ class ProtocolParams:
     """Precomputed gain matrix of the protocol, and the coherency spec of its P.
 
     BtP = B'P steers the control, and its output's squared norm drives
-    gain growth. Kt = [P | (B'P)']', held contiguous, stacks the two maps an
-    agent reads of its own zeta_i: one product Kt @ Z gives all feedback returns.
+    gain growth; an RK4 stage (sim.RK4Step) forms the feedback from P and BtP.
 
     The spec is formed from this P: delta_bar = delta^2 lambda_min(P), so
     zeta' P zeta <= delta_bar implies |zeta| <= delta, and 0 < d < delta_bar.
@@ -70,7 +69,6 @@ class ProtocolParams:
         self.P = P
         self.BtP = B.T @ P
         self.m, self.n = self.BtP.shape  # input and state dimensions
-        self.Kt = np.ascontiguousarray(np.hstack([P, self.BtP.T]).T)
         self.spec = CoherenceSpec(delta=float(delta), delta_bar=delta_bar, d=float(d))
 
 
@@ -78,29 +76,3 @@ def zeta(L, x):
     """Disagreement signals of agent rows x, shape (N, n): row i is sum_j l_ij x_j."""
     return np.asarray(L, dtype=float) @ np.asarray(x, dtype=float)
 
-
-def feedback(rho, zetas, params, d):
-    """Gain rates, control inputs and levels of all agents, from one product KZ = [P | (B'P)']' @ Z.
-
-    Z holds one agent's zeta_i per column, shape (n, N). Column i's level
-    is V_i = zeta_i' P zeta_i. With y_i = B'P zeta_i, its rate is |y_i|^2
-    while V_i >= d (the boundary counts as active) and exactly 0.0 inside
-    the deadzone; as a sum of squares a rate is never negative. Column i's
-    input is -rho_i y_i. Returns (rates, inputs, levels). The deadzone
-    threshold d broadcasts against the levels: a run's spec.d, or one level
-    per column where runs of different specs share a closed loop. Leading
-    sample axes broadcast: gains (S, N) with disagreements (S, n, N) give
-    rates (S, N), inputs (S, m, N) and levels (S, N). The levels' products
-    are formed in place in KZ and the rates' row by row, so no temporary is
-    the size of Z. An RK4 stage forms these products, sums and signs in its
-    own buffers (sim.RK4Step).
-    """
-    n, KZ = params.n, params.Kt @ zetas
-    PZ, Y = KZ[..., :n, :], KZ[..., n:, :]
-    V = np.add.reduce(np.multiply(zetas, PZ, PZ), -2)
-    rates = Y[..., 0, :] * Y[..., 0, :]
-    for j in range(1, params.m):  # row by row, as a sum over the axis adds them
-        rates += Y[..., j, :] * Y[..., j, :]
-    rates *= V >= d
-    U = np.asarray(rho, dtype=float)[..., None, :] * Y
-    return rates, np.negative(U, U), V  # in place: a record's inputs take no second array

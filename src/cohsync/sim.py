@@ -1,6 +1,8 @@
 """Closed-loop network simulation: fixed-step integration, stage-wise deadzone."""
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -8,30 +10,22 @@ import yaml
 from . import signals as sigs
 from .graph import DOT, LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
 from .linalg import AgentModel, AssumptionError, is_stabilizable
-from .protocol import ProtocolParams, feedback
+from .protocol import ProtocolParams
 
 STATE_LIMIT = 1e12  # abort threshold for any state entry
 
 # bytes of the disturbance terms simulate_union evaluates ahead at once: a block
 # of steps, each with its three stage times, of (n, N) terms each
 BLOCK_BYTES = 256 * 1024
-# bytes of disagreements the post-run pass (summarize, write_trajectory_csv) derives
-# at once: the record is walked in chunks of samples of this size, at least one each
-CHUNK_BYTES = 64 * 1024
 
 
 class DivergenceError(RuntimeError):
-    """The state blew up.
+    """The state blew up: carries the first offending 1-based agent and the time."""
 
-    Carries the first offending 1-based agent, the time, and whatever
-    part of the trajectory was recorded before the abort.
-    """
-
-    def __init__(self, message, agent=None, time=None, partial=None):
+    def __init__(self, message, agent=None, time=None):
         super().__init__(message)
         self.agent = agent
         self.time = time
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -101,46 +95,52 @@ class SimConfig:
         """Number of fixed steps simulate takes: t_end / dt, rounded."""
         return int(round(self.t_end / self.dt))
 
+    @property
+    def samples(self):
+        """Number of samples a run hands on: at steps 0, record_every, ... below steps, and the final state."""
+        return (self.steps - 1) // int(self.record_every) + 2
+
 
 @dataclass
 class Trajectory:
-    """Time-sampled record of a closed-loop run: the state (x, rho) and its config.
+    """Time-sampled record of a closed-loop run, each sample as the loop handed it on, and its config.
 
-    times (S,), states (S, n, N), each sample the closed loop's X, and gains
-    (S, N) share the leading sample axis. zetas_at derives the disagreements
-    of a slice of samples from those samples alone, so the post-run pass
-    walks the record in chunks (chunks) and holds no derived array of the
-    whole record; feedback(gains[samples], Z, params, params.spec.d) gives
-    their inputs and levels zeta_i' P zeta_i.
+    times (S,), states (S, n, N) of X, gains (S, N), and what the sample's
+    stage 1 formed: disagreements zetas (S, n, N), inputs -rho B'P zeta
+    (S, m, N) and levels zeta_i' P zeta_i (S, N), one agent per column.
     """
 
     times: np.ndarray
     states: np.ndarray
     gains: np.ndarray
+    zetas: np.ndarray
+    inputs: np.ndarray
+    levels: np.ndarray
     config: SimConfig
 
     @property
     def n_samples(self):
         return self.times.shape[0]
 
-    @property
-    def n_agents(self):
-        return self.states.shape[2]
 
-    def zetas_at(self, samples):
-        """Disagreements zeta_i = sum_j l_ij x_j of states[samples], shape (s, n, N): each sample's own product."""
-        return LaplacianOperator(self.config.graph)(self.states[samples])
+def _recording(cfg):
+    """An unfilled Trajectory of cfg's samples, and the sink that fills it sample by sample."""
+    S, n, m, N = cfg.samples, cfg.params.n, cfg.params.m, cfg.graph.n_nodes
+    traj = Trajectory(*(np.empty(shape) for shape in [S, (S, n, N), (S, N), (S, n, N), (S, m, N), (S, N)]), cfg)
+    slots = zip(traj.times[:, None], traj.states, traj.gains, traj.zetas, traj.inputs, traj.levels)  # views
 
-    @property
-    def zetas(self):
-        """Disagreements of every sample, shape (S, n, N): zetas_at(slice(None))."""
-        return self.zetas_at(slice(None))
+    def record(*sample):
+        for slot, value in zip(next(slots), sample):
+            slot[...] = value
+
+    return traj, record
 
 
-def chunks(traj):
-    """Slices of traj's samples, in order, each of at most CHUNK_BYTES of disagreements and at least one sample."""
-    size = max(1, CHUNK_BYTES // (8 * traj.config.params.n * traj.n_agents))
-    return (slice(lo, min(lo + size, traj.n_samples)) for lo in range(0, traj.n_samples, size))
+def replay(traj, *sinks):
+    """Hand each recorded sample of traj to each sink, in order, as simulate_union hands the loop's."""
+    for sample in zip(traj.times, traj.states, traj.gains, traj.zetas, traj.inputs, traj.levels):
+        for sink in sinks:
+            sink(*sample)
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -160,18 +160,21 @@ class RK4Step:
     the 0-d coefficients dt/2, 2, dt and dt/6, and each stage, one closure wE -> D: first reads S and writes
     into the sum, later reads T and writes D. A stage writes Z = X L' by the calls L binds for (X, Z), then
     K Z with K = [B'P; P; B'P] just after it, so one multiply of [Z; Y] by [P Z; Y] (Y = B'P Z) forms Z*PZ and
-    Y*Y, which a reduce over rows adds in order: feedback's products and sums. -B carries the inputs' sign,
-    exactly: (-b)(rho y) = b(-(rho y)). 13 NumPy calls on a unit-weight tree with m = 1, no other Python frame.
+    Y*Y, which a reduce over rows adds in order: the levels V and the rates |y_i|^2 (0 where V_i < d_i). Y
+    becomes rho y in place; -B carries the inputs' sign, exactly: (-b)(rho y) = b(-(rho y)), so u = -(rho y).
+    After first, the attributes Z, Y and V hold S's disagreements, rho y and levels. 13 NumPy calls on a
+    unit-weight tree with m = 1, no other Python frame.
     """
 
     def __init__(self, params, A, B, d, L, dt, S):
         n, m, N = params.n, params.m, L.n_nodes
         self.S, self.D, self.T, self.acc = S, *(np.empty((n + 1, N)) for _ in range(3))
         W, V, active = np.empty((2 * (n + m), N)), np.empty(N), np.empty(N, dtype=bool)  # W = [Z; Y; P Z; Y]
+        self.Z, self.Y, self.V = W[:n], W[n : n + m], V
         K, negB = np.vstack([params.BtP, params.P, params.BtP]), -np.asarray(B, dtype=float)
         dot, multiply, add, reduce, greater_equal = DOT, np.multiply, np.add, np.add.reduce, np.greater_equal
 
-        def stage(S, D):
+        def stage(S, D, BY):
             X, rho, Xdot, rates = S[:n], S[n], D[:n], D[n]
             Z, ZY, KZ, PZY, Y = W[:n], W[: n + m], W[n:], W[n + m :], W[n : n + m]
             ZPZ, YY = PZY[:n], PZY[n:]
@@ -189,20 +192,26 @@ class RK4Step:
                 multiply(squares, greater_equal(V, d, active), rates)  # a bool mask: a float one was slower
                 multiply(rho, y, y)
                 dot(A, X, Xdot)
-                add(Xdot, dot(negB, Y, Z), Xdot)
+                add(Xdot, dot(negB, Y, BY), Xdot)
                 add(Xdot, wE, Xdot)
                 return D
 
             return derivative
 
-        self.first, self.later = stage(S, self.acc), stage(self.T, self.D)
+        # first writes B(rho y) into D, free until later writes it, so first keeps Z; later writes it into Z
+        self.first, self.later = stage(S, self.acc, self.D[:n]), stage(self.T, self.D, W[:n])
         self.coefficients = tuple(np.array(c) for c in (0.5 * dt, 2.0, dt, dt / 6.0))
 
-    def __call__(self, w1, w2, w4):
-        """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt."""
+    def __call__(self, w1, w2, w4, sample=None):
+        """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt.
+
+        sample(), if given, runs after stage 1, while S still holds the step's start and Z, Y and V its values.
+        """
         S, D, T, acc, first, later = self.S, self.D, self.T, self.acc, self.first, self.later
         (half, two, whole, sixth), add, multiply = self.coefficients, np.add, np.multiply  # every out positional
         first(w1)  # k1, straight into the sum
+        if sample is not None:
+            sample()
         add(S, multiply(acc, half, T), T)
         later(w2)
         add(S, multiply(D, half, T), T)
@@ -234,8 +243,8 @@ def can_join(a, b):
     )
 
 
-def simulate_union(cfgs):
-    """Integrate runs that can_join as one closed loop; return one Trajectory per run, in order.
+def simulate_union(cfgs, sinks=None):
+    """Integrate runs that can_join as one closed loop, handing each run's samples to that run's sinks.
 
     The protocol is fully distributed and its design P does not depend on
     the graph, so runs that share it are one closed loop over the disjoint
@@ -251,26 +260,33 @@ def simulate_union(cfgs):
     so no step lowers a gain. The coupling is one graph.LaplacianOperator
     over all the graphs, which applies each graph's own map to its columns,
     so every run's values are its lone simulate's bit for bit. Each stage
-    is one closure of 13 NumPy calls (RK4Step): the coupling's bound calls,
-    one product K Z with K = [B'P; P; B'P], one multiply [Z; Y] * [P Z; Y],
-    feedback's row-ordered sums, and -B for the inputs' sign: feedback's bits.
-    The disturbance, one signals.waveform at the distinct labels 1..max N_k
-    gathered to each run's agents 1..N_k, does not depend on the state: it
-    is evaluated a block of steps ahead (BLOCK_BYTES of terms, at least one
-    step), at every step's t_k = k dt, t_k + dt/2 and t_k + dt, in one call
-    and one product with E, as terms (block, 3, n, N); each stage adds its
-    slice (the two midpoint stages share one).
+    is one closure of 13 NumPy calls (RK4Step), the one place the feedback
+    law is formed. The disturbance, one signals.waveform at the distinct
+    labels 1..max N_k gathered to each run's agents 1..N_k, does not depend
+    on the state: it is evaluated a block of steps ahead (BLOCK_BYTES of
+    terms, at least one step), at every step's t_k = k dt, t_k + dt/2 and
+    t_k + dt, in one call and one product with E, as terms (block, 3, n, N);
+    each stage adds its slice (the two midpoint stages share one).
 
-    Samples are recorded every record_every steps plus the final state, into
-    one preallocated record of shape (S, n, N), each sample X as it is; each
-    run's trajectory holds views of its agents' columns and its own config.
+    A run's cfg.samples samples are taken after stage 1 of every
+    record_every-th step and, at the final state, after one more stage 1,
+    whose Z, rho y and V do not depend on its disturbance term. Each calls
+    every sink of run k, sinks[k], as sink(t, X, rho, Z, U, V), U = -rho y,
+    with views of the run's columns, valid for that call only, once its
+    gains are checked against the previous sample's. Without sinks, each
+    run is recorded: the return is one Trajectory per run, in order.
+
     A state entry beyond STATE_LIMIT, or not finite, raises DivergenceError
-    naming the agent (and, in a union of several runs, the run's index) with
-    that run's partial trajectory. A step checks each entry only when the
-    state's sum of squares exceeds STATE_LIMIT**2 (or is NaN): no rounded sum
-    of squares lies below one of them, and none beyond the limit rounds to it.
+    naming the agent (and, in a union of several runs, the run's index). A
+    step checks each entry only when the state's sum of squares exceeds
+    STATE_LIMIT**2 (or is NaN): no rounded sum of squares lies below one of
+    them, and none beyond the limit rounds to it.
     """
     cfgs = list(cfgs)
+    if sinks is None:
+        recordings = [_recording(cfg) for cfg in cfgs]
+        simulate_union(cfgs, [[record] for _, record in recordings])
+        return [traj for traj, _ in recordings]
     if not cfgs:
         raise ValueError("simulate_union needs at least one run")
     head = cfgs[0]
@@ -297,36 +313,27 @@ def simulate_union(cfgs):
     rho[:] = np.concatenate([np.broadcast_to(np.reshape(cfg.rho0, -1), (size,)) for cfg, size in zip(cfgs, sizes)])
     step = RK4Step(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes), L, dt, state)
 
-    S = (steps - 1) // every + 2  # samples at k = 0, every, ... below steps, and the final state
-    times = np.empty(S)
-    states = np.empty((S, n, N))
-    gains = np.empty((S, N))
+    U, last = step.Y, np.full(N, -np.inf)  # the inputs, -(rho y) in place, and the previous sample's gains
+    runs = [(run_sinks, slice(lo, hi)) for run_sinks, lo, hi in zip(sinks, offsets, offsets[1:])]
 
-    def runs(s):
-        # each run's trajectory over the first s samples: views of its columns
-        return [
-            Trajectory(times[:s], states[:s, :, lo:hi], gains[:s, lo:hi], cfg)
-            for cfg, lo, hi in zip(cfgs, offsets, offsets[1:])
-        ]
-
-    def record(s, t):
-        # each sample's gains are checked against the previous sample's as they are recorded
-        times[s], states[s], gains[s] = t, x, rho
-        drop = (gains[s - 1] - rho).max() if s else 0.0
+    def sample(t):
+        drop = (last - rho).max()
         if drop > 1e-12:
             raise RuntimeError(f"recorded gains decreased by {drop:.3e}; integrator invariant broken")
+        last[:] = rho
+        np.negative(U, out=U)  # the next stage forms Y afresh
+        for run_sinks, cols in runs:
+            values = (t, x[:, cols], rho[cols], step.Z[:, cols], U[:, cols], step.V[cols])
+            for sink in run_sinks:
+                sink(*values)
 
-    s = 0
     terms = np.empty((min(block, steps), 3, n, N))  # each block's E w, rewritten in place
     for k0 in range(0, steps, block):
         tk = np.arange(k0, min(k0 + block, steps)) * dt
         stage_times = np.stack([tk, tk + 0.5 * dt, tk + dt], axis=1)
         wE = np.multiply(wave(stage_times)[..., None, label_of], model.E, out=terms[: tk.size])
         for k, (w1, w2, w4) in enumerate(wE, k0):
-            if k % every == 0:
-                record(s, k * dt)
-                s += 1
-            step(w1, w2, w4)
+            step(w1, w2, w4, partial(sample, k * dt) if k % every == 0 else None)
             if not DOT(flat, flat) <= limit and not np.abs(x).max() <= STATE_LIMIT:
                 t = (k + 1) * dt
                 bad = ~np.isfinite(x).all(axis=0) | (np.abs(x).max(axis=0) > STATE_LIMIT)
@@ -339,54 +346,64 @@ def simulate_union(cfgs):
                     f"(non-finite or beyond {STATE_LIMIT:g})",
                     agent=agent,
                     time=t,
-                    partial=runs(s)[run],
                 )
-    record(s, steps * dt)
-    return runs(S)
+    step.first(w4)
+    sample(steps * dt)
 
 
 def simulate(cfg):
-    """Integrate one run: simulate_union([cfg])[0], the fixed-step RK4 loop described there."""
+    """Integrate and record one run: simulate_union([cfg])[0], the fixed-step RK4 loop described there."""
     return simulate_union([cfg])[0]
 
 
-def write_trajectory_csv(traj, path):
-    """Write one row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m, zeta_norm, V_i.
+class TrajectoryCSV:
+    """A sink that writes one run's trajectory CSV as its samples arrive, into path + ".part".
 
-    Per chunk of samples (chunks): its disagreements once, and its inputs
-    and levels from one feedback product, so the writer holds a few
-    CHUNK_BYTES of derived values however long the record is. Each
-    sample's N rows are one %r template; floats are written with repr, so
-    equal trajectories produce byte-identical files; lines end in the csv
-    module's "\\r\\n".
+    One row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m,
+    zeta_norm, V_i, each sample's N rows one %r template: floats in repr,
+    so equal samples give equal bytes; lines end in "\\r\\n", as the csv
+    module's. close(keep) moves the file onto path, or removes it, so a
+    failed run leaves an earlier file at path as it was.
     """
-    params = traj.config.params
-    n, m, N = params.n, params.m, traj.n_agents
-    header = (
-        ["t", "agent"]
-        + [f"x_{j + 1}" for j in range(n)]
-        + ["rho"]
-        + [f"u_{j + 1}" for j in range(m)]
-        + ["zeta_norm", "V_i"]
-    )
-    cells = ",".join(["%r"] * (n + m + 3))
-    template = "".join(f"%r,{a},{cells}\r\n" for a in range(1, N + 1))  # a sample's rows: t, agent, the rest
-    rows = np.empty((N, n + m + 4))  # one sample's values, agent by agent: t, x, rho, u, |zeta|, V
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for samples in chunks(traj):
-            Z = traj.zetas_at(samples)
-            U, V = feedback(traj.gains[samples], Z, params, params.spec.d)[1:]
-            znorm = np.linalg.norm(Z, axis=1)
-            del Z  # dropped before the rows are formatted, so that it does not add to their peak
-            for k, s in enumerate(range(samples.start, samples.stop)):
-                rows[:, 0] = traj.times[s]
-                rows[:, 1 : n + 1] = traj.states[s].T
-                rows[:, n + 1] = traj.gains[s]
-                rows[:, n + 2 : -2] = U[k].T
-                rows[:, -2] = znorm[k]
-                rows[:, -1] = V[k]
-                fh.write(template % tuple(rows.ravel().tolist()))
+
+    def __init__(self, path, cfg):
+        n, m, N = cfg.params.n, cfg.params.m, cfg.graph.n_nodes
+        header = ["t", "agent", *(f"x_{j + 1}" for j in range(n)), "rho", *(f"u_{j + 1}" for j in range(m))]
+        cells = ",".join(["%r"] * (n + m + 3))
+        self.template = "".join(f"\0,{a},{cells}\r\n" for a in range(1, N + 1))  # a sample's rows; \0: t
+        self.rows = np.empty((N, n + m + 3))  # one sample's values, agent by agent: x, rho, u, |zeta|, V
+        self.path, self.part = path, f"{path}.part"
+        self.fh = open(self.part, "w", newline="")
+        self.fh.write(",".join(header + ["zeta_norm", "V_i"]) + "\r\n")
+
+    def __call__(self, t, X, rho, Z, U, V):
+        rows, n = self.rows, X.shape[0]
+        rows[:, :n] = X.T
+        rows[:, n] = rho
+        rows[:, n + 1 : -2] = U.T
+        np.sqrt(np.add.reduce(Z * Z, 0), out=rows[:, -2])  # np.linalg.norm(Z, axis=0), less its checks
+        rows[:, -1] = V
+        # t formatted once a sample, as %r formats the Python float
+        self.fh.write(self.template.replace("\0", repr(float(t))) % tuple(rows.ravel().tolist()))
+
+    def close(self, keep):
+        """Close the file, and move it onto path if keep, else remove it."""
+        self.fh.close()
+        if keep:
+            os.replace(self.part, self.path)
+        else:
+            os.remove(self.part)
+
+
+def write_trajectory_csv(traj, path):
+    """Write traj's trajectory CSV at path: its samples replayed through a TrajectoryCSV."""
+    writer = TrajectoryCSV(path, traj.config)
+    try:
+        replay(traj, writer)
+    except BaseException:
+        writer.close(keep=False)
+        raise
+    writer.close(keep=True)
 
 
 def write_metadata(path, meta):

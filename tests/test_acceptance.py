@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import stage_rows
 
 from cohsync import analysis, cli, graph, linalg, protocol, signals, sim
 
@@ -145,12 +146,12 @@ def test_criterion_7_invariant_suite():
     ones = np.ones(3)
     inside = np.zeros((3, 3))
     inside[0] = ones * 0.9 * np.sqrt(params.spec.d / (ones @ params.P @ ones))  # V = 0.81 d
-    rates_inside = protocol.feedback(np.ones(3), inside.T, params, params.spec.d)[0]
+    rates_inside = stage_rows(np.ones(3), inside, params, params.spec.d)[0]
     checks["deadzone_zero_inside"] = bool(np.all(rates_inside == 0.0))
     direction = np.array([1.0, 0.0, 0.0])
     v_dir = direction @ params.P @ direction
     boundary = direction * np.sqrt(params.spec.d / v_dir)
-    rate_on_boundary = protocol.feedback(np.ones(1), boundary[None].T, params, params.spec.d)[0][0]
+    rate_on_boundary = stage_rows(np.ones(1), boundary[None], params, params.spec.d)[0][0]
     checks["deadzone_active_on_boundary"] = rate_on_boundary > 0.0
 
     for gen in (1, 2, 3):
@@ -166,12 +167,9 @@ def test_criterion_7_invariant_suite():
     shifted = dataclasses.replace(cfg, x0=cfg.x0 + np.tile([10.0, -3.0, 2.0], 5))
     tb = sim.simulate(shifted)
 
-    def inputs(t):
-        return protocol.feedback(t.gains, t.zetas, cfg.params, cfg.params.spec.d)[1]
-
     checks["translation_zeta_1e-8"] = bool(np.max(np.abs(tb.zetas - traj.zetas)) <= 1e-8)
     checks["translation_rho_1e-8"] = bool(np.max(np.abs(tb.gains - traj.gains)) <= 1e-8)
-    checks["translation_u_1e-8"] = bool(np.max(np.abs(inputs(tb) - inputs(traj))) <= 1e-8)
+    checks["translation_u_1e-8"] = bool(np.max(np.abs(tb.inputs - traj.inputs)) <= 1e-8)
 
     # permutation equivariance: relabeling nodes, with the disturbance
     # table's columns moved alongside, relabels the series
@@ -187,7 +185,7 @@ def test_criterion_7_invariant_suite():
     checks["permutation_gains_grow"] = bool(tt.gains[-1].max() > 0.0)
     checks["permutation_zeta_1e-8"] = bool(np.max(np.abs(tp.zetas[:, :, perm] - tt.zetas)) <= 1e-8)
     checks["permutation_rho_1e-8"] = bool(np.max(np.abs(tp.gains[:, perm] - tt.gains)) <= 1e-8)
-    checks["permutation_u_1e-8"] = bool(np.max(np.abs(inputs(tp)[:, :, perm] - inputs(tt))) <= 1e-8)
+    checks["permutation_u_1e-8"] = bool(np.max(np.abs(tp.inputs[:, :, perm] - tt.inputs)) <= 1e-8)
 
     # exact synchronization is preserved without disturbance
     g = cfg.graph
@@ -246,8 +244,7 @@ def test_criterion_8_step_halving_order():
     }
     # the window must be smooth for the order argument to apply: every
     # agent stays on one side of the deadzone the whole time
-    levels = protocol.feedback(reference.gains, reference.zetas, cfg.params, cfg.params.spec.d)[2]
-    active = levels >= cfg.params.spec.d
+    active = reference.levels >= cfg.params.spec.d
     checks["deadzone_state_constant"] = bool(np.all(active == active[0]))
 
     err_coarse = np.max(np.abs(coarse.states - reference.states))
@@ -269,8 +266,7 @@ def halving_through_crossings():
         sim.simulate(dataclasses.replace(cfg, dt=1e-3 / 2**j, t_end=5.3, record_every=2**j)) for j in range(4)
     ]
     assert all(np.allclose(r.times, ref.times, rtol=0.0, atol=1e-12) for r in runs)
-    levels = protocol.feedback(ref.gains, ref.zetas, cfg.params, cfg.params.spec.d)[2]
-    active = levels >= cfg.params.spec.d
+    active = ref.levels >= cfg.params.spec.d
     assert np.count_nonzero(active[1:] != active[:-1]) == 4
     return [np.abs(r.states - ref.states).max() for r in runs], [np.abs(r.gains - ref.gains).max() for r in runs]
 

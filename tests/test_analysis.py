@@ -4,27 +4,29 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import feedback
 
 from cohsync import analysis, graph, protocol, signals, sim
 
 
 def make_traj(times, zetas, gains=None, params=None, delta=1.0):
-    """Stand-in with the attributes summarize reads, built from given disagreements.
+    """Stand-in with what summarize's Verdict and sim.replay read, built from given disagreements.
 
     zetas holds agent rows, shape (S, N, n); the stand-in holds them one
-    agent per column, (S, n, N), and hands out the samples a slice selects
-    through zetas_at, as a Trajectory does. Without params,
-    P = I and the spec is formed from delta alone, so delta_bar = delta^2.
+    agent per column, (S, n, N), as a Trajectory does, with their levels
+    and inputs from the reference feedback. Without params, P = I and the
+    spec is formed from delta alone, so delta_bar = delta^2.
     """
     times = np.asarray(times, dtype=float)
-    zetas = np.asarray(zetas, dtype=float)
-    S, N, n = zetas.shape
+    zetas = np.asarray(zetas, dtype=float).swapaxes(1, 2)
+    S, n, N = zetas.shape
     gains = np.zeros((S, N)) if gains is None else np.asarray(gains, dtype=float)
     if params is None:
         params = protocol.ProtocolParams(np.eye(n), np.eye(n), delta=delta)
+    _, inputs, levels = feedback(gains, zetas, params, params.spec.d)
     return SimpleNamespace(
-        times=times, gains=gains, config=SimpleNamespace(params=params),
-        n_samples=S, n_agents=N, zetas_at=zetas.swapaxes(1, 2).__getitem__,
+        times=times, states=zetas, gains=gains, zetas=zetas, inputs=inputs, levels=levels,
+        config=SimpleNamespace(params=params, samples=S),
     )
 
 
@@ -144,7 +146,8 @@ def test_level_bound_implies_norm_bound(bench_params):
 
 
 def test_summarize_agrees_with_trajectory_levels(benchmark_model, bench_params):
-    # the one-pass levels equal the trajectory's own derived ones, bit for bit
+    # a Verdict handed the samples as the loop forms them judges what summarize judges on the record,
+    # and its tail figures are the recorded levels, norms and gains', bit for bit
     g = graph.vicsek_fractal(1, directed=True)
     cfg = sim.SimConfig(
         model=benchmark_model, graph=g, params=bench_params, disturbance=signals.chirp_signal(),
@@ -153,9 +156,11 @@ def test_summarize_agrees_with_trajectory_levels(benchmark_model, bench_params):
     )
     traj = sim.simulate(cfg)
     s = analysis.summarize(traj, tail_fraction=0.2)
+    live = analysis.Verdict(cfg, tail_fraction=0.2)
+    assert sim.simulate_union([cfg], [[live]]) is None
+    assert live.summary() == s
     ntail = 10  # round(0.2 * 51 samples)
-    levels = protocol.feedback(traj.gains, traj.zetas, bench_params, bench_params.spec.d)[2]
-    assert s.tail_max_Vi == levels[-ntail:].max()
+    assert s.tail_max_Vi == traj.levels[-ntail:].max()
     assert s.tail_max_zeta_norm == np.linalg.norm(traj.zetas[-ntail:], axis=1).max()
     assert s.max_final_gain == traj.gains[-1].max()
 

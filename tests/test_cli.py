@@ -1,7 +1,9 @@
 import csv
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +116,7 @@ def test_outdir_resolution(tmp_path, monkeypatch):
 
 
 def test_out_naming_a_file_is_refused_before_simulating(tmp_path, monkeypatch, capsys):
-    def never(cfg):
+    def never(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli.sim, "simulate", never)
@@ -364,19 +366,25 @@ def test_edge_cap_exits_2_through_graph_offsets(input_files, capsys):
     assert not (input_files / "out").exists()
 
 
-# 1e15 steps, each recorded: 8 PB of times alone, beyond any address space,
-# so the record's first np.empty fails at once and touches no memory
-UNALLOCATABLE_RECORD = {"dt": 1e-3, "t_end": 1.0e12, "record_every": 1}
+def test_a_record_too_large_to_allocate_exits_2_and_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    # a run holds no record, so the allocation that fails is a sink's: the verdict of the run named "big",
+    # and of the sweep's entry 0, raises numpy's MemoryError on its first sample
+    call = cli.analysis.Verdict.__call__
 
+    def exhausted(verdict, *sample):
+        if verdict.label in ("big", "big_00"):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array with shape (1000000000000001,) "
+                              "and data type float64")
+        return call(verdict, *sample)
 
-def test_a_record_too_large_to_allocate_exits_2_and_leaves_no_directory(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, fast_passing_config(integration=UNALLOCATABLE_RECORD))
+    monkeypatch.setattr(cli.analysis.Verdict, "__call__", exhausted)
+    cfg_path = write_config(tmp_path, fast_passing_config(name="big"))
     assert cli.main(["check", cfg_path]) == 0
     out = tmp_path / "made" / "out"
     assert cli.main(["run", cfg_path, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("out of memory: ")
     assert not (tmp_path / "made").exists()
-    cfg = dict(fast_passing_config(name="big"), sweep=[{"integration": UNALLOCATABLE_RECORD}, {}])
+    cfg = dict(fast_passing_config(name="big"), sweep=[{}, {}])
     out = tmp_path / "sweepout"
     assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 1
     with open(out / "report.csv", newline="") as fh:
@@ -672,9 +680,9 @@ def union_calls(monkeypatch):
     calls = []
     simulate_union = cli.sim.simulate_union
 
-    def counted(cfgs):
+    def counted(cfgs, sinks=None):
         calls.append([cfg.graph.n_nodes for cfg in cfgs])
-        return simulate_union(cfgs)
+        return simulate_union(cfgs, sinks)
 
     monkeypatch.setattr(cli.sim, "simulate_union", counted)
     return calls
@@ -839,6 +847,7 @@ def test_sweep_union_with_a_diverging_member_reports_each_entry_as_alone(tmp_pat
     assert status[1:] == ["pass", "pass"]  # a lone agent has no disagreement to judge
     assert not (out / "div_00").exists()  # made before the run and removed, as by `cohsync run`
     assert not (tmp_path / "lone_00").exists()
+    assert not list(out.rglob("*.part"))  # the union's CSVs, and the rerun's, were removed or moved
     assert_entries_write_what_run_writes(tmp_path, base, entries, out, ran=(1, 2))
 
 
@@ -856,17 +865,51 @@ def test_a_diverging_run_removes_only_the_directories_it_made(tmp_path, capsys):
     assert "simulation diverged" in capsys.readouterr().err
     assert not (tmp_path / "made").exists()  # every directory the run made, and nothing else
     assert (tmp_path / "one.txt").exists()
-    # a directory that was there before the run stays, empty or not
+    # a directory that was there before the run stays, empty or not, and so does an earlier run's CSV
     for kept in ("empty", "full"):
         (tmp_path / kept).mkdir()
     (tmp_path / "full" / "notes.txt").write_text("kept\n")
+    (tmp_path / "full" / "trajectory.csv").write_bytes(b"t,agent\r\n0.0,1\r\n")
     for kept in ("empty", "full"):
         assert cli.main(["run", path, "--out", str(tmp_path / kept), "--quiet"]) == 4
-    assert (tmp_path / "empty").is_dir()
+    assert (tmp_path / "empty").is_dir() and not any((tmp_path / "empty").iterdir())
     assert (tmp_path / "full" / "notes.txt").read_text() == "kept\n"
+    assert (tmp_path / "full" / "trajectory.csv").read_bytes() == b"t,agent\r\n0.0,1\r\n"
     # below a directory that was there before, only the part the run made goes
     assert cli.main(["run", path, "--out", str(tmp_path / "full" / "new" / "div"), "--quiet"]) == 4
-    assert sorted(p.name for p in (tmp_path / "full").iterdir()) == ["notes.txt"]
+    assert sorted(p.name for p in (tmp_path / "full").iterdir()) == ["notes.txt", "trajectory.csv"]
+
+
+def test_a_run_holds_no_record_however_many_samples(tmp_path):
+    # fig3c's graph (121 agents on the directed fractal), a sample every step, only the report written: the
+    # loop hands each sample to the verdict, which keeps running figures, so 4x the samples (501 and 2,001)
+    # peak within a fraction of one sample's record of t, x and rho, where a held record grew by 5.8 MB.
+    # The verdict's tail figures, 3 KB, count towards the peak only if a block of disturbance terms is
+    # evaluated in the tail window: both tails hold several blocks of 30 steps
+    sample = 8 * (1 + 3 * 121 + 121)
+
+    def peak(t_end):
+        cfg = fast_passing_config(
+            graph={"kind": "vicsek", "generation": 3, "directed": True},
+            disturbance={"kind": "chirp"},
+            integration={"dt": 1e-3, "t_end": t_end, "record_every": 1, "seed": 7},
+            output={"formats": ["report"]},
+        )
+        out = tmp_path / f"out{t_end}"
+        argv = ["run", write_config(tmp_path, cfg, f"exp{t_end}.yaml"), "--out", str(out), "--quiet"]
+        gc.collect()  # garbage of earlier runs is freed now, not at some point of the traced one
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) in (0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.yaml", "report.csv", "report.txt"]
+        return peak
+
+    peak(0.05)  # first-call caches
+    short, long = peak(0.5), peak(2.0)
+    assert abs(long - short) < sample / 4
 
 
 def test_full_benchmark_preset_passes(tmp_path):

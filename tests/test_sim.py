@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from conftest import feedback
 
-from cohsync import analysis, graph, linalg, protocol, signals, sim
+from cohsync import graph, linalg, protocol, signals, sim
 
 
 def scalar_params(d=0.5):
@@ -89,7 +90,7 @@ def test_equal_initial_states_follow_open_loop_flow(bench_setup):
         assert np.abs(traj.states[:, :, a] - expected).max() <= 1e-8
     assert np.all(traj.gains == 0.0)
     assert np.abs(traj.zetas).max() <= 1e-10
-    assert np.all(protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)[1] == 0.0)
+    assert np.all(traj.inputs == 0.0)
 
 
 def test_zero_disturbance_disagreement_decays(bench_setup):
@@ -111,9 +112,7 @@ def test_translation_invariance(bench_setup):
     # disagreement dynamics see only state differences
     assert np.abs(ta.zetas - tb.zetas).max() <= 1e-8
     assert np.abs(ta.gains - tb.gains).max() <= 1e-8
-    _, params = bench_setup
-    ua, ub = (protocol.feedback(t.gains, t.zetas, params, params.spec.d)[1] for t in (ta, tb))
-    assert np.abs(ua - ub).max() <= 1e-8
+    assert np.abs(ta.inputs - tb.inputs).max() <= 1e-8
 
 
 def test_permutation_equivariance(bench_setup):
@@ -122,7 +121,6 @@ def test_permutation_equivariance(bench_setup):
     rng = np.random.default_rng(0)
     graphs = [graph.vicsek_fractal(1, directed=True), graph.vicsek_fractal(2, directed=False)]
     graphs += [spanning_digraph(seed) for seed in (1, 2, 3)]
-    _, params = bench_setup
     for g in graphs:
         N = g.n_nodes
         perm = rng.permutation(N)
@@ -140,8 +138,7 @@ def test_permutation_equivariance(bench_setup):
         assert np.abs(tb.states[:, :, perm] - ta.states).max() <= 1e-8
         assert np.abs(tb.gains[:, perm] - ta.gains).max() <= 1e-8
         assert np.abs(tb.zetas[:, :, perm] - ta.zetas).max() <= 1e-8
-        ua, ub = (protocol.feedback(t.gains, t.zetas, params, params.spec.d)[1] for t in (ta, tb))
-        assert np.abs(ub[:, :, perm] - ua).max() <= 1e-8
+        assert np.abs(tb.inputs[:, :, perm] - ta.inputs).max() <= 1e-8
 
 
 def test_gains_never_decrease(bench_setup):
@@ -191,10 +188,6 @@ def test_divergence_guard_reports_agent_and_keeps_partial():
         sim.simulate(cfg)
     assert err.value.agent == 1
     assert 5.0 < err.value.time < 6.0
-    part = err.value.partial
-    assert part is not None
-    assert part.n_samples >= 1
-    assert part.times[-1] < err.value.time
 
 
 def poked_step(at, value, rows, cols):
@@ -225,7 +218,6 @@ def test_divergence_check_aborts_past_the_limit(bench_setup, monkeypatch, value)
     with pytest.raises(sim.DivergenceError, match=r"agent 7 of run 1 at t=0\.004 ") as err:
         sim.simulate_union(cfgs)
     assert (err.value.agent, err.value.time) == (7, 4 * 1e-3)
-    assert err.value.partial.config is cfgs[1] and err.value.partial.n_samples == 1
 
 
 @pytest.mark.parametrize(
@@ -256,7 +248,7 @@ def dense_loop(cfg):
     wave = signals.waveform(cfg.disturbance, np.arange(1, g.n_nodes + 1))
 
     def f(t, x, rho):
-        rates, u, _ = protocol.feedback(rho, (L @ x).T, params, params.spec.d)
+        rates, u, _ = feedback(rho, (L @ x).T, params, params.spec.d)
         return x @ model.A.T + u.T @ model.B.T + wave(t)[:, None] * model.E.T, rates
 
     return rk4_record(cfg, f)
@@ -325,7 +317,8 @@ def test_every_stage_forms_the_record_wide_feedback(n, m):
     # a stage forms feedback's products, sums and signs in its own buffers, whatever n and m: with m >= 2
     # it sums its rates row by row. One union per seeded model: three copies of the directed 25-agent
     # fractal, one per deadzone threshold, gather as one block, and a 7-node circulant takes the dense
-    # product; every run is dense_loop's, which calls feedback on each stage's whole state
+    # product; every run is dense_loop's, which calls the reference feedback on each stage's whole state, and
+    # each sample's recorded inputs and levels are the reference's on its recorded disagreements
     rng = np.random.default_rng(10 * n + m)
     A, B = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, m))
     model = linalg.AgentModel(A, B, B[:, :1])
@@ -343,6 +336,9 @@ def test_every_stage_forms_the_record_wide_feedback(n, m):
     union = sim.simulate_union(cfgs)
     for traj in union:
         for got, want in zip((traj.times, traj.states, traj.gains), dense_loop(traj.config), strict=True):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        _, U, V = feedback(traj.gains, traj.zetas, traj.config.params, traj.config.params.spec.d)
+        for got, want in ((traj.inputs, U), (traj.levels, V)):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     first, last = (np.concatenate([traj.gains[s] for traj in union]) for s in (0, -1))
     assert (last > first).any() and (last == first).any()  # some gain grows, some never leaves its deadzone
@@ -487,7 +483,7 @@ def test_the_disturbance_block_stays_within_its_budget(bench_setup, fractal601, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    record = traj.times.nbytes + traj.states.nbytes + traj.gains.nbytes
+    record = sum(getattr(traj, f.name).nbytes for f in dataclasses.fields(traj) if f.name != "config")
     assert peak - record < sim.BLOCK_BYTES + BLOCK_SLACK
 
 
@@ -558,7 +554,7 @@ def test_simulation_matches_the_papers_formulas(bench_setup):
     levels = np.einsum("sij,jk,sik->si", Z, P, Z)
 
     assert np.abs(gains[-1]).max() > 0.0  # the gains have moved
-    _, U, V = protocol.feedback(traj.gains, traj.zetas, params, d)
+    U, V = traj.inputs, traj.levels
     assert traj.states.swapaxes(1, 2).shape == states.shape
     for got, want in ((traj.states.swapaxes(1, 2), states), (traj.gains[..., None], gains[..., None]),
                       (U.swapaxes(1, 2), controls), (V[..., None], levels[..., None])):
@@ -737,8 +733,7 @@ def test_union_members_on_one_repeated_graph_are_their_lone_runs(bench_setup):
     assert not op.blocks and op.copies == len(cfgs)
     for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
         assert traj.config is cfg  # and so its own spec
-        levels = protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)[2]
-        assert (levels < cfg.params.spec.d).any() and (levels >= cfg.params.spec.d).any()
+        assert (traj.levels < cfg.params.spec.d).any() and (traj.levels >= cfg.params.spec.d).any()
         lone = sim.simulate(cfg)
         for field in ("times", "states", "gains", "zetas"):
             assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
@@ -788,8 +783,6 @@ def test_union_divergence_names_the_run_and_keeps_its_partial():
     with pytest.raises(sim.DivergenceError, match="agent 2 at t=0.001 ") as lone:
         sim.simulate(cfgs[1])
     assert (err.value.agent, err.value.time) == (lone.value.agent, lone.value.time)
-    assert err.value.partial.config is cfgs[1]
-    assert np.array_equal(err.value.partial.states, lone.value.partial.states)
     assert np.all(sim.simulate(cfgs[0]).states == 0.0)  # run 0 alone never diverges
 
 
@@ -870,7 +863,7 @@ def test_recording_grid(bench_setup):
     assert traj.times[-1] == 2.0
     assert np.allclose(np.diff(traj.times), 0.01, atol=1e-12)
     assert traj.states.shape == (201, 3, 5)
-    assert protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)[1].shape == (201, 1, 5)
+    assert traj.inputs.shape == (201, 1, 5)
 
 
 def test_simulation_is_deterministic(bench_setup):
@@ -885,18 +878,18 @@ def test_derived_record_matches_per_sample_maps(bench_setup):
     g = graph.vicsek_fractal(2, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=2.0, record_every=50)
     traj = sim.simulate(cfg)
-    # the record holds (t, x, rho) and its config; the rest is derived
-    assert [f.name for f in dataclasses.fields(sim.Trajectory)] == ["times", "states", "gains", "config"]
+    # the record holds (t, x, rho), the zeta, u and V stage 1 formed, and its config
+    fields = [f.name for f in dataclasses.fields(sim.Trajectory)]
+    assert fields == ["times", "states", "gains", "zetas", "inputs", "levels", "config"]
     assert traj.config is cfg
     L = graph.laplacian(g)
     params = cfg.params
-    Z = traj.zetas
-    _, U, V = protocol.feedback(traj.gains, Z, params, params.spec.d)
+    Z, U, V = traj.zetas, traj.inputs, traj.levels
     assert np.abs(U[-1]).max() > 0.0  # the gains have grown, so the inputs are not all zero
     for s in (0, traj.n_samples // 2, traj.n_samples - 1):
         zs = protocol.zeta(L, traj.states[s].T)
         assert np.array_equal(Z[s], zs.T)
-        assert np.array_equal(U[s], protocol.feedback(traj.gains[s], zs.T, params, params.spec.d)[1])
+        assert np.array_equal(U[s], feedback(traj.gains[s], zs.T, params, params.spec.d)[1])
         expected = np.array([z @ params.P @ z for z in zs])
         assert np.abs(V[s] - expected).max() <= 1e-12 * max(1.0, expected.max())
 
@@ -920,7 +913,7 @@ def test_record_reports_what_the_kernel_computed(tmp_path, bench_setup, g):
     for s in range(traj.n_samples):
         Z = op(np.ascontiguousarray(traj.states[s]))  # the kernel's stage-1 product
         assert np.array_equal(traj.zetas[s], Z)
-        _, U, V = protocol.feedback(traj.gains[s], Z, params, params.spec.d)
+        _, U, V = feedback(traj.gains[s], Z, params, params.spec.d)
         assert np.array_equal(rows[s, :, 6:], np.column_stack([U.T, np.linalg.norm(Z, axis=0), V]))
 
 
@@ -928,8 +921,7 @@ def test_trajectory_csv_format(tmp_path, bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
     traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(),
                                   t_end=0.1, record_every=20))
-    params = traj.config.params
-    _, U, V = protocol.feedback(traj.gains, traj.zetas, params, params.spec.d)
+    U, V = traj.inputs, traj.levels
     path = tmp_path / "traj.csv"
     sim.write_trajectory_csv(traj, path)
     with open(path, newline="") as fh:
@@ -949,6 +941,7 @@ def test_trajectory_csv_format(tmp_path, bench_setup):
 
 
 def test_trajectory_csv_bytes_are_stable(tmp_path, bench_setup):
+    # and a writer handed the samples as the loop forms them writes what a replay of the record writes
     g = graph.vicsek_fractal(1, directed=True)
     cfgs = [bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.1, record_every=20)
             for _ in range(2)]
@@ -957,7 +950,12 @@ def test_trajectory_csv_bytes_are_stable(tmp_path, bench_setup):
         p = tmp_path / f"t{k}.csv"
         sim.write_trajectory_csv(sim.simulate(cfg), p)
         paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    live = sim.TrajectoryCSV(tmp_path / "live.csv", cfgs[0])
+    sim.simulate_union(cfgs[:1], [[live]])
+    assert (tmp_path / "live.csv.part").exists() and not (tmp_path / "live.csv").exists()
+    live.close(keep=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["live.csv", "t0.csv", "t1.csv"]
+    assert paths[0].read_bytes() == paths[1].read_bytes() == (tmp_path / "live.csv").read_bytes()
 
 
 def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
@@ -970,10 +968,11 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
     states = rng.normal(size=(S, N, n)) * 10.0 ** rng.integers(-20, 20, size=(S, N, n))
     states[0] = 0.0
     states[1, 0] = [-0.0, 1.0, 1e16]
-    traj = sim.Trajectory(np.arange(S) * 0.01, states.swapaxes(1, 2), rng.uniform(0, 50, size=(S, N)), cfg)
+    gains, zetas = rng.uniform(0, 50, size=(S, N)), graph.LaplacianOperator(g)(states.swapaxes(1, 2))
+    _, U, V = feedback(gains, zetas, cfg.params, cfg.params.spec.d)
+    traj = sim.Trajectory(np.arange(S) * 0.01, states.swapaxes(1, 2), gains, zetas, U, V, cfg)
     sim.write_trajectory_csv(traj, tmp_path / "fast.csv")
 
-    _, U, V = protocol.feedback(traj.gains, traj.zetas, cfg.params, cfg.params.spec.d)
     U = U.swapaxes(1, 2)
     znorm = np.linalg.norm(traj.zetas, axis=1)
     buf = io.StringIO(newline="")
@@ -988,71 +987,6 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
             row += [repr(float(znorm[s, a])), repr(float(V[s, a]))]
             writer.writerow(row)
     assert (tmp_path / "fast.csv").read_bytes() == buf.getvalue().encode()
-
-
-@pytest.fixture(scope="module")
-def chunked_runs(bench_setup):
-    """51 samples each: a lone run on a dense graph, and a union member whose columns are strided views."""
-    lone = sim.simulate(bench_cfg(bench_setup, graph.vicsek_fractal(2), signals.chirp_signal(), t_end=1.0,
-                                  record_every=20))
-    member = sim.simulate_union(union_members(bench_setup, [graph.vicsek_fractal(2, directed=True),
-                                                            graph.circulant(30, [1, 3])]))[1]
-    return {"lone": lone, "union-member": member}
-
-
-@pytest.mark.parametrize("run", ["lone", "union-member"])
-def test_the_post_run_pass_is_the_same_for_every_chunk_size(tmp_path, monkeypatch, chunked_runs, run):
-    # chunks of one sample; of 7, which divide neither the 51 samples nor the 41 before the 10-sample tail
-    # window, so the window starts mid-chunk; and of the whole record: the same report fields, to the sign
-    # of a zero, and the same CSV bytes
-    traj = chunked_runs[run]
-    assert traj.states.flags.c_contiguous == (run == "lone") and np.abs(traj.gains[-1]).max() > 0.0
-    sample = traj.states[0].nbytes
-    reports, files = [], []
-    for k, (budget, sizes) in enumerate([(sample, {1}), (7 * sample, {7, 2}), (51 * sample, {51})]):
-        monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
-        assert {c.stop - c.start for c in sim.chunks(traj)} == sizes
-        reports.append(analysis.summary_csv_row(analysis.summarize(traj)))
-        sim.write_trajectory_csv(traj, tmp_path / f"{k}.csv")
-        files.append((tmp_path / f"{k}.csv").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
-    assert files[0] == files[1] == files[2]
-
-
-# what summarize and the CSV writer may allocate, in chunk budgets: a chunk's zeta, the feedback product's
-# K Z (4/3 of it at n = 3, m = 1), its inputs, levels and rates, and one sample's rows as Python floats
-POST_RUN_CHUNKS = 8
-
-
-def traced_peak(run, *args):
-    """The tracemalloc peak of run(*args), in bytes; the arguments are made before tracing starts."""
-    tracemalloc.start()
-    try:
-        run(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_the_post_run_pass_holds_a_few_chunks_however_long_the_record(tmp_path, bench_setup):
-    # fig3c-shaped records (121 agents on the directed fractal, 601 samples), and a longer and a shorter one:
-    # summarize and the CSV writer hold a few CHUNK_BYTES, and under 64 bytes more a sample (a sample's flag),
-    # where a sample's zeta is 2,904; deriving zeta, K Z, u, V and |zeta| of the whole 601-sample record at
-    # once took 4.4 (summarize) and 5.6 MiB (CSV). Tracing each Python float the CSV writer makes is slow, so
-    # its second record is the short one, of two chunks, one full
-    cfg = bench_cfg(bench_setup, graph.vicsek_fractal(3, directed=True), signals.chirp_signal(), t_end=30.0,
-                    record_every=50)
-
-    def record(S):
-        rng = np.random.default_rng(S)
-        gains = np.cumsum(rng.uniform(0.0, 1e-3, (S, 121)), axis=0)
-        return sim.Trajectory(np.arange(S) * 0.05, rng.uniform(-1.0, 1.0, (S, 3, 121)), gains, cfg)
-
-    for run, path, lengths in [(analysis.summarize, (), (601, 2401)),
-                               (sim.write_trajectory_csv, (tmp_path / "traj.csv",), (45, 601))]:
-        short, long = (traced_peak(run, record(S), *path) for S in lengths)
-        assert max(short, long) < POST_RUN_CHUNKS * sim.CHUNK_BYTES, run.__name__
-        assert long - short < 64 * (lengths[1] - lengths[0]), run.__name__
 
 
 def test_write_metadata_round_trip(tmp_path):
