@@ -10,6 +10,7 @@ import copy
 import csv
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -110,14 +111,48 @@ PRESETS = {
 }
 
 
+# libyaml's parser where PyYAML was built with it: it loads a config several times faster than SafeLoader
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml accepts some documents that SafeLoader refuses: a tab between tokens (`a:\t1`, or one trailing),
+# a "?" in a plain scalar within brackets (`[1, 2?]`), a comment right after a block scalar's header (`|#`),
+# a byte order mark within the text. So LOADER reads no document where LOADER_SKIPS finds a byte outside
+# printable ASCII and line breaks, a "?" or such a header.
+LOADER_SKIPS = re.compile(rb"[^\n\r\x20-\x3e\x40-\x7e]|[|>][-+0-9]*#")
+# libyaml's composer recurses once per level of nesting on the C stack, unchecked (8 MiB of stack ran out
+# between 20,000 and 30,000 levels); SafeLoader's takes two of the interpreter's 1,000 frames a level and stops
+# near 490 levels. Every collection opens at one of the bytes NESTERS, so a document with at most LOADER_DEPTH
+# of them nests no deeper than both parsers reach; LOADER reads no other.
+NESTERS = b"[{-?:"
+LOADER_DEPTH = 400
+TOO_DEEP = "nested too deeply"
+
+
+def _parse_yaml(text):
+    """The YAML document in text (bytes) as SafeLoader loads it, or SafeLoader's error.
+
+    LOADER parses it where it may. If that raises, SafeLoader parses it again
+    and decides: libyaml's messages quote no source line, and libyaml
+    refuses `%YAML 1.3`, which SafeLoader accepts.
+    """
+    if not LOADER_SKIPS.search(text) and sum(map(text.count, NESTERS)) <= LOADER_DEPTH:
+        try:
+            return yaml.load(text, LOADER)
+        except yaml.YAMLError:
+            pass
+    return yaml.load(text, yaml.SafeLoader)
+
+
 def load_config(source):
     """Raw config from a YAML file path or a preset name; returns (dict, default name)."""
     path = Path(source)
     if path.is_file():
         try:
-            raw = yaml.safe_load(path.read_bytes())  # bytes: a bad encoding is a YAML error
-        except yaml.YAMLError as exc:
+            raw = _parse_yaml(path.read_bytes())  # bytes: a bad encoding is a YAML error
+        # ValueError: a date or tagged number that names no value (2001-13-45, !!int x)
+        except (yaml.YAMLError, ValueError) as exc:
             raise SchemaError("config", f"not valid YAML: {exc}") from None
+        except RecursionError:
+            raise SchemaError("config", TOO_DEEP) from None
         if not isinstance(raw, dict):
             raise SchemaError("config", "top level must be a mapping")
         return raw, path.stem
@@ -321,7 +356,10 @@ def normalize_config(raw, default_name="run"):
     Normalization is idempotent: feeding the result back in reproduces it,
     which is what lets the metadata sidecar reconstruct the experiment.
     """
-    out = _walk(SCHEMA, {"name": default_name, **_require_mapping(raw, "config")}, "config")
+    try:
+        out = _walk(SCHEMA, {"name": default_name, **_require_mapping(raw, "config")}, "config")
+    except RecursionError:  # a value too deep for the repr of a message, or for a sweep's deepcopy
+        raise SchemaError("config", TOO_DEEP) from None
     if not out["protocol"].keys() & {"d", "delta"}:
         raise SchemaError("protocol", "needs d, delta, or both")
     if out["integration"]["t_end"] < out["integration"]["dt"]:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+import yaml
 
-from cohsync import graph, linalg, sim
+from cohsync import cli, graph, linalg, sim
+
+
+@pytest.fixture(params=["LOADER", "SafeLoader"])
+def yaml_loader(request, monkeypatch):
+    """cli.load_config as this PyYAML parses a config, then as one built without libyaml parses it."""
+    if request.param == "SafeLoader":
+        monkeypatch.setattr(cli, "LOADER", yaml.SafeLoader)
+    return cli.LOADER
 
 
 @pytest.fixture(scope="session")

@@ -408,14 +408,76 @@ def test_sweep_records_refused_inputs_and_runs_the_rest(input_files):
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["exp_00", last]
 
 
-def test_config_with_a_bad_encoding_is_a_config_error(tmp_path, capsys):
+GOOD_YAML = yaml.safe_dump(fast_passing_config()).encode()
+# documents every parser refuses; the message, which SafeLoader gives, quotes the source line and a caret
+MALFORMED_YAML = {
+    "bad encoding": GOOD_YAML + b"name\xff\xfe: x\n",
+    "unterminated quote": GOOD_YAML + b'name: "exp\n',
+    "tab indent": GOOD_YAML + b"checks:\n\tbound: 1.0\n",
+    "two documents": GOOD_YAML + b"---\nname: exp\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_YAML))
+def test_malformed_yaml_is_refused_with_safeloaders_message(tmp_path, capsys, yaml_loader, case):
     path = tmp_path / "exp.yaml"
-    path.write_bytes(yaml.safe_dump(fast_passing_config()).encode() + b"name\xff\xfe: x\n")
+    path.write_bytes(MALFORMED_YAML[case])
+    with pytest.raises(yaml.YAMLError):
+        yaml.load(path.read_bytes(), yaml_loader)
+    with pytest.raises(yaml.YAMLError) as refusal:
+        yaml.safe_load(path.read_bytes())
+    message = f"config error: config: not valid YAML: {refusal.value}\n"
     assert cli.main(["check", str(path)]) == 2
-    assert "config error: config: not valid YAML" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    assert "config error: config: not valid YAML" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("2001-13-45", "month must be in 1..12"), ("!!int x", "invalid literal for int() with base 10: 'x'")],
+)
+def test_a_value_that_cannot_be_made_is_a_config_error(tmp_path, capsys, yaml_loader, value, message):
+    path = tmp_path / "exp.yaml"
+    path.write_bytes(GOOD_YAML + f"name: {value}\n".encode())
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: config: not valid YAML: {message}\n"
+
+
+def test_a_yaml_1_3_directive_loads_as_safeloader_loads_it(tmp_path, capsys, yaml_loader):
+    # libyaml refuses the version SafeLoader accepts
+    path = tmp_path / "exp.yaml"
+    path.write_bytes(b"%YAML 1.3\n---\n" + GOOD_YAML)
+    assert cli.load_config(str(path)) == (yaml.safe_load(path.read_bytes()), "exp")
+    assert cli.main(["check", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# configs nested too deeply for the config layer: each has more than cli.LOADER_DEPTH bytes that open a
+# collection, so SafeLoader parses it, and its recursion runs out
+NESTED_TOO_DEEPLY = {
+    "flow sequence 5,000 deep": "a: " + "[" * 5000 + "]" * 5000 + "\n",
+    "sweep entry 490 deep": GOOD_YAML.decode() + "sweep:\n- {a: " + "[" * 489 + "]" * 489 + "}\n",
+    "model.A 5,000 deep": GOOD_YAML.decode() + "model: {A: " + "[" * 5000 + "1" + "]" * 5000 + ", B: [[1]]}\n",
+}
+
+
+@pytest.mark.parametrize("case", list(NESTED_TOO_DEEPLY))
+def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys, yaml_loader, case):
+    path = tmp_path / "exp.yaml"
+    path.write_text(NESTED_TOO_DEEPLY[case])
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config: nested too deeply\n"
+
+
+def test_a_document_too_deep_for_libyaml_is_refused_not_crashed(tmp_path):
+    # libyaml's composer would overflow the C stack 200,000 levels down and kill the process
+    path = tmp_path / "exp.yaml"
+    path.write_text("a: " + "[" * 200_000 + "]" * 200_000 + "\n")
+    argv = [sys.executable, "-m", "cohsync.cli", "check", str(path)]
+    proc = subprocess.run(argv, capture_output=True, env=script_env(), timeout=120)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "config error: config: nested too deeply\n")
 
 
 def test_directory_named_like_a_preset_loads_the_preset(tmp_path, monkeypatch, capsys):

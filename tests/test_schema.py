@@ -1,4 +1,5 @@
-"""The config schema: one refusal per field rule, a fuzz drawn from cli.SCHEMA, and README's config block."""
+"""The config schema: one refusal per field rule, a fuzz drawn from cli.SCHEMA, README's config block, and
+load_config's YAML parse against yaml.safe_load on every shipped config, on drawn ones and on mutated ones."""
 
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cohsync import cli
@@ -195,10 +196,114 @@ def field_names(table):
                 yield from field_names(field)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_config_block():
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"^## Configs$.*?^```yaml$(.*?)^```$", readme, re.S | re.M).group(1)
+
+
 def test_readme_config_block_names_every_field_and_normalizes_to_itself():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"^## Configs$.*?^```yaml$(.*?)^```$", readme, re.S | re.M).group(1)
+    block = readme_config_block()
     raw = yaml.safe_load(block)
     assert cli.normalize_config(raw, "readme") == raw
     for name in set(field_names(cli.SCHEMA)):
         assert re.search(rf"\b{re.escape(name)}\b", block), name
+
+
+def assert_loads_as_safeloader(path):
+    """load_config gives the file's mapping as yaml.safe_load does: its types, key order and NaNs too."""
+    raw, _ = cli.load_config(str(path))
+    assert repr(raw) == repr(yaml.safe_load(path.read_bytes())), path
+
+
+def test_shipped_configs_load_as_safeloader_loads_them(tmp_path, yaml_loader):
+    readme = tmp_path / "readme.yaml"
+    readme.write_text(readme_config_block())
+    configs, perfbench = sorted(ROOT.glob("configs/*.yaml")), sorted(ROOT.glob("perfbench/*.yaml"))
+    assert configs and perfbench
+    for path in [*configs, *perfbench, readme]:
+        assert_loads_as_safeloader(path)
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(raw=raw_configs().filter(lambda raw: isinstance(raw, dict)))
+def test_a_drawn_config_loads_as_safeloader_loads_it(tmp_path, yaml_loader, raw):
+    path = tmp_path / "drawn.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert_loads_as_safeloader(path)
+
+
+# texts to mutate: every shipped config, README's block, and the block again in flow style
+SHIPPED_TEXTS = [
+    *(path.read_bytes() for path in sorted([*ROOT.glob("configs/*.yaml"), *ROOT.glob("perfbench/*.yaml")])),
+    readme_config_block().encode(),
+    yaml.safe_dump(yaml.safe_load(readme_config_block()), default_flow_style=True).encode(),
+]
+# what a mutation inserts: bytes and tokens that YAML reads specially, where libyaml and SafeLoader may part
+TOKENS = [
+    *(c.encode() for c in "[]{}:-,'\"#&*!|>%@`\\?\t\n\r "),
+    *(b"\xef\xbb\xbf", b"\xc2\x85", b"\xce\xb4", b"\x07", b"&a", b"*a", b"!!str", b"!!int", b"<<", b"---", b"..."),
+    *(b"%YAML 1.3", b"\n- ", b"\n  ", b"|-", b"? ", b"2001-13-45", b"\\x41"),
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with a few spans deleted and tokens inserted."""
+    text = bytearray(draw(st.sampled_from(SHIPPED_TEXTS)))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            del text[at : at + draw(st.integers(1, 5))]
+        else:
+            text[at:at] = draw(st.sampled_from(TOKENS))
+    return bytes(text)
+
+
+def parsed(parse, text):
+    try:
+        return "loaded", repr(parse(text))
+    except (yaml.YAMLError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(mutated_configs())
+# documents that libyaml reads and SafeLoader refuses, or reads otherwise
+@example(b"a:\t1\n")
+@example(b"a: [1, 2?]\n")
+@example(b"a: |-#\n  t\n")
+@example(b"model:\n\xef\xbb\xbf  preset: triple-integrator\n")
+def test_a_mutated_config_parses_as_safeloader_parses_it(text):
+    # the document, or the message that refuses it, whichever parser cli._parse_yaml handed it to
+    assert parsed(cli._parse_yaml, text) == parsed(partial(yaml.load, Loader=yaml.SafeLoader), text)
+
+
+def test_a_document_nested_past_safeloaders_recursion_is_left_to_it():
+    # libyaml would compose all 600 levels
+    with pytest.raises(RecursionError):
+        cli._parse_yaml(b"a: " + b"[" * 600 + b"]" * 600 + b"\n")
+
+
+def nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {**BASE, "sweep": [{"a": nested(2000)}]},  # too deep for the deepcopy of the sweep list
+        {**BASE, "model": {**INLINE, "A": [[nested(2000)]]}},  # too deep for the repr of the refusal
+    ],
+    ids=["sweep entry", "model.A"],
+)
+def test_a_value_nested_too_deeply_is_refused_by_normalize_config(raw):
+    with pytest.raises(cli.SchemaError, match="^config: nested too deeply$"):
+        cli.normalize_config(raw)
