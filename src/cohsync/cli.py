@@ -40,6 +40,14 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+QUOTE_CHARS = 120  # a refusal quotes this much of a longer offending value, then "...", to stay one short line
+
+
+def _quoted(value):
+    text = repr(value)
+    return text if len(text) <= QUOTE_CHARS else f"{text[:QUOTE_CHARS]}..."
+
+
 # what a verb may raise on refusing to run or finish: exit status and stderr prefix
 REFUSALS = {
     SchemaError: (2, "config error"),
@@ -172,7 +180,7 @@ def _require_mapping(value, path):
 def _number(value, path, integer=False, least=None, positive=False, below=None):
     """The value as an int, or as a finite float, within the bounds given."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise SchemaError(path, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise SchemaError(path, f"must be {'an integer' if integer else 'a number'}, got {_quoted(value)}")
     if not integer:
         try:
             value = float(value)
@@ -191,26 +199,26 @@ def _number(value, path, integer=False, least=None, positive=False, below=None):
 
 def _flag(value, path):
     if not isinstance(value, bool):
-        raise SchemaError(path, f"must be true or false, got {value!r}")
+        raise SchemaError(path, f"must be true or false, got {_quoted(value)}")
     return value
 
 
 def _text(value, path):
     if not isinstance(value, str) or not value:
-        raise SchemaError(path, f"must be a nonempty string, got {value!r}")
+        raise SchemaError(path, f"must be a nonempty string, got {_quoted(value)}")
     return value
 
 
 def _choice(value, path, allowed):
     if value not in allowed:
-        raise SchemaError(path, f"must be one of {', '.join(allowed)}, got {value!r}")
+        raise SchemaError(path, f"must be one of {', '.join(allowed)}, got {_quoted(value)}")
     return value
 
 
 def _items(value, path, item):
     """A nonempty list, checked item by item; an item's error names the list."""
     if not isinstance(value, list) or not value:
-        raise SchemaError(path, f"must be a nonempty list, got {value!r}")
+        raise SchemaError(path, f"must be a nonempty list, got {_quoted(value)}")
     return [item(v, path) for v in value]
 
 
@@ -327,7 +335,7 @@ def _walk(table, value, path):
     if isinstance(table, Variants):
         kind = table.pick(section)
         if not isinstance(kind, str) or kind not in table.table:
-            raise SchemaError(f"{path}.kind", f"must be one of {', '.join(table.table)}, got {kind!r}")
+            raise SchemaError(f"{path}.kind", f"must be one of {', '.join(table.table)}, got {_quoted(kind)}")
         table = table.table[kind][0]
     for key in section:
         if key not in table:
@@ -661,6 +669,7 @@ def cmd_table1(args):
 
 
 def _add_common_flags(parser, with_out=True):
+    parser.add_argument("config", help="config file path or preset name")
     parser.add_argument("--seed", type=int, default=None, help="override integration.seed")
     parser.add_argument("--dt", type=float, default=None, help="override integration.dt")
     parser.add_argument("--t-end", type=float, default=None, dest="t_end", help="override integration.t_end")
@@ -682,17 +691,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one experiment from a YAML config or preset name")
-    p.add_argument("config", help="config file path or preset name")
     _add_common_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run every entry of the config's sweep list")
-    p.add_argument("config", help="config file path or preset name")
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="validate a config without simulating")
-    p.add_argument("config", help="config file path or preset name")
     _add_common_flags(p, with_out=False)
     p.set_defaults(func=cmd_check)
 

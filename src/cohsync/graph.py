@@ -1,7 +1,5 @@
 """Weighted digraphs, Laplacians, and the topology families used by the presets."""
 
-from collections import deque
-
 import numpy as np
 
 
@@ -45,12 +43,13 @@ class WeightedDigraph:
             raise ValueError("receivers, senders and weights must be 1-D and of one length")
         if r.size and not (0 <= min(r.min(), s.min()) and max(r.max(), s.max()) < n):
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
-        if not np.all(np.isfinite(w) & (w > 0)):
+        if not (np.isfinite(w) & (w > 0)).all():
             raise ValueError("edge weights must be finite and positive")
-        if np.any(r == s):
+        if (r == s).any():
             raise ValueError("self-loops are not allowed")
-        order = np.argsort(r * n + s)
-        if np.any(np.diff((r * n + s)[order]) == 0):
+        keys = r * n + s
+        order = keys.argsort()
+        if (keys[order[1:]] == keys[order[:-1]]).any():
             raise ValueError("an edge is given more than once")
         self.receivers, self.senders, self.edge_weights = r[order], s[order], w[order]
         self.n_edges = r.size
@@ -191,46 +190,49 @@ def _same_edges(g, h):
     )
 
 
-def _successors(g):
-    # adjacency lists in travel direction, ascending: a sender reaches its receivers
-    out = [[] for _ in range(g.n_nodes)]
-    for i, j in zip(g.receivers.tolist(), g.senders.tolist()):
-        out[j].append(i)
-    return out
-
-
 def _search(succ, root, seen):
-    # breadth-first from root through nodes not yet seen: marks each node
-    # it reaches and returns the tree edges (child, parent) in visiting order
+    # breadth-first from root through nodes not yet seen: marks each node it reaches and returns their count
     seen[root] = 1
-    edges = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    queue = [root]
+    for u in queue:
         for v in succ[u]:
             if not seen[v]:
                 seen[v] = 1
-                edges.append((v, u))
                 queue.append(v)
-    return edges
+    return len(queue) - 1
 
 
 def has_directed_spanning_tree(g):
     """True if some root node has a directed path to every other node.
 
-    Searches from each node not yet reached, in turn. The reached set stays
-    closed under successors, so if any node reaches every other, the last
-    start does; one more search from it decides, in O(N + E).
+    A node without in-edges is reached from no other: with two, none is a
+    root; one is the only candidate. If all others have one in-edge (an
+    in-forest, N - 1 edges, as on every directed fractal), pointer jumping
+    (Wyllie 1979) squares the parent array ceil(log2 N) times, taking to
+    the root each node whose parent chain reaches it, and no node on a
+    cycle: O(N log N). Else it searches breadth-first from each candidate
+    not yet reached in turn (every node, without such a root): the reached
+    set stays closed under successors, so if any node reaches every other,
+    the last start does, and one more search from it decides, in O(N + E).
     """
     n = g.n_nodes
-    succ = _successors(g)
-    seen = bytearray(n)
-    last = 0
-    for root in range(n):
+    roots = np.flatnonzero(np.bincount(g.receivers, minlength=n) == 0).tolist()
+    if len(roots) > 1:
+        return False
+    if roots and g.n_edges == n - 1:
+        parent = np.arange(n)
+        parent[g.receivers] = g.senders
+        for _ in range((n - 1).bit_length()):
+            parent = parent[parent]
+        return bool((parent == roots[0]).all())
+    succ, seen, last = [[] for _ in range(n)], bytearray(n), 0  # adjacency lists: a sender reaches its receivers
+    for i, j in zip(g.receivers.tolist(), g.senders.tolist()):
+        succ[j].append(i)
+    for root in roots or range(n):
         if not seen[root]:
             _search(succ, root, seen)
             last = root
-    return len(_search(succ, last, bytearray(n))) == n - 1
+    return _search(succ, last, bytearray(n)) == n - 1
 
 
 def algebraic_connectivity(g):
@@ -253,22 +255,6 @@ def algebraic_connectivity(g):
     return float(np.sort(ev)[1])
 
 
-def _vicsek_cells(generation):
-    # plus-shaped clusters of unit cells on the integer lattice
-    cells = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-    half = 1
-    for gen in range(2, generation + 1):
-        # generation 2 leaves facing corner cells one lattice step apart,
-        # so the copies are joined by a bridge edge; later generations put
-        # the facing corners on the same site, so each junction collapses
-        # into a single shared node
-        off = 2 * half + 1 if gen == 2 else 2 * half
-        shifts = ((0, 0), (off, 0), (-off, 0), (0, off), (0, -off))
-        cells = {(x + sx, y + sy) for sx, sy in shifts for x, y in cells}
-        half += off
-    return sorted(cells)
-
-
 def vicsek_fractal(generation, directed=False):
     """Fractal plus-of-pluses graph family with unit edge weights.
 
@@ -280,15 +266,15 @@ def vicsek_fractal(generation, directed=False):
     shared junction node. Node counts therefore run 5, 25, 121, 601, ...
     and the algebraic connectivity collapses quickly with generation,
     which is what makes the family a stress test for synchronization.
+    Directed, every edge points away from the center, the root of a
+    directed spanning tree; undirected, each tree edge runs both ways.
 
-    Parameters
-    ----------
-    generation : int
-        Fractal generation, >= 1.
-    directed : bool
-        If True, orient every edge away from the global center along the
-        breadth-first tree, so the center is the root of a directed
-        spanning tree and has no incoming edges.
+    The lattice graph is a tree, built with no loop over cells: each cell
+    x + iy holds its step toward its parent, on the tree rooted at the
+    center. An outer copy is the previous generation re-rooted at its inner
+    tip: the steps on its arm facing the center turn toward the tip.
+    np.unique of (x, y) keys merges each junction's two cells (they hold one
+    step) and sorts the nodes; np.searchsorted finds each parent: O(N log N).
     """
     if not isinstance(generation, (int, np.integer)) or generation < 1:
         raise ValueError("generation must be a positive integer")
@@ -297,23 +283,26 @@ def vicsek_fractal(generation, directed=False):
         n = 5 * n - 4 * (gen > 2)
         if n > MAX_NODES:
             raise ValueError(f"generation {generation} has over {MAX_NODES} nodes (graph.MAX_NODES)")
-    cells = _vicsek_cells(int(generation))
-    index = {c: k for k, c in enumerate(cells)}
-    # each cell's lattice neighbours, ascending: cells sort by (x, y), so
-    # (x - 1, y) < (x, y - 1) < (x, y + 1) < (x + 1, y) are appended in turn
-    nbrs = [[] for _ in cells]
-    for i, (x, y) in enumerate(cells):
-        for nb in ((x, y + 1), (x + 1, y)):
-            j = index.get(nb)
-            if j is not None:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    if directed:  # the breadth-first arborescence, pointed away from the center
-        children, parents = zip(*_search(nbrs, index[(0, 0)], bytearray(n)))
-    else:
-        children = [i for i, js in enumerate(nbrs) for _ in js]
-        parents = [j for js in nbrs for j in js]
-    return WeightedDigraph(n, children, parents, np.ones(len(children)))
+    cells = np.array([0, 1, -1, 1j, -1j])
+    arms = cells[1:, None]  # the directions of the four outer copies
+    steps = -cells  # toward the center; 0 at the center itself
+    half = 1  # the arms' length
+    for gen in range(2, int(generation) + 1):
+        # facing tips: one step apart at generation 2 (a bridge edge), then on one site (a junction)
+        off = 2 * half + 1 if gen == 2 else 2 * half
+        local = cells / arms  # turned so each outer copy's direction is +1: its arm facing the center is real, <= 0
+        inner = (local.imag == 0) & (local.real <= 0)  # that arm, from the copy's center to its inner tip
+        steps = np.concatenate([steps, np.where(inner, -arms, steps).ravel()])
+        cells = np.concatenate([cells, (cells + off * arms).ravel()])
+        half += off
+    width = 2 * half + 1  # key x * width + y orders cells by (x, y)
+    keys, first = np.unique((cells.real * width + cells.imag).astype(np.intp), return_index=True)
+    up = (steps.real * width + steps.imag).astype(np.intp)[first]  # each node's key step to its parent's
+    children = np.flatnonzero(up)
+    parents = np.searchsorted(keys, (keys + up)[children])
+    if not directed:
+        children, parents = np.concatenate([children, parents]), np.concatenate([parents, children])
+    return WeightedDigraph(n, children, parents, np.ones(children.size))
 
 
 def circulant(n, offsets, directed=True):

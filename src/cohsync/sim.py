@@ -360,31 +360,36 @@ class TrajectoryCSV:
     """A sink that writes one run's trajectory CSV as its samples arrive, into path + ".part".
 
     One row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m,
-    zeta_norm, V_i, each sample's N rows one %r template: floats in repr,
-    so equal samples give equal bytes; lines end in "\\r\\n", as the csv
-    module's. close(keep) moves the file onto path, or removes it, so a
+    zeta_norm, V_i, each sample's N rows one fixed template: floats in repr,
+    so equal samples give equal bytes (t formatted once a sample, a gain only
+    when its bits change: -0.0 keeps its sign); lines end in "\\r\\n", as the
+    csv module's. close(keep) moves the file onto path, or removes it, so a
     failed run leaves an earlier file at path as it was.
     """
 
     def __init__(self, path, cfg):
         n, m, N = cfg.params.n, cfg.params.m, cfg.graph.n_nodes
         header = ["t", "agent", *(f"x_{j + 1}" for j in range(n)), "rho", *(f"u_{j + 1}" for j in range(m))]
-        cells = ",".join(["%r"] * (n + m + 3))
-        self.template = "".join(f"\0,{a},{cells}\r\n" for a in range(1, N + 1))  # a sample's rows; \0: t
-        self.rows = np.empty((N, n + m + 3))  # one sample's values, agent by agent: x, rho, u, |zeta|, V
+        x, u = ",%r" * n, ",%r" * m
+        self.template = "".join(f"%s,{a}{x},%s{u},%r,%r\r\n" for a in range(1, N + 1))  # a sample's rows
+        self.rows = np.empty((N, n + m + 4), dtype=object)  # a sample's values by agent: t, x, rho (text), u, |zeta|, V
+        self.rows[:, n + 1] = "0.0"  # the text of self.gains
+        self.gains = np.zeros(N)
         self.path, self.part = path, f"{path}.part"
         self.fh = open(self.part, "w", newline="")
         self.fh.write(",".join(header + ["zeta_norm", "V_i"]) + "\r\n")
 
     def __call__(self, t, X, rho, Z, U, V):
         rows, n = self.rows, X.shape[0]
-        rows[:, :n] = X.T
-        rows[:, n] = rho
-        rows[:, n + 1 : -2] = U.T
-        np.sqrt(np.add.reduce(Z * Z, 0), out=rows[:, -2])  # np.linalg.norm(Z, axis=0), less its checks
+        rows[:, 0] = repr(float(t))  # as %r formats the Python float
+        rows[:, 1 : n + 1] = X.T
+        changed = rho.view(np.int64) != self.gains.view(np.int64)  # bits: -0.0 is not 0.0
+        self.gains[changed] = rho[changed]
+        rows[changed, n + 1] = [repr(g) for g in rho[changed].tolist()]
+        rows[:, n + 2 : -2] = U.T
+        rows[:, -2] = np.sqrt(np.add.reduce(Z * Z, 0))  # np.linalg.norm(Z, axis=0), less its checks
         rows[:, -1] = V
-        # t formatted once a sample, as %r formats the Python float
-        self.fh.write(self.template.replace("\0", repr(float(t))) % tuple(rows.ravel().tolist()))
+        self.fh.write(self.template % tuple(rows.ravel().tolist()))
 
     def close(self, keep):
         """Close the file, and move it onto path if keep, else remove it."""

@@ -480,6 +480,28 @@ def test_a_document_too_deep_for_libyaml_is_refused_not_crashed(tmp_path):
     assert (proc.returncode, proc.stderr.decode()) == (2, "config error: config: nested too deeply\n")
 
 
+LONG_LIST = "[" + ", ".join(["1"] * 100_000) + "]"  # 300,001 characters
+
+
+@pytest.mark.parametrize(
+    "value, quoted",
+    [
+        ("[1, 2]", "[1, 2]"),  # a value that fits is quoted whole, as repr writes it
+        ("x" * (cli.QUOTE_CHARS - 2), repr("x" * (cli.QUOTE_CHARS - 2))),  # QUOTE_CHARS characters
+        ("x" * (cli.QUOTE_CHARS - 1), repr("x" * (cli.QUOTE_CHARS - 1))[: cli.QUOTE_CHARS] + "..."),
+        (LONG_LIST, LONG_LIST[: cli.QUOTE_CHARS] + "..."),
+    ],
+    ids=["short", "at-the-cap", "past-the-cap", "100000-entries"],
+)
+def test_a_refusal_quotes_at_most_quote_chars_of_the_value(tmp_path, capsys, value, quoted):
+    path = tmp_path / "exp.yaml"
+    path.write_bytes(GOOD_YAML + f"protocol: {{d: {value}}}\n".encode())
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: protocol.d: must be a number, got {quoted}\n"
+    assert len(err) < 200
+
+
 def test_directory_named_like_a_preset_loads_the_preset(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fig3a").mkdir()

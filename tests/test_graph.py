@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohsync import graph
@@ -383,8 +383,31 @@ def weighted_digraphs(draw):
     return W
 
 
+@st.composite
+def in_forests(draw):
+    # at most one in-edge per node: trees, several roots, and cycles with or without a root elsewhere
+    n = draw(st.integers(1, 10))
+    W = np.zeros((n, n))
+    for i in range(n):
+        j = draw(st.integers(-1, n - 1))
+        if j not in (-1, i):
+            W[i, j] = draw(st.floats(0.1, 10.0))
+    return W
+
+
+def _edges(n, *edges):
+    W = np.zeros((n, n))
+    for i, j in edges:  # receiver, sender
+        W[i, j] = 1.0
+    return W
+
+
 @settings(derandomize=True, deadline=None)
-@given(weighted_digraphs())
+@given(st.one_of(weighted_digraphs(), in_forests()))
+@example(_edges(5, (4, 0), (1, 3), (2, 1), (3, 2)))  # an in-forest with one root: its edge, and a cycle among the rest
+@example(_edges(3, (2, 0)))  # two nodes without in-edges
+@example(_edges(4, (1, 0), (2, 1), (3, 2)))  # one root's path
+@example(np.zeros((1, 1)))  # a single node
 def test_spanning_tree_matches_the_search_from_every_root(W):
     assert graph.has_directed_spanning_tree(from_matrix(W)) == _rooted_by_some_search(W)
 
@@ -427,6 +450,57 @@ def test_vicsek_connectivity_sequence():
     assert graph.algebraic_connectivity(graph.vicsek_fractal(1)) == pytest.approx(1.0, abs=5e-7)
     assert graph.algebraic_connectivity(graph.vicsek_fractal(2)) == pytest.approx(0.069198, abs=5e-7)
     assert graph.algebraic_connectivity(graph.vicsek_fractal(3)) == pytest.approx(0.005252, abs=5e-7)
+
+
+def _reference_vicsek_cells(generation):
+    # plus-shaped clusters of unit cells on the integer lattice, as (x, y) sets, cell by cell
+    cells = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    half = 1
+    for gen in range(2, generation + 1):
+        off = 2 * half + 1 if gen == 2 else 2 * half  # a bridge edge at generation 2, merged junctions after
+        shifts = ((0, 0), (off, 0), (-off, 0), (0, off), (0, -off))
+        cells = {(x + sx, y + sy) for sx, sy in shifts for x, y in cells}
+        half += off
+    return sorted(cells)
+
+
+def _reference_vicsek_fractal(generation, directed):
+    """The earlier vicsek_fractal, one cell at a time: nodes in (x, y) order, an edge between lattice neighbours,
+    and for directed, the breadth-first tree from the center over ascending neighbour lists."""
+    cells = _reference_vicsek_cells(generation)
+    index = {c: k for k, c in enumerate(cells)}
+    nbrs = [[] for _ in cells]
+    for i, (x, y) in enumerate(cells):
+        for nb in ((x, y + 1), (x + 1, y)):
+            j = index.get(nb)
+            if j is not None:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    if directed:
+        children, parents, seen, queue = [], [], {index[(0, 0)]}, [index[(0, 0)]]
+        for u in queue:
+            for v in nbrs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    children.append(v)
+                    parents.append(u)
+                    queue.append(v)
+    else:
+        children = [i for i, js in enumerate(nbrs) for _ in js]
+        parents = [j for js in nbrs for j in js]
+    return graph.WeightedDigraph(len(cells), children, parents, np.ones(len(children)))
+
+
+@pytest.mark.parametrize("generation", range(1, 8))
+def test_vicsek_fractal_matches_the_cell_by_cell_reference(generation):
+    for directed in (False, True):
+        want, got = _reference_vicsek_fractal(generation, directed), graph.vicsek_fractal(generation, directed)
+        assert got.n_nodes == want.n_nodes
+        for name in ("receivers", "senders", "edge_weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (directed, name)
+        if not directed:  # the lattice graph is a connected tree: the construction re-roots copies of it
+            assert want.n_edges == 2 * (want.n_nodes - 1) and graph.has_directed_spanning_tree(want)
 
 
 def test_vicsek_connected_every_generation():

@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -968,7 +972,15 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
     states = rng.normal(size=(S, N, n)) * 10.0 ** rng.integers(-20, 20, size=(S, N, n))
     states[0] = 0.0
     states[1, 0] = [-0.0, 1.0, 1e16]
-    gains, zetas = rng.uniform(0, 50, size=(S, N)), graph.LaplacianOperator(g)(states.swapaxes(1, 2))
+    gains = rng.uniform(0, 50, size=(S, N))
+    # most samples repeat the previous one's gains, as a run's do; agent 1's flips between 0.0 and -0.0, which the
+    # writer must tell apart, and agent 2's starts at 0.0
+    repeat = rng.random(S) < 0.85
+    repeat[0] = False
+    gains = gains[np.maximum.accumulate(np.where(repeat, 0, np.arange(S)))]
+    gains[:, 0] = np.where(np.arange(S) % 3 == 1, -0.0, 0.0)
+    gains[:2, 1] = 0.0
+    zetas = graph.LaplacianOperator(g)(states.swapaxes(1, 2))
     _, U, V = feedback(gains, zetas, cfg.params, cfg.params.spec.d)
     traj = sim.Trajectory(np.arange(S) * 0.01, states.swapaxes(1, 2), gains, zetas, U, V, cfg)
     sim.write_trajectory_csv(traj, tmp_path / "fast.csv")
@@ -994,3 +1006,38 @@ def test_write_metadata_round_trip(tmp_path):
     path = tmp_path / "meta.yaml"
     sim.write_metadata(path, meta)
     assert yaml.safe_load(path.read_text()) == meta
+
+
+WRITER_PEAKS = """
+import sys
+import numpy as np
+from cohsync import cli, sim
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+cfg = cli.build_experiment(cli.normalize_config(*cli.load_config("fig3c")))[0]
+writer = sim.TrajectoryCSV(sys.argv[1], cfg)
+rng = np.random.default_rng(0)
+X, Z = rng.normal(size=(2, 3, cfg.graph.n_nodes))
+U, V, rho = rng.normal(size=(1, cfg.graph.n_nodes)), rng.random(cfg.graph.n_nodes), rng.random(cfg.graph.n_nodes)
+for k in range(3000):
+    X += 1e-3
+    rho[k % rho.size] += 1e-3
+    writer(0.05 * k, X, rho, Z, U, V)
+    if k + 1 in (300, 3000):
+        print(peak_kib())
+writer.close(keep=False)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_the_trajectory_writers_peak_memory_does_not_grow_with_the_samples(tmp_path):
+    # fig3c's 121 agents: a writer that made a new template string for every sample grew the heap by about
+    # 1.7 MiB between samples 300 and 3,000; one fixed template keeps the peak resident set where it was
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", WRITER_PEAKS, str(tmp_path / "trajectory.csv")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300, check=True)
+    at_300, at_3000 = map(int, proc.stdout.split())
+    assert at_3000 - at_300 < 512  # KiB
