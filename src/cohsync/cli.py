@@ -443,7 +443,7 @@ def _inside(base, name, path):
     """The directory base / name, refused (a SchemaError on path) unless it lies inside base."""
     outdir = base / name
     if base.resolve() not in outdir.resolve().parents:
-        raise SchemaError(path, f"{name!r} names a directory outside {str(base)!r}")
+        raise SchemaError(path, f"{_quoted(name)} names a directory outside {str(base)!r}")
     return outdir
 
 
@@ -602,7 +602,7 @@ def cmd_sweep(args):
             claim = f"the directory of entry {idx}"  # the first to claim a path keeps it
             owner = owners.setdefault(entry_dir.resolve(), claim)
             if owner != claim:
-                raise SchemaError(f"sweep[{idx}].name", f"{norm['name']!r} is already {owner}")
+                raise SchemaError(f"sweep[{idx}].name", f"{_quoted(norm['name'])} is already {owner}")
             cfg, checks, _ = build_experiment(norm)
             built.append(_Entry(idx, norm, entry_dir, cfg, checks, _make_dir(entry_dir, source)))
         except tuple(REFUSALS) as exc:

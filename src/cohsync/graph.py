@@ -1,5 +1,7 @@
 """Weighted digraphs, Laplacians, and the topology families used by the presets."""
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -10,6 +12,9 @@ MAX_NODES = 10**6
 # the presets' degree fits (undirected vicsek generation 8 has 750,000); an
 # edge count is refused before its edges are built
 MAX_EDGES = 4 * 10**6
+# the most graphs each memo keeps alive, vicsek_fractal's (by arguments) and has_directed_spanning_tree's (by
+# identity): at most 96 MB of edge arrays each at MAX_EDGES, 18 MB for the largest fractal (generation 8)
+GRAPH_MEMO = 4
 
 
 def _node_count(n):
@@ -202,6 +207,7 @@ def _search(succ, root, seen):
     return len(queue) - 1
 
 
+@lru_cache(maxsize=GRAPH_MEMO)  # a WeightedDigraph hashes and compares by identity
 def has_directed_spanning_tree(g):
     """True if some root node has a directed path to every other node.
 
@@ -214,6 +220,9 @@ def has_directed_spanning_tree(g):
     not yet reached in turn (every node, without such a root): the reached
     set stays closed under successors, so if any node reaches every other,
     the last start does, and one more search from it decides, in O(N + E).
+
+    Memoized on the graph itself, by identity, as a sweep asks it of one
+    graph per entry: a graph's arrays are read-only, so its verdict holds.
     """
     n = g.n_nodes
     roots = np.flatnonzero(np.bincount(g.receivers, minlength=n) == 0).tolist()
@@ -255,6 +264,7 @@ def algebraic_connectivity(g):
     return float(np.sort(ev)[1])
 
 
+@lru_cache(maxsize=GRAPH_MEMO, typed=True)  # typed: after vicsek_fractal(1), vicsek_fractal(1.0) still raises
 def vicsek_fractal(generation, directed=False):
     """Fractal plus-of-pluses graph family with unit edge weights.
 
@@ -275,6 +285,10 @@ def vicsek_fractal(generation, directed=False):
     tip: the steps on its arm facing the center turn toward the tip.
     np.unique of (x, y) keys merges each junction's two cells (they hold one
     step) and sorts the nodes; np.searchsorted finds each parent: O(N log N).
+
+    Memoized on its arguments as passed, as a sweep asks it of one graph per
+    entry: equal calls share one graph, whose arrays are read-only; a call
+    that raises is not kept, and raises anew.
     """
     if not isinstance(generation, (int, np.integer)) or generation < 1:
         raise ValueError("generation must be a positive integer")

@@ -17,6 +17,16 @@ def _as_matrix(M, name):
     return M
 
 
+def _key(M):
+    # what the memos below key a matrix by: its shape and bytes, so that equal values share an entry
+    return M.shape, M.tobytes()
+
+
+def _matrices(keys):
+    # the matrices of the memos' keys, read-only
+    return (np.frombuffer(data).reshape(shape) for shape, data in keys)
+
+
 PBH_TOL = 1e-8  # relative rank tolerance of the PBH test (see is_stabilizable)
 
 
@@ -36,7 +46,7 @@ def is_stabilizable(A, B):
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError("A must be square and B must have matching row count")
-    return not _pbh_test((A.shape, A.tobytes()), (B.shape, B.tobytes()))
+    return not _pbh_test(_key(A), _key(B))
 
 
 @lru_cache(maxsize=8)
@@ -45,7 +55,7 @@ def _pbh_test(*keys):
     # bytes of A and B: the verdict depends on the values alone, and solve_care and
     # SimConfig both ask it of one pair while an experiment is built. One eigenvalue
     # that overflowed cannot pass the test, and counts as a defect too
-    A, B = (np.frombuffer(data).reshape(shape) for shape, data in keys)
+    A, B = _matrices(keys)
     n = A.shape[0]
     with np.errstate(all="ignore"):
         scale = np.linalg.norm(np.hstack([A, B]), 2)
@@ -68,11 +78,22 @@ def image_containment(E, B):
 
     Raises AssumptionError when the residual shows that the columns of E
     are not realizable through B (the disturbance is not input-additive).
+
+    Memoized on the shapes and bytes of (E, B), as a sweep asks it of one
+    model per entry: equal inputs share one X, which is read-only; a
+    refusal is raised anew on every call.
     """
     E = _as_matrix(E, "E")
     B = _as_matrix(B, "B")
     if B.shape[0] != E.shape[0]:
         raise ValueError("B and E must have the same row count")
+    return _containment(_key(E), _key(B))
+
+
+@lru_cache(maxsize=8)
+def _containment(*keys):
+    # image_containment on the shapes and bytes of E and B; lru_cache keeps no call that raised
+    E, B = _matrices(keys)
     # decided in units of a power of two near the largest entry: exact, and no norm overflows
     e = int(np.frexp(max(np.abs(B).max(initial=0.0), np.abs(E).max(initial=0.0)))[1])
     with np.errstate(all="ignore"):  # a solution beyond the float range fails the test below
@@ -84,14 +105,26 @@ def image_containment(E, B):
                 "disturbance is not input-additive: im E is not contained in im B "
                 f"(least-squares residual {np.ldexp(resid, e):.3e})"
             )
+    X.setflags(write=False)  # shared by every caller of these inputs
     return X
 
 
 def min_eigenvalue_sym(M):
-    """Smallest eigenvalue of a symmetric matrix (asymmetry above 1e-10 is rejected)."""
+    """Smallest eigenvalue of a symmetric matrix (asymmetry above 1e-10 is rejected).
+
+    Memoized on the shape and bytes of M, as a sweep asks it of one P per
+    entry; a refusal is raised anew on every call.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
+    return _min_eigenvalue(_key(M))
+
+
+@lru_cache(maxsize=8)
+def _min_eigenvalue(*keys):
+    # min_eigenvalue_sym on the shape and bytes of M; lru_cache keeps no call that raised
+    (M,) = _matrices(keys)
     if np.abs(M - M.T).max() > 1e-10:
         raise ValueError("matrix must be symmetric")
     return float(np.linalg.eigvalsh(M)[0])
@@ -214,7 +247,7 @@ def solve_care(A, B):
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError("A must be square and B must have matching row count")
-    keys = [(M.shape, M.tobytes()) for M in (A, B)]  # what the memos key A and B by
+    keys = _key(A), _key(B)
     bad = _pbh_test(*keys)
     if bad:
         desc = ", ".join(f"{lam:.6g}" for lam in bad)
@@ -227,7 +260,7 @@ def solve_care(A, B):
 @lru_cache(maxsize=8)
 def _care(*keys):
     # solve_care on the shapes and bytes of A and B; lru_cache keeps no call that raised
-    A, B = (np.frombuffer(data).reshape(shape) for shape, data in keys)
+    A, B = _matrices(keys)
     n = A.shape[0]
     try:
         with np.errstate(all="ignore"):  # an overflow, or NaN, fails the certificate below

@@ -642,6 +642,60 @@ def test_sweep_on_one_model_solves_the_riccati_equation_once(tmp_path):
     assert (info.misses, info.hits) == (1, 7)
 
 
+def test_sweep_over_one_graph_builds_it_and_checks_its_model_once(tmp_path):
+    # the same eight entries share one graph section, one (E, B) and one P: one graph build,
+    # spanning-tree test and containment check, seven memo hits each; ProtocolParams and the
+    # entry's verdict each ask lambda_min(P), one eigensolve and fifteen hits
+    memos = {
+        cli.graphmod.vicsek_fractal: (1, 7),
+        cli.graphmod.has_directed_spanning_tree: (1, 7),
+        cli.linalg._containment: (1, 7),
+        cli.linalg._min_eigenvalue: (1, 15),
+    }
+    for memo in memos:
+        memo.cache_clear()
+    entries = [{"integration": {"seed": s}, "protocol": {"d": d}} for s in range(4) for d in (0.5, 0.2)]
+    cfg_path = write_config(tmp_path, fast_passing_config(sweep=entries))
+    assert cli.main(["sweep", cfg_path, "--out", str(tmp_path / "out"), "--quiet", "--t-end", "0.05"]) in (0, 1)
+    for memo, counts in memos.items():
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == counts, memo.__name__
+
+
+def test_the_graph_memo_keeps_refusing_what_it_refused():
+    # typed: generation 1.0 is not the cached 1 (untyped, (1.0, True) would find (1, True)),
+    # and a refused call is not cached
+    for args in ((1,), (1, True)):
+        assert cli.graphmod.vicsek_fractal(*args).n_nodes == 5
+        for _ in range(2):
+            with pytest.raises(ValueError, match="generation must be a positive integer"):
+                cli.graphmod.vicsek_fractal(1.0, *args[1:])
+
+
+def test_the_memoized_containment_result_is_read_only():
+    B = np.array([[0.0], [0.0], [1.0]])
+    X = cli.linalg.image_containment(2.0 * B, B)
+    assert not X.flags.writeable and np.array_equal(X, [[2.0]])
+    with pytest.raises(ValueError):
+        X[0, 0] = 3.0
+    assert cli.linalg.image_containment(2.0 * B, B) is X
+
+
+def test_a_model_that_fails_containment_is_refused_on_every_sweep_entry(tmp_path, capsys):
+    # a refusal is not cached: every entry, and every later check, is refused anew
+    model = {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "E": [[1.0], [0.0]]}
+    cfg = fast_passing_config(model=model, sweep=[{"integration": {"seed": s}} for s in range(3)])
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", cfg_path, "--out", str(out), "--quiet"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [row[1] for row in csv.reader(fh)][1:]
+    assert len(status) == 3 and all(s.startswith("error: disturbance is not input-additive") for s in status)
+    for _ in range(2):
+        assert cli.main(["check", cfg_path]) == 3
+        assert "assumption violated: disturbance is not input-additive" in capsys.readouterr().err
+
+
 def test_module_runs_as_a_script():
     proc = subprocess.run(
         [sys.executable, "-m", "cohsync.cli", "check", "fig3a"],
@@ -756,6 +810,25 @@ def test_names_that_leave_the_output_directory_are_refused(tmp_path, monkeypatch
     assert status[3] in ("pass", "fail")
     assert sorted(p.name for p in out.iterdir()) == ["base_03", "report.csv", "report.txt"]
     assert not outside.exists() and not env_base.exists()
+
+
+def test_a_long_name_is_quoted_at_most_quote_chars(tmp_path, monkeypatch, capsys):
+    # a name that leaves the output directory, or repeats another entry's, is cut as any refused value is
+    name = "../" + "x" * 500
+    monkeypatch.setenv(cli.ENV_OUT, str(tmp_path / "envbase"))
+    cfg_path = write_config(tmp_path, fast_passing_config(name=name))
+    assert cli.main(["run", cfg_path, "--quiet", "--t-end", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 250
+    assert err.startswith(f"config error: name: {cli._quoted(name)} names a directory outside")
+    same = "x" * 200
+    cfg = fast_passing_config(name="base", sweep=[{"name": same}, {"name": same}])
+    out = tmp_path / "sweepout"
+    assert cli.main(["sweep", write_config(tmp_path, cfg), "--out", str(out), "--quiet", "--t-end", "0.05"]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = [r[1] for r in list(csv.reader(fh))[1:]]
+    assert status[1] == f"error: sweep[1].name: {cli._quoted(same)} is already the directory of entry 0"
+    assert len(status[1]) < 250
 
 
 @pytest.fixture

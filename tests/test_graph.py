@@ -173,8 +173,8 @@ def test_operator_path_follows_the_node_count():
         # a lone graph: the dense product below EDGE_PATH_NODES, per edge from there
         ((graph.vicsek_fractal(3),), [(1, (121, 121))]),
         ((big,), [(1, None)]),
-        # copies of one graph (built twice, so equal but not the same object): one block
-        ((one, graph.vicsek_fractal(2), one), [(3, (25, 25))]),
+        # copies of one graph (one rebuilt from its edges, so equal but not the same object): one block
+        ((one, graph.WeightedDigraph(one.n_nodes, one.receivers, one.senders, one.edge_weights), one), [(3, (25, 25))]),
         ((one,) * 20, [(20, (25, 25))]),
         # distinct graphs: a block each, each on its own graph's map, whatever the union's size
         ((one, other), [(1, (25, 25)), (1, (25, 25))]),
