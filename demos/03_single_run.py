@@ -28,23 +28,27 @@ def main():
         dt=1e-3,
         record_every=10,
     )
-    traj = sim.simulate(cfg)
-
-    summary = analysis.summarize(traj, bound=1.0, label="demo")
-    print(analysis.summary_text(summary))
-
-    # a few raw numbers behind the verdict
-    print(f"samples recorded:    {traj.times.size}")
-    print(f"final gains:         {np.round(traj.gains[-1], 4)}")
-    # the loop recorded each sample's disagreements zeta_i and levels V_i = zeta_i' P zeta_i as it formed them
-    spec = params.spec
-    print(f"final max V_i:       {traj.levels[-1].max():.6f}  (deadzone d={spec.d}, delta_bar={spec.delta_bar})")
-    print(f"final max |zeta_i|:  {np.linalg.norm(traj.zetas[-1], axis=0).max():.6f}  "
-          f"(guaranteed level delta={spec.delta:.4f})")
-
     out = Path("out")
     out.mkdir(exist_ok=True)
-    sim.write_trajectory_csv(traj, out / "demo_trajectory.csv")
+    verdict = analysis.Verdict(cfg, bound=1.0, label="demo")
+    writer = sim.TrajectoryCSV(out / "demo_trajectory.csv", cfg)
+    final = {}
+
+    def keep_final(t, X, rho, Z, U, V):  # any callable is a sink; its arguments are valid for this call only
+        final.update(rho=rho.copy(), V=V.max(), zeta=np.linalg.norm(Z, axis=0).max())
+
+    # the loop hands each of the run's cfg.samples samples to every sink, as it forms them
+    sim.simulate_union([cfg], [[verdict, writer, keep_final]])
+    writer.close(keep=True)
+    print(analysis.summary_text(verdict.summary()))
+
+    # a few raw numbers behind the verdict
+    print(f"samples handed on:   {cfg.samples}")
+    print(f"final gains:         {np.round(final['rho'], 4)}")
+    # each sample's disagreements zeta_i and levels V_i = zeta_i' P zeta_i, as the loop formed them
+    spec = params.spec
+    print(f"final max V_i:       {final['V']:.6f}  (deadzone d={spec.d}, delta_bar={spec.delta_bar})")
+    print(f"final max |zeta_i|:  {final['zeta']:.6f}  (guaranteed level delta={spec.delta:.4f})")
     print(f"\nfull trajectory written to {out / 'demo_trajectory.csv'}")
 
 

@@ -5,7 +5,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .protocol import minimal_delta
-from .sim import replay
 
 
 @dataclass
@@ -105,13 +104,6 @@ class Verdict:
             max_gain_variation=float(variation.max()),
             passed=bound_ok and gains_converged and (settled or not self.require_settled),
         )
-
-
-def summarize(traj, **checks):
-    """Judge a recorded run: replay traj through a Verdict of traj.config and the checks given, and summarize it."""
-    verdict = Verdict(traj.config, **checks)
-    replay(traj, verdict)
-    return verdict.summary()
 
 
 def summary_text(s):

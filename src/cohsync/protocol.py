@@ -60,12 +60,12 @@ class ProtocolParams:
         else:
             _require_positive(delta, "delta")
             delta_bar = float(delta) * float(delta) * lam
-            if d is None:
-                d = 0.5 * delta_bar
-            if not 0 < d < delta_bar:
-                raise ValueError(
-                    f"deadzone threshold requires 0 < d < delta_bar, got d={d} with delta_bar={delta_bar:.6g}"
-                )
+        if not np.isfinite([delta, delta_bar]).all():  # 2 d, 2 d / lam or delta^2 lam can overflow
+            raise ValueError(f"the coherency levels must be finite, got delta={delta:.6g}, delta_bar={delta_bar:.6g}")
+        if d is None:
+            d = 0.5 * delta_bar
+        if not 0 < d < delta_bar:
+            raise ValueError(f"deadzone threshold requires 0 < d < delta_bar, got d={d} with delta_bar={delta_bar:.6g}")
         self.P = P
         self.BtP = B.T @ P
         self.m, self.n = self.BtP.shape  # input and state dimensions

@@ -74,7 +74,7 @@ class SimConfig:
             raise ValueError("protocol matrices do not match the model state dimension")
         sig = self.disturbance
         if sig.table_times is not None:
-            # simulate integrates self.steps steps and asks for labels 1..N
+            # simulate_union integrates self.steps steps and asks for labels 1..N
             t0, t1 = float(sig.table_times[0]), float(sig.table_times[-1])
             horizon = self.steps * float(self.dt)
             cols = sig.table_values.shape[1]
@@ -92,55 +92,13 @@ class SimConfig:
 
     @property
     def steps(self):
-        """Number of fixed steps simulate takes: t_end / dt, rounded."""
+        """Number of fixed steps simulate_union takes: t_end / dt, rounded."""
         return int(round(self.t_end / self.dt))
 
     @property
     def samples(self):
         """Number of samples a run hands on: at steps 0, record_every, ... below steps, and the final state."""
         return (self.steps - 1) // int(self.record_every) + 2
-
-
-@dataclass
-class Trajectory:
-    """Time-sampled record of a closed-loop run, each sample as the loop handed it on, and its config.
-
-    times (S,), states (S, n, N) of X, gains (S, N), and what the sample's
-    stage 1 formed: disagreements zetas (S, n, N), inputs -rho B'P zeta
-    (S, m, N) and levels zeta_i' P zeta_i (S, N), one agent per column.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    gains: np.ndarray
-    zetas: np.ndarray
-    inputs: np.ndarray
-    levels: np.ndarray
-    config: SimConfig
-
-    @property
-    def n_samples(self):
-        return self.times.shape[0]
-
-
-def _recording(cfg):
-    """An unfilled Trajectory of cfg's samples, and the sink that fills it sample by sample."""
-    S, n, m, N = cfg.samples, cfg.params.n, cfg.params.m, cfg.graph.n_nodes
-    traj = Trajectory(*(np.empty(shape) for shape in [S, (S, n, N), (S, N), (S, n, N), (S, m, N), (S, N)]), cfg)
-    slots = zip(traj.times[:, None], traj.states, traj.gains, traj.zetas, traj.inputs, traj.levels)  # views
-
-    def record(*sample):
-        for slot, value in zip(next(slots), sample):
-            slot[...] = value
-
-    return traj, record
-
-
-def replay(traj, *sinks):
-    """Hand each recorded sample of traj to each sink, in order, as simulate_union hands the loop's."""
-    for sample in zip(traj.times, traj.states, traj.gains, traj.zetas, traj.inputs, traj.levels):
-        for sink in sinks:
-            sink(*sample)
 
 
 INITIAL_SPAN = 5.0  # half-width of the box default_initial_state draws from
@@ -243,7 +201,7 @@ def can_join(a, b):
     )
 
 
-def simulate_union(cfgs, sinks=None):
+def simulate_union(cfgs, sinks):
     """Integrate runs that can_join as one closed loop, handing each run's samples to that run's sinks.
 
     The protocol is fully distributed and its design P does not depend on
@@ -259,7 +217,7 @@ def simulate_union(cfgs, sinks=None):
     is O(dt) on a measure-zero set). Every rate is a sum of squares or zero,
     so no step lowers a gain. The coupling is one graph.LaplacianOperator
     over all the graphs, which applies each graph's own map to its columns,
-    so every run's values are its lone simulate's bit for bit. Each stage
+    so every run's values are its lone run's bit for bit. Each stage
     is one closure of 13 NumPy calls (RK4Step), the one place the feedback
     law is formed. The disturbance, one signals.waveform at the distinct
     labels 1..max N_k gathered to each run's agents 1..N_k, does not depend
@@ -273,8 +231,7 @@ def simulate_union(cfgs, sinks=None):
     whose Z, rho y and V do not depend on its disturbance term. Each calls
     every sink of run k, sinks[k], as sink(t, X, rho, Z, U, V), U = -rho y,
     with views of the run's columns, valid for that call only, once its
-    gains are checked against the previous sample's. Without sinks, each
-    run is recorded: the return is one Trajectory per run, in order.
+    gains are checked against the previous sample's.
 
     A state entry beyond STATE_LIMIT, or not finite, raises DivergenceError
     naming the agent (and, in a union of several runs, the run's index). A
@@ -282,13 +239,11 @@ def simulate_union(cfgs, sinks=None):
     STATE_LIMIT**2 (or is NaN): no rounded sum of squares lies below one of
     them, and none beyond the limit rounds to it.
     """
-    cfgs = list(cfgs)
-    if sinks is None:
-        recordings = [_recording(cfg) for cfg in cfgs]
-        simulate_union(cfgs, [[record] for _, record in recordings])
-        return [traj for traj, _ in recordings]
+    cfgs, sinks = list(cfgs), list(sinks)
     if not cfgs:
         raise ValueError("simulate_union needs at least one run")
+    if len(sinks) != len(cfgs):
+        raise ValueError(f"simulate_union got {len(sinks)} lists of sinks for {len(cfgs)} runs")
     head = cfgs[0]
     for k, cfg in enumerate(cfgs[1:], 1):
         if not can_join(head, cfg):
@@ -351,11 +306,6 @@ def simulate_union(cfgs, sinks=None):
     sample(steps * dt)
 
 
-def simulate(cfg):
-    """Integrate and record one run: simulate_union([cfg])[0], the fixed-step RK4 loop described there."""
-    return simulate_union([cfg])[0]
-
-
 class TrajectoryCSV:
     """A sink that writes one run's trajectory CSV as its samples arrive, into path + ".part".
 
@@ -398,17 +348,6 @@ class TrajectoryCSV:
             os.replace(self.part, self.path)
         else:
             os.remove(self.part)
-
-
-def write_trajectory_csv(traj, path):
-    """Write traj's trajectory CSV at path: its samples replayed through a TrajectoryCSV."""
-    writer = TrajectoryCSV(path, traj.config)
-    try:
-        replay(traj, writer)
-    except BaseException:
-        writer.close(keep=False)
-        raise
-    writer.close(keep=True)
 
 
 def write_metadata(path, meta):

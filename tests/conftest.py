@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import yaml
 
-from cohsync import cli, graph, linalg, sim
+from cohsync import analysis, cli, graph, linalg, sim
 
 
 @pytest.fixture(params=["LOADER", "SafeLoader"])
@@ -73,3 +75,46 @@ def stage_rows(rho, zetas, params, d):
     rates = step.first(np.zeros((n, agents + 1)))[n, 1:].copy()
     assert np.array_equal(step.Z[:, 1:], S[:n, 1:])  # each agent's disagreement is its state, exactly
     return rates.reshape(lead), -step.Y[:, 1:].T.reshape(lead + (m,)), step.V[1:].reshape(lead)
+
+
+def record(*cfgs):
+    """Run cfgs as one sim.simulate_union, and record each run's samples as its one sink is handed them.
+
+    One namespace per run, in order: times (S,), states (S, n, N) of X, gains (S, N), and what each sample's
+    stage 1 formed: disagreements zetas (S, n, N), inputs -rho B'P zeta (S, m, N) and levels zeta_i' P zeta_i
+    (S, N), one agent per column; and its config and n_samples S.
+    """
+    runs = []
+    for cfg in cfgs:
+        S, n, m, N = cfg.samples, cfg.params.n, cfg.params.m, cfg.graph.n_nodes
+        shapes = dict(times=S, states=(S, n, N), gains=(S, N), zetas=(S, n, N), inputs=(S, m, N), levels=(S, N))
+        runs.append(SimpleNamespace(**{k: np.empty(shape) for k, shape in shapes.items()}, config=cfg, n_samples=S))
+
+    def recorder(run):
+        slots = zip(run.times[:, None], run.states, run.gains, run.zetas, run.inputs, run.levels)  # views
+
+        def sink(*sample):
+            for slot, value in zip(next(slots), sample):
+                slot[...] = value
+
+        return [sink]
+
+    sim.simulate_union(cfgs, [recorder(run) for run in runs])
+    return runs
+
+
+def replay(run, sink):
+    """Hand each recorded sample of run to sink, in order, as simulate_union handed them; return sink."""
+    for sample in zip(run.times, run.states, run.gains, run.zetas, run.inputs, run.levels):
+        sink(*sample)
+    return sink
+
+
+def judge(run, **checks):
+    """The RunSummary of an analysis.Verdict of run's config and the checks given, fed run's samples."""
+    return replay(run, analysis.Verdict(run.config, **checks)).summary()
+
+
+def write_csv(run, path):
+    """Write run's samples at path through a sim.TrajectoryCSV."""
+    replay(run, sim.TrajectoryCSV(path, run.config)).close(keep=True)

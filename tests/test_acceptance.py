@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import stage_rows
+from conftest import judge, record, stage_rows
 
-from cohsync import analysis, cli, graph, linalg, protocol, signals, sim
+from cohsync import cli, graph, linalg, protocol, signals, sim
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def preset_run():
             norm = cli.normalize_config(cli.load_config(name)[0], name)
             cfg, _, _ = cli.build_experiment(norm)
             start = time.perf_counter()
-            traj = sim.simulate(cfg)
+            traj = record(cfg)[0]
             elapsed = time.perf_counter() - start
             cache[name] = (norm, cfg, traj, elapsed)
         return cache[name]
@@ -41,7 +41,7 @@ def _report(number, label, checks):
 
 
 def _coherency_checks(traj, bound):
-    s = analysis.summarize(traj, bound=bound)
+    s = judge(traj, bound=bound)
     return {
         "bound_holds": s.bound_ok,
         "gains_converged": s.gains_converged,
@@ -137,7 +137,7 @@ def test_criterion_7_invariant_suite():
     checks = {}
 
     cfg = _short_cfg()
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
     checks["gain_monotonicity_1e-12"] = bool(np.min(np.diff(traj.gains, axis=0)) >= -1e-12)
 
     # deadzone exactness: rates vanish identically strictly inside, and the
@@ -165,7 +165,7 @@ def test_criterion_7_invariant_suite():
     # translation invariance: shifting every agent by the same state offset
     # leaves disagreements, gains and controls unchanged
     shifted = dataclasses.replace(cfg, x0=cfg.x0 + np.tile([10.0, -3.0, 2.0], 5))
-    tb = sim.simulate(shifted)
+    tb = record(shifted)[0]
 
     checks["translation_zeta_1e-8"] = bool(np.max(np.abs(tb.zetas - traj.zetas)) <= 1e-8)
     checks["translation_rho_1e-8"] = bool(np.max(np.abs(tb.gains - traj.gains)) <= 1e-8)
@@ -176,12 +176,12 @@ def test_criterion_7_invariant_suite():
     perm = np.array([3, 0, 4, 2, 1])
     times = np.linspace(0.0, cfg.t_end, 21)
     values = np.random.default_rng(3).uniform(-2.0, 2.0, (21, 5))
-    tt = sim.simulate(dataclasses.replace(cfg, disturbance=signals.table_signal(times, values)))
+    tt = record(dataclasses.replace(cfg, disturbance=signals.table_signal(times, values)))[0]
     gp = graph.WeightedDigraph(5, perm[cfg.graph.receivers], perm[cfg.graph.senders], cfg.graph.edge_weights)
     xp = cfg.x0.reshape(5, -1)[np.argsort(perm)].reshape(-1)
     permuted = dataclasses.replace(
         cfg, graph=gp, x0=xp, disturbance=signals.table_signal(times, values[:, np.argsort(perm)]))
-    tp = sim.simulate(permuted)
+    tp = record(permuted)[0]
     checks["permutation_gains_grow"] = bool(tt.gains[-1].max() > 0.0)
     checks["permutation_zeta_1e-8"] = bool(np.max(np.abs(tp.zetas[:, :, perm] - tt.zetas)) <= 1e-8)
     checks["permutation_rho_1e-8"] = bool(np.max(np.abs(tp.gains[:, perm] - tt.gains)) <= 1e-8)
@@ -191,7 +191,7 @@ def test_criterion_7_invariant_suite():
     g = cfg.graph
     same = np.tile([1.0, -2.0, 0.5], g.n_nodes)
     quiet = dataclasses.replace(cfg, x0=same, disturbance=signals.zero_signal(), t_end=1.0)
-    tq = sim.simulate(quiet)
+    tq = record(quiet)[0]
     checks["zero_disturbance_sync_1e-8"] = bool(np.max(np.abs(tq.zetas)) <= 1e-8)
 
     # design equation invariants over random stabilizable systems
@@ -231,7 +231,7 @@ def test_criterion_8_step_halving_order():
 
     def run(dt, every):
         c = dataclasses.replace(cfg, dt=dt, t_end=0.5, record_every=every)
-        return sim.simulate(c)
+        return record(c)[0]
 
     coarse = run(1e-3, 1)
     halved = run(5e-4, 2)
@@ -263,7 +263,7 @@ def halving_through_crossings():
     norm = cli.normalize_config(cli.load_config("fig3a")[0], "fig3a")
     cfg, _, _ = cli.build_experiment(norm)
     *runs, ref = [
-        sim.simulate(dataclasses.replace(cfg, dt=1e-3 / 2**j, t_end=5.3, record_every=2**j)) for j in range(4)
+        record(dataclasses.replace(cfg, dt=1e-3 / 2**j, t_end=5.3, record_every=2**j))[0] for j in range(4)
     ]
     assert all(np.allclose(r.times, ref.times, rtol=0.0, atol=1e-12) for r in runs)
     active = ref.levels >= cfg.params.spec.d

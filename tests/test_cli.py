@@ -119,7 +119,6 @@ def test_out_naming_a_file_is_refused_before_simulating(tmp_path, monkeypatch, c
     def never(*args):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli.sim, "simulate", never)
     monkeypatch.setattr(cli.sim, "simulate_union", never)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
@@ -268,6 +267,9 @@ REFUSED_INPUTS = {
     "negative seed flag": ({}, ["--seed", "-1"], "integration.seed: must be >= 0"),
     "infinite weight": ({"graph": {"path": "chain_inf.txt"}}, [], "edge weights must be finite"),
     "nan weight": ({"graph": {"path": "chain_nan.txt"}}, [], "edge weights must be finite"),
+    # finite numbers whose levels are not: d = 1e308 ran and passed against the bound inf
+    "d whose levels overflow": ({"protocol": {"d": 1e308}}, [], "protocol.d: the coherency levels must be finite"),
+    "delta whose level overflows": ({"protocol": {"delta": 1e200}}, [], "protocol.d: the coherency levels must be"),
     # t_end = 0.0015 integrates two steps, to t = 0.002
     "table short of the last step": (
         {"integration": {"t_end": 0.0015}, "disturbance": {"kind": "custom-table", "path": "ends_0.0015.csv"}},
@@ -837,7 +839,7 @@ def union_calls(monkeypatch):
     calls = []
     simulate_union = cli.sim.simulate_union
 
-    def counted(cfgs, sinks=None):
+    def counted(cfgs, sinks):
         calls.append([cfg.graph.n_nodes for cfg in cfgs])
         return simulate_union(cfgs, sinks)
 

@@ -81,6 +81,13 @@ def test_non_finite_levels_and_an_indefinite_P_are_refused(benchmark_P):
             spec_of(benchmark_P, delta=1.0, d=bad)
         with pytest.raises(ValueError, match="d must be positive and finite"):
             protocol.minimal_delta(bad, benchmark_P)
+    # finite d or delta whose levels overflow: before, d = 1e308 gave delta = delta_bar = inf, and delta = 1e200
+    # was refused as d = inf with delta_bar = inf
+    for given in ({"d": 1e308}, {"delta": 1e200}, {"d": 1e308, "delta": 1e200}):
+        with pytest.raises(ValueError, match="coherency levels must be finite, got delta=.*, delta_bar=inf"):
+            spec_of(benchmark_P, **given)
+    with pytest.raises(ValueError, match=r"coherency levels must be finite, got delta=inf, delta_bar=2e\+10"):
+        spec_of(np.diag([1e-300, 1.0]), d=1e10)  # 2 d / lambda_min(P) overflows
     for P in (-np.eye(2), np.diag([1.0, 0.0])):
         with pytest.raises(ValueError, match="P must be positive definite"):
             protocol.ProtocolParams(P, np.eye(2), d=0.5)

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
-from conftest import feedback
+from conftest import feedback, record, write_csv
 
 from cohsync import graph, linalg, protocol, signals, sim
 
@@ -82,7 +83,7 @@ def test_equal_initial_states_follow_open_loop_flow(bench_setup):
     g = graph.vicsek_fractal(1)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=5.0,
                     x0=np.tile(row, 5))
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
     # chain of integrators: closed-form polynomial flow
     t = traj.times[:, None]
     expected = np.stack([
@@ -100,7 +101,7 @@ def test_equal_initial_states_follow_open_loop_flow(bench_setup):
 def test_zero_disturbance_disagreement_decays(bench_setup):
     g = graph.vicsek_fractal(1)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=30.0)
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
     z0 = np.linalg.norm(traj.zetas[0], axis=0).max()
     zT = np.linalg.norm(traj.zetas[-1], axis=0).max()
     assert zT < z0 / 100.0
@@ -111,8 +112,8 @@ def test_translation_invariance(bench_setup):
     base = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=5.0)
     shifted = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=5.0,
                         x0=np.asarray(base.x0) + np.tile([10.0, -3.0, 2.0], 5))
-    ta = sim.simulate(base)
-    tb = sim.simulate(shifted)
+    ta = record(base)[0]
+    tb = record(shifted)[0]
     # disagreement dynamics see only state differences
     assert np.abs(ta.zetas - tb.zetas).max() <= 1e-8
     assert np.abs(ta.gains - tb.gains).max() <= 1e-8
@@ -136,8 +137,8 @@ def test_permutation_equivariance(bench_setup):
         x0p[perm] = np.asarray(base.x0).reshape(N, 3)
         gp = graph.WeightedDigraph(N, perm[g.receivers], perm[g.senders], g.edge_weights)
         relabeled = bench_cfg(bench_setup, gp, signals.table_signal(times, moved), t_end=2.0, x0=x0p.reshape(-1))
-        ta = sim.simulate(base)
-        tb = sim.simulate(relabeled)
+        ta = record(base)[0]
+        tb = record(relabeled)[0]
         assert ta.gains[-1].max() > 0.0  # the adaptive law is exercised
         assert np.abs(tb.states[:, :, perm] - ta.states).max() <= 1e-8
         assert np.abs(tb.gains[:, perm] - ta.gains).max() <= 1e-8
@@ -147,7 +148,7 @@ def test_permutation_equivariance(bench_setup):
 
 def test_gains_never_decrease(bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
-    traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=5.0))
+    traj = record(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=5.0))[0]
     # every rate is a sum of squares or zero, so no step lowers a gain, not even by round-off
     assert np.diff(traj.gains, axis=0).min() >= 0.0
     assert np.all(traj.gains >= 0.0)
@@ -160,7 +161,7 @@ def test_deadzone_keeps_gains_bit_identical():
         model=model, graph=g, params=params, disturbance=signals.zero_signal(),
         x0=[1.0, 1.0 + 1e-6], rho0=[0.3, 0.7], t_end=1.0, dt=1e-3, record_every=10,
     )
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
     # V stays ~1e-12, far inside the deadzone: the gains never move at all
     assert np.all(traj.gains == np.array([0.3, 0.7]))
 
@@ -175,7 +176,7 @@ def test_a_gain_that_falls_between_samples_breaks_the_integrator_invariant(monke
     g = graph.vicsek_fractal(1, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=0.01, record_every=2, rho0=1.0)
     with pytest.raises(RuntimeError, match=r"recorded gains decreased by 2\.000e-03; integrator invariant broken"):
-        sim.simulate(cfg)
+        record(cfg)
 
 
 def test_divergence_guard_reports_agent_and_keeps_partial():
@@ -189,7 +190,7 @@ def test_divergence_guard_reports_agent_and_keeps_partial():
         record_every=100,
     )
     with pytest.raises(sim.DivergenceError, match="diverged") as err:
-        sim.simulate(cfg)
+        record(cfg)
     assert err.value.agent == 1
     assert 5.0 < err.value.time < 6.0
 
@@ -220,7 +221,7 @@ def test_divergence_check_aborts_past_the_limit(bench_setup, monkeypatch, value)
     cfgs = union_members(bench_setup, [g, g], t_end=0.01)
     monkeypatch.setattr(sim, "RK4Step", poked_step(3, value, 1, g.n_nodes + 6))
     with pytest.raises(sim.DivergenceError, match=r"agent 7 of run 1 at t=0\.004 ") as err:
-        sim.simulate_union(cfgs)
+        record(*cfgs)
     assert (err.value.agent, err.value.time) == (7, 4 * 1e-3)
 
 
@@ -236,7 +237,7 @@ def test_divergence_check_lets_entries_at_the_limit_pass(bench_setup, monkeypatc
     g = graph.vicsek_fractal(3, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.005, record_every=2)
     monkeypatch.setattr(sim, "RK4Step", poked_step(cfg.steps - 1, value, rows, cols))
-    last = sim.simulate(cfg).states[-1]
+    last = record(cfg)[0].states[-1]
     assert np.all(last[rows, cols] == value)
     assert (np.dot(last.reshape(-1), last.reshape(-1)) > sim.STATE_LIMIT**2) == (value == 0.9 * sim.STATE_LIMIT)
 
@@ -288,7 +289,7 @@ def rk4_record(cfg, f):
     """cfg's record (times, states, gains) from the classical RK4 loop on agent rows x (N, n).
 
     f(t, x, rho) gives a stage's derivatives (xdot, rho rates). The states
-    are recorded as a Trajectory holds them, x' of shape (n, N) per sample.
+    are recorded as conftest.record holds them, x' of shape (n, N) per sample.
     """
     model, g = cfg.model, cfg.graph
     dt = cfg.dt
@@ -337,7 +338,7 @@ def test_every_stage_forms_the_record_wide_feedback(n, m):
     ]
     L = graph.LaplacianOperator(*(cfg.graph for cfg in cfgs))
     assert [(b.copies, b.unit_tree, b.dense is not None) for b in L.blocks] == [(3, True, False), (1, False, True)]
-    union = sim.simulate_union(cfgs)
+    union = record(*cfgs)
     for traj in union:
         for got, want in zip((traj.times, traj.states, traj.gains), dense_loop(traj.config), strict=True):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
@@ -359,7 +360,7 @@ def fractal601():
 
 def test_edge_path_simulation_matches_a_dense_loop(bench_setup, fractal601):
     cfg = bench_cfg(bench_setup, fractal601, signals.chirp_signal(), t_end=0.05, record_every=10)
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
     assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
     assert_is_the_dense_loop(traj)
     assert np.array_equal(traj.zetas, (graph.laplacian(fractal601) @ traj.states.swapaxes(1, 2)).swapaxes(1, 2))
@@ -377,7 +378,7 @@ def test_state_major_loop_is_the_agent_major_loop_on_directed_fractals(bench_set
     copies = union_members(bench_setup, [g] * 3, t_end=0.5)
     assert graph.LaplacianOperator(g).dense is not None and graph.LaplacianOperator(fractal601).dense is None
     assert graph.LaplacianOperator(*[g] * 3).copies == 3
-    runs = [sim.simulate(cfg) for cfg in lone] + sim.simulate_union(copies)
+    runs = [record(cfg)[0] for cfg in lone] + record(*copies)
     for traj, cfg in zip(runs, lone + copies, strict=True):
         times, states, gains = agent_major_loop(cfg)
         assert np.abs(gains[-1]).max() > 0.0  # the gains have moved
@@ -414,7 +415,7 @@ def test_blocked_disturbance_matches_the_per_stage_loop(bench_setup, fractal601,
     # record_every 4 divides none of 1, B-1, B, B+1 (B = 6) and 10
     cfg = bench_cfg(bench_setup, fractal601, signal, t_end=steps * 1e-3, record_every=4)
     assert cfg.steps == steps
-    assert_is_the_dense_loop(sim.simulate(cfg))
+    assert_is_the_dense_loop(record(cfg)[0])
 
 
 @pytest.mark.parametrize("steps", STEP_COUNTS)
@@ -430,7 +431,7 @@ def test_blocked_disturbance_in_a_union_of_two_index_maps(bench_setup, fractal60
         for seed in (0, 1)
     ]
     # the union's block is half the lone run's: 1202 rows per stage
-    for traj in sim.simulate_union(cfgs):
+    for traj in record(*cfgs):
         assert_is_the_dense_loop(traj)
 
 
@@ -453,19 +454,19 @@ def test_a_union_evaluates_each_disturbance_label_once(bench_setup, monkeypatch)
     g = graph.vicsek_fractal(2, directed=True)
     cfgs = union_members(bench_setup, [g] * 8, t_end=0.1)
     labels, times = counting_waveform(monkeypatch)
-    union = sim.simulate_union(cfgs)
+    union = record(*cfgs)
     assert len(labels) == 1 and np.array_equal(labels[0], np.arange(1, 26))
     assert sum(t.size for t in times) == 3 * cfgs[0].steps  # each stage time once
     monkeypatch.undo()
     for cfg, traj in zip(cfgs, union, strict=True):
         assert_is_the_dense_loop(traj)
         for field in ("times", "states", "gains"):
-            assert np.array_equal(getattr(traj, field), getattr(sim.simulate(cfg), field)), field
+            assert np.array_equal(getattr(traj, field), getattr(record(cfg)[0], field)), field
 
 
-# what simulate allocates beyond its record and the block of disturbance
-# terms: the waveform's values and their temporaries (each a third of the
-# block at n = 3), the RK4 stage arrays, the coupling operator and the gains'
+# what simulate_union allocates beyond the block of disturbance terms: the
+# waveform's values and their temporaries (each a third of the block at
+# n = 3), the RK4 stage arrays, the coupling operator and the gains'
 # monotonicity check, one sample's worth (measured: 0.37 MiB with chirp,
 # 0.47 MiB with a table)
 BLOCK_SLACK = 512 * 1024
@@ -483,12 +484,11 @@ def test_the_disturbance_block_stays_within_its_budget(bench_setup, fractal601, 
     cfg = bench_cfg(bench_setup, fractal601, signal, t_end=0.5, record_every=record_every)
     tracemalloc.start()
     try:
-        traj = sim.simulate(cfg)
+        sim.simulate_union([cfg], [[]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    record = sum(getattr(traj, f.name).nbytes for f in dataclasses.fields(traj) if f.name != "config")
-    assert peak - record < sim.BLOCK_BYTES + BLOCK_SLACK
+    assert peak < sim.BLOCK_BYTES + BLOCK_SLACK
 
 
 @pytest.mark.parametrize("copies", [1, 3])
@@ -522,7 +522,7 @@ def test_simulation_matches_the_papers_formulas(bench_setup):
     # fig3c's shape: 121 agents on the directed fractal, chirp, samples every 50 steps
     g = graph.vicsek_fractal(3, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.5, record_every=50)
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
 
     model, params = bench_setup
     A, B, E = model.A, model.B, model.E
@@ -577,10 +577,10 @@ def union_members(bench_setup, graphs, t_end=1.0):
 def test_union_members_are_their_lone_runs_on_directed_fractals(bench_setup):
     graphs = [graph.vicsek_fractal(gen, directed=True) for gen in (1, 2, 1, 3, 2)]
     cfgs = union_members(bench_setup, graphs)
-    union = sim.simulate_union(cfgs)
+    union = record(*cfgs)
     assert [traj.config for traj in union] == cfgs
     for cfg, traj in zip(cfgs, union, strict=True):
-        lone = sim.simulate(cfg)
+        lone = record(cfg)[0]
         assert np.abs(lone.gains[-1]).max() > 0.0  # the gains have moved
         for field in ("times", "states", "gains", "zetas"):
             assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
@@ -688,10 +688,10 @@ def test_unit_weight_tree_blocks_gather_as_the_scatter_sums():
 
 
 def assert_members_are_lone_runs(cfgs):
-    union = sim.simulate_union(cfgs)
+    union = record(*cfgs)
     assert [traj.config for traj in union] == cfgs
     for cfg, traj in zip(cfgs, union, strict=True):
-        lone = sim.simulate(cfg)
+        lone = record(cfg)[0]
         assert np.abs(lone.gains[-1]).max() > 0.0  # the gains have moved
         assert (np.diff(traj.gains, axis=0) >= 0.0).all()  # and never fell
         for field in ("times", "states", "gains", "zetas"):
@@ -735,10 +735,10 @@ def test_union_members_on_one_repeated_graph_are_their_lone_runs(bench_setup):
     assert len({cfg.params.spec for cfg in cfgs}) == len(cfgs)
     op = graph.LaplacianOperator(*(cfg.graph for cfg in cfgs))
     assert not op.blocks and op.copies == len(cfgs)
-    for cfg, traj in zip(cfgs, sim.simulate_union(cfgs), strict=True):
+    for cfg, traj in zip(cfgs, record(*cfgs), strict=True):
         assert traj.config is cfg  # and so its own spec
         assert (traj.levels < cfg.params.spec.d).any() and (traj.levels >= cfg.params.spec.d).any()
-        lone = sim.simulate(cfg)
+        lone = record(cfg)[0]
         for field in ("times", "states", "gains", "zetas"):
             assert np.array_equal(getattr(traj, field), getattr(lone, field)), field
 
@@ -759,14 +759,18 @@ def test_union_refuses_runs_of_different_designs(bench_setup):
     for other in others:
         assert not sim.can_join(base, other)
         with pytest.raises(ValueError, match="differs from run 0"):
-            sim.simulate_union([base, other])
+            record(base, other)
     # graph, x0, rho0 and the spec may differ; a table disturbance runs, but only alone
     assert sim.can_join(base, dataclasses.replace(base, graph=graph.vicsek_fractal(2), x0=np.zeros(75), rho0=1.0))
     for spec in ({"d": 0.2}, {"delta": 1.5}, {"d": 0.2, "delta": 1.5}):
         assert sim.can_join(base, dataclasses.replace(base, params=protocol.ProtocolParams(params.P, model.B, **spec)))
-    assert sim.simulate_union([dataclasses.replace(base, disturbance=table)])[0].times[-1] == 0.1
+    assert record(dataclasses.replace(base, disturbance=table))[0].times[-1] == 0.1
     with pytest.raises(ValueError, match="at least one run"):
-        sim.simulate_union([])
+        sim.simulate_union([], [])
+    # one list of sinks per run: a list of another length is refused, where zip would cut it short
+    for sinks in ([[]], [[], [], []]):
+        with pytest.raises(ValueError, match=f"got {len(sinks)} lists of sinks for 2 runs"):
+            sim.simulate_union([base, base], sinks)
 
 
 def test_union_divergence_names_the_run_and_keeps_its_partial():
@@ -783,11 +787,11 @@ def test_union_divergence_names_the_run_and_keeps_its_partial():
         for x0 in ([0.0, 0.0], [0.0, 1000.0])
     ]
     with pytest.raises(sim.DivergenceError, match="agent 2 of run 1 at t=0.001 ") as err:
-        sim.simulate_union(cfgs)
+        record(*cfgs)
     with pytest.raises(sim.DivergenceError, match="agent 2 at t=0.001 ") as lone:
-        sim.simulate(cfgs[1])
+        record(cfgs[1])
     assert (err.value.agent, err.value.time) == (lone.value.agent, lone.value.time)
-    assert np.all(sim.simulate(cfgs[0]).states == 0.0)  # run 0 alone never diverges
+    assert np.all(record(cfgs[0])[0].states == 0.0)  # run 0 alone never diverges
 
 
 def test_validate_rejections(bench_setup):
@@ -807,7 +811,7 @@ def test_validate_rejections(bench_setup):
         sim.SimConfig(**{**ok, "dt": 0.0})
     with pytest.raises(ValueError, match="t_end"):
         sim.SimConfig(**{**ok, "t_end": 1e-4})
-    # 1e10 / 1e-300 overflows: refused when built, not as an OverflowError in simulate
+    # 1e10 / 1e-300 overflows: refused when built, not as an OverflowError in simulate_union
     with pytest.raises(ValueError, match="not a finite step count"):
         sim.SimConfig(**{**ok, "t_end": 1e10, "dt": 1e-300})
     with pytest.raises(ValueError, match="record_every"):
@@ -839,7 +843,7 @@ def test_table_disturbance_must_cover_the_run(bench_setup):
     short = signals.table_signal([0.0, 0.0015], np.zeros((2, 5)))
     cfg = dict(model=bench_setup[0], graph=g, params=bench_setup[1], x0=np.zeros(15), t_end=0.0015)
     assert sim.SimConfig(disturbance=covers, **cfg).steps == 2
-    assert sim.simulate(sim.SimConfig(disturbance=covers, **cfg)).times[-1] == 0.002
+    assert record(sim.SimConfig(disturbance=covers, **cfg))[0].times[-1] == 0.002
     with pytest.raises(ValueError, match="extrapolation is refused"):
         sim.SimConfig(disturbance=short, **cfg)
     # every queried agent label needs a column: 5 columns cannot drive 25 agents
@@ -861,7 +865,7 @@ def test_default_initial_state_is_seeded():
 def test_recording_grid(bench_setup):
     g = graph.vicsek_fractal(1)
     cfg = bench_cfg(bench_setup, g, signals.zero_signal(), t_end=2.0, record_every=10)
-    traj = sim.simulate(cfg)
+    traj = record(cfg)[0]
     assert traj.n_samples == 201
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 2.0
@@ -872,8 +876,8 @@ def test_recording_grid(bench_setup):
 
 def test_simulation_is_deterministic(bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
-    ta = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=1.0))
-    tb = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=1.0))
+    ta = record(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=1.0))[0]
+    tb = record(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=1.0))[0]
     assert np.array_equal(ta.states, tb.states)
     assert np.array_equal(ta.gains, tb.gains)
 
@@ -881,11 +885,8 @@ def test_simulation_is_deterministic(bench_setup):
 def test_derived_record_matches_per_sample_maps(bench_setup):
     g = graph.vicsek_fractal(2, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=2.0, record_every=50)
-    traj = sim.simulate(cfg)
-    # the record holds (t, x, rho), the zeta, u and V stage 1 formed, and its config
-    fields = [f.name for f in dataclasses.fields(sim.Trajectory)]
-    assert fields == ["times", "states", "gains", "zetas", "inputs", "levels", "config"]
-    assert traj.config is cfg
+    traj = record(cfg)[0]
+    # each sample hands on (t, x, rho) and the zeta, u and V stage 1 formed
     L = graph.laplacian(g)
     params = cfg.params
     Z, U, V = traj.zetas, traj.inputs, traj.levels
@@ -906,11 +907,11 @@ def test_derived_record_matches_per_sample_maps(bench_setup):
 def test_record_reports_what_the_kernel_computed(tmp_path, bench_setup, g):
     # several in-neighbours per node, where a product of another shape may sum
     # in another order: the reported zeta, u, |zeta| and V are the kernel's
-    traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.2, record_every=20))
+    traj = record(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.2, record_every=20))[0]
     params = traj.config.params
     op = graph.LaplacianOperator(g)
     assert (op.dense is None) == (g.n_nodes >= graph.EDGE_PATH_NODES)
-    sim.write_trajectory_csv(traj, tmp_path / "traj.csv")
+    write_csv(traj, tmp_path / "traj.csv")
     with open(tmp_path / "traj.csv", newline="") as fh:
         rows = np.array(list(csv.reader(fh))[1:], dtype=float).reshape(traj.n_samples, g.n_nodes, -1)
     assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
@@ -923,11 +924,10 @@ def test_record_reports_what_the_kernel_computed(tmp_path, bench_setup, g):
 
 def test_trajectory_csv_format(tmp_path, bench_setup):
     g = graph.vicsek_fractal(1, directed=True)
-    traj = sim.simulate(bench_cfg(bench_setup, g, signals.chirp_signal(),
-                                  t_end=0.1, record_every=20))
+    traj = record(bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.1, record_every=20))[0]
     U, V = traj.inputs, traj.levels
     path = tmp_path / "traj.csv"
-    sim.write_trajectory_csv(traj, path)
+    write_csv(traj, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "agent", "x_1", "x_2", "x_3", "rho", "u_1", "zeta_norm", "V_i"]
@@ -945,14 +945,14 @@ def test_trajectory_csv_format(tmp_path, bench_setup):
 
 
 def test_trajectory_csv_bytes_are_stable(tmp_path, bench_setup):
-    # and a writer handed the samples as the loop forms them writes what a replay of the record writes
+    # and a writer handed the samples as the loop forms them writes what one fed the recorded samples writes
     g = graph.vicsek_fractal(1, directed=True)
     cfgs = [bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.1, record_every=20)
             for _ in range(2)]
     paths = []
     for k, cfg in enumerate(cfgs):
         p = tmp_path / f"t{k}.csv"
-        sim.write_trajectory_csv(sim.simulate(cfg), p)
+        write_csv(record(cfg)[0], p)
         paths.append(p)
     live = sim.TrajectoryCSV(tmp_path / "live.csv", cfgs[0])
     sim.simulate_union(cfgs[:1], [[live]])
@@ -982,8 +982,9 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
     gains[:2, 1] = 0.0
     zetas = graph.LaplacianOperator(g)(states.swapaxes(1, 2))
     _, U, V = feedback(gains, zetas, cfg.params, cfg.params.spec.d)
-    traj = sim.Trajectory(np.arange(S) * 0.01, states.swapaxes(1, 2), gains, zetas, U, V, cfg)
-    sim.write_trajectory_csv(traj, tmp_path / "fast.csv")
+    traj = SimpleNamespace(times=np.arange(S) * 0.01, states=states.swapaxes(1, 2), gains=gains, zetas=zetas,
+                           inputs=U, levels=V, config=cfg)
+    write_csv(traj, tmp_path / "fast.csv")
 
     U = U.swapaxes(1, 2)
     znorm = np.linalg.norm(traj.zetas, axis=1)
