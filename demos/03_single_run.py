@@ -34,8 +34,8 @@ def main():
     writer = sim.TrajectoryCSV(out / "demo_trajectory.csv", cfg)
     final = {}
 
-    def keep_final(t, X, rho, Z, U, V):  # any callable is a sink; its arguments are valid for this call only
-        final.update(rho=rho.copy(), V=V.max(), zeta=np.linalg.norm(Z, axis=0).max())
+    def keep_final(t, X, rho, zeta_norm, U, V):  # any callable is a sink; its arguments are valid for this call only
+        final.update(rho=rho.copy(), V=V.max(), zeta=zeta_norm.max())
 
     # the loop hands each of the run's cfg.samples samples to every sink, as it forms them
     sim.simulate_union([cfg], [[verdict, writer, keep_final]])
@@ -45,7 +45,7 @@ def main():
     # a few raw numbers behind the verdict
     print(f"samples handed on:   {cfg.samples}")
     print(f"final gains:         {np.round(final['rho'], 4)}")
-    # each sample's disagreements zeta_i and levels V_i = zeta_i' P zeta_i, as the loop formed them
+    # each sample's coherency levels |zeta_i| and V_i = zeta_i' P zeta_i, as the loop formed them
     spec = params.spec
     print(f"final max V_i:       {final['V']:.6f}  (deadzone d={spec.d}, delta_bar={spec.delta_bar})")
     print(f"final max |zeta_i|:  {final['zeta']:.6f}  (guaranteed level delta={spec.delta:.4f})")

@@ -44,12 +44,12 @@ class RunSummary:
 class Verdict:
     """A run's checks as a sink of sim.simulate_union: it keeps running figures only, and summary() judges them.
 
-    Called as verdict(t, X, rho, Z, U, V) on each of cfg.samples samples in
-    order. P and the coherency spec come from cfg.params; bound defaults to
-    the protocol's ellipsoid level delta_bar. It keeps the time of the
-    sample after the last one with some |zeta_i| > delta, and over the tail
-    window, whose first sample is known from cfg.samples, each agent's
-    largest |zeta_i|, the largest level and each agent's gain range.
+    Called as verdict(t, X, rho, zeta_norm, U, V) on each of cfg.samples
+    samples in order. P and the coherency spec come from cfg.params; bound
+    defaults to the protocol's ellipsoid level delta_bar. It keeps the time
+    of the sample after the last one with some |zeta_i| > delta, and over
+    the tail window, whose first sample is known from cfg.samples, each
+    agent's largest |zeta_i|, the largest level and each agent's gain range.
     """
 
     def __init__(self, cfg, bound=None, tail_fraction=0.2, tol=1e-3, require_settled=False, label="run"):
@@ -67,14 +67,13 @@ class Verdict:
         self.norms = self.high = self.vmax = -np.inf  # over the tail: per agent, but for the largest level
         self.low = np.inf
 
-    def __call__(self, t, X, rho, Z, U, V):
-        norms = np.sqrt(np.add.reduce(Z * Z, 0))  # np.linalg.norm(Z, axis=0), less its checks
-        if not (norms <= self.params.spec.delta).all():
+    def __call__(self, t, X, rho, zeta_norm, U, V):
+        if not (zeta_norm <= self.params.spec.delta).all():
             self.since = None
         elif self.since is None:
             self.since = float(t)
         if self.s >= self.tail:
-            self.norms, self.vmax = np.maximum(self.norms, norms), max(self.vmax, V.max())
+            self.norms, self.vmax = np.maximum(self.norms, zeta_norm), max(self.vmax, V.max())
             self.low, self.high, self.final_gain = np.minimum(self.low, rho), np.maximum(self.high, rho), rho.max()
         self.s += 1
 

@@ -1,5 +1,6 @@
 """Adaptive deadzone protocol: coherency thresholds, gain adaptation, control law."""
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class ProtocolParams:
         lam = min_eigenvalue_sym(P)
         if not lam > 0:
             raise ValueError(f"P must be positive definite, got lambda_min(P) = {lam}")
+        for value, name in ((d, "d"), (delta, "delta")):  # printed, such an int's digits could run to thousands
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{name} must be positive and finite, got an int beyond the float range")
         if delta is None:
             if d is None:
                 raise ValueError("the protocol needs d, delta, or both")
@@ -60,6 +64,8 @@ class ProtocolParams:
         else:
             _require_positive(delta, "delta")
             delta_bar = float(delta) * float(delta) * lam
+            if not 0.5 * delta_bar > 0:  # delta^2 lam underflows to 0, or to the least subnormal float
+                raise ValueError(f"delta={delta:.6g} is too small: delta^2 lambda_min(P) leaves no d in (0, delta_bar)")
         if not np.isfinite([delta, delta_bar]).all():  # 2 d, 2 d / lam or delta^2 lam can overflow
             raise ValueError(f"the coherency levels must be finite, got delta={delta:.6g}, delta_bar={delta_bar:.6g}")
         if d is None:

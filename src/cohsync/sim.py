@@ -163,7 +163,7 @@ class RK4Step:
     def __call__(self, w1, w2, w4, sample=None):
         """Advance S by dt in place, given E w at the stage times t, t + dt/2 (w2, twice) and t + dt.
 
-        sample(), if given, runs after stage 1, while S still holds the step's start and Z, Y and V its values.
+        sample(), if given, runs after stage 1, while S holds the step's start, Z, Y and V its values; it may write T.
         """
         S, D, T, acc, first, later = self.S, self.D, self.T, self.acc, self.first, self.later
         (half, two, whole, sixth), add, multiply = self.coefficients, np.add, np.multiply  # every out positional
@@ -228,10 +228,11 @@ def simulate_union(cfgs, sinks):
 
     A run's cfg.samples samples are taken after stage 1 of every
     record_every-th step and, at the final state, after one more stage 1,
-    whose Z, rho y and V do not depend on its disturbance term. Each calls
-    every sink of run k, sinks[k], as sink(t, X, rho, Z, U, V), U = -rho y,
-    with views of the run's columns, valid for that call only, once its
-    gains are checked against the previous sample's.
+    whose Z, rho y and V do not depend on its disturbance term. Each forms
+    U = -rho y and zeta_norm = |zeta_i| over all columns, once, and calls
+    every sink of run k, sinks[k], as sink(t, X, rho, zeta_norm, U, V) on
+    views of the run's columns bound before the loop, valid for that call
+    only, once its gains are checked against the previous sample's.
 
     A state entry beyond STATE_LIMIT, or not finite, raises DivergenceError
     naming the agent (and, in a union of several runs, the run's index). A
@@ -269,7 +270,9 @@ def simulate_union(cfgs, sinks):
     step = RK4Step(head.params, model.A, model.B, np.repeat([cfg.params.spec.d for cfg in cfgs], sizes), L, dt, state)
 
     U, last = step.Y, np.full(N, -np.inf)  # the inputs, -(rho y) in place, and the previous sample's gains
-    runs = [(run_sinks, slice(lo, hi)) for run_sinks, lo, hi in zip(sinks, offsets, offsets[1:])]
+    squares, norms = step.T[:n], step.T[n]  # Z * Z and each |zeta_i|, in T, which a sample may write
+    spans = map(slice, offsets, offsets[1:])  # each run's columns; its sinks are handed views of them, bound here
+    runs = [(run_sinks, (x[:, c], rho[c], norms[c], U[:, c], step.V[c])) for run_sinks, c in zip(sinks, spans)]
 
     def sample(t):
         drop = (last - rho).max()
@@ -277,10 +280,10 @@ def simulate_union(cfgs, sinks):
             raise RuntimeError(f"recorded gains decreased by {drop:.3e}; integrator invariant broken")
         last[:] = rho
         np.negative(U, out=U)  # the next stage forms Y afresh
-        for run_sinks, cols in runs:
-            values = (t, x[:, cols], rho[cols], step.Z[:, cols], U[:, cols], step.V[cols])
+        np.sqrt(np.add.reduce(np.multiply(step.Z, step.Z, squares), 0, None, norms), norms)  # np.linalg.norm(Z, axis=0)
+        for run_sinks, values in runs:
             for sink in run_sinks:
-                sink(*values)
+                sink(t, *values)
 
     terms = np.empty((min(block, steps), 3, n, N))  # each block's E w, rewritten in place
     for k0 in range(0, steps, block):
@@ -310,35 +313,26 @@ class TrajectoryCSV:
     """A sink that writes one run's trajectory CSV as its samples arrive, into path + ".part".
 
     One row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m,
-    zeta_norm, V_i, each sample's N rows one fixed template: floats in repr,
-    so equal samples give equal bytes (t formatted once a sample, a gain only
-    when its bits change: -0.0 keeps its sign); lines end in "\\r\\n", as the
-    csv module's. close(keep) moves the file onto path, or removes it, so a
-    failed run leaves an earlier file at path as it was.
+    zeta_norm, V_i, each sample's N rows one fixed template of floats in
+    repr (-0.0 keeps its sign), t formatted once a sample; lines end in
+    "\\r\\n", as the csv module's. close(keep) moves the file onto path, or
+    removes it, so a failed run leaves an earlier file at path as it was.
     """
 
     def __init__(self, path, cfg):
         n, m, N = cfg.params.n, cfg.params.m, cfg.graph.n_nodes
         header = ["t", "agent", *(f"x_{j + 1}" for j in range(n)), "rho", *(f"u_{j + 1}" for j in range(m))]
-        x, u = ",%r" * n, ",%r" * m
-        self.template = "".join(f"%s,{a}{x},%s{u},%r,%r\r\n" for a in range(1, N + 1))  # a sample's rows
-        self.rows = np.empty((N, n + m + 4), dtype=object)  # a sample's values by agent: t, x, rho (text), u, |zeta|, V
-        self.rows[:, n + 1] = "0.0"  # the text of self.gains
-        self.gains = np.zeros(N)
+        floats = ",%r" * (n + m + 3)  # x, rho, u, |zeta|, V
+        self.template = "".join(f"%s,{a}{floats}\r\n" for a in range(1, N + 1))  # a sample's rows
+        self.rows = np.empty((N, n + m + 4), dtype=object)  # a sample's values by agent: t (text), x, rho, u, |zeta|, V
         self.path, self.part = path, f"{path}.part"
         self.fh = open(self.part, "w", newline="")
         self.fh.write(",".join(header + ["zeta_norm", "V_i"]) + "\r\n")
 
-    def __call__(self, t, X, rho, Z, U, V):
-        rows, n = self.rows, X.shape[0]
+    def __call__(self, t, X, rho, zeta_norm, U, V):
+        rows = self.rows
         rows[:, 0] = repr(float(t))  # as %r formats the Python float
-        rows[:, 1 : n + 1] = X.T
-        changed = rho.view(np.int64) != self.gains.view(np.int64)  # bits: -0.0 is not 0.0
-        self.gains[changed] = rho[changed]
-        rows[changed, n + 1] = [repr(g) for g in rho[changed].tolist()]
-        rows[:, n + 2 : -2] = U.T
-        rows[:, -2] = np.sqrt(np.add.reduce(Z * Z, 0))  # np.linalg.norm(Z, axis=0), less its checks
-        rows[:, -1] = V
+        rows[:, 1:] = np.vstack([X, rho, U, zeta_norm, V]).T
         self.fh.write(self.template % tuple(rows.ravel().tolist()))
 
     def close(self, keep):

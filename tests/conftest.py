@@ -81,17 +81,19 @@ def record(*cfgs):
     """Run cfgs as one sim.simulate_union, and record each run's samples as its one sink is handed them.
 
     One namespace per run, in order: times (S,), states (S, n, N) of X, gains (S, N), and what each sample's
-    stage 1 formed: disagreements zetas (S, n, N), inputs -rho B'P zeta (S, m, N) and levels zeta_i' P zeta_i
-    (S, N), one agent per column; and its config and n_samples S.
+    stage 1 formed: coherency levels norms |zeta_i| (S, N), inputs -rho B'P zeta (S, m, N) and levels
+    zeta_i' P zeta_i (S, N), one agent per column; the disagreements zetas (S, n, N), each sample's X L' by the
+    run's own graph.LaplacianOperator, the map the loop applies to the run's columns, and so the loop's bits;
+    and its config and n_samples S.
     """
     runs = []
     for cfg in cfgs:
         S, n, m, N = cfg.samples, cfg.params.n, cfg.params.m, cfg.graph.n_nodes
-        shapes = dict(times=S, states=(S, n, N), gains=(S, N), zetas=(S, n, N), inputs=(S, m, N), levels=(S, N))
+        shapes = dict(times=S, states=(S, n, N), gains=(S, N), norms=(S, N), inputs=(S, m, N), levels=(S, N))
         runs.append(SimpleNamespace(**{k: np.empty(shape) for k, shape in shapes.items()}, config=cfg, n_samples=S))
 
     def recorder(run):
-        slots = zip(run.times[:, None], run.states, run.gains, run.zetas, run.inputs, run.levels)  # views
+        slots = zip(run.times[:, None], run.states, run.gains, run.norms, run.inputs, run.levels)  # views
 
         def sink(*sample):
             for slot, value in zip(next(slots), sample):
@@ -100,12 +102,16 @@ def record(*cfgs):
         return [sink]
 
     sim.simulate_union(cfgs, [recorder(run) for run in runs])
+    for run in runs:
+        op, run.zetas = graph.LaplacianOperator(run.config.graph), np.empty(run.states.shape)
+        for X, Z in zip(run.states, run.zetas):
+            op(X, Z)
     return runs
 
 
 def replay(run, sink):
     """Hand each recorded sample of run to sink, in order, as simulate_union handed them; return sink."""
-    for sample in zip(run.times, run.states, run.gains, run.zetas, run.inputs, run.levels):
+    for sample in zip(run.times, run.states, run.gains, run.norms, run.inputs, run.levels):
         sink(*sample)
     return sink
 

@@ -12,10 +12,11 @@ from cohsync import analysis, graph, protocol, signals, sim
 def summary_of(times, zetas, gains=None, params=None, delta=1.0, **checks):
     """The RunSummary of an analysis.Verdict and the checks given, fed samples of given disagreements in order.
 
-    zetas holds agent rows, shape (S, N, n); each sample hands them on one
-    agent per column, (n, N), as simulate_union does, with their levels and
-    inputs from the reference feedback. Without params, P = I and the spec
-    is formed from delta alone, so delta_bar = delta^2.
+    zetas holds agent rows, shape (S, N, n); each sample hands on their
+    norms |zeta_i|, as simulate_union does, with their levels and inputs
+    from the reference feedback, one agent per column, and the disagreements
+    in X's place. Without params, P = I and the spec is formed from delta
+    alone, so delta_bar = delta^2.
     """
     times = np.asarray(times, dtype=float)
     zetas = np.asarray(zetas, dtype=float).swapaxes(1, 2)
@@ -25,7 +26,7 @@ def summary_of(times, zetas, gains=None, params=None, delta=1.0, **checks):
         params = protocol.ProtocolParams(np.eye(n), np.eye(n), delta=delta)
     _, inputs, levels = feedback(gains, zetas, params, params.spec.d)
     verdict = analysis.Verdict(SimpleNamespace(params=params, samples=S), **checks)
-    for sample in zip(times, zetas, gains, zetas, inputs, levels):
+    for sample in zip(times, zetas, gains, np.linalg.norm(zetas, axis=1), inputs, levels):
         verdict(*sample)
     return verdict.summary()
 
@@ -161,7 +162,7 @@ def test_summarize_agrees_with_trajectory_levels(benchmark_model, bench_params):
     assert live.summary() == s
     ntail = 10  # round(0.2 * 51 samples)
     assert s.tail_max_Vi == traj.levels[-ntail:].max()
-    assert s.tail_max_zeta_norm == np.linalg.norm(traj.zetas[-ntail:], axis=1).max()
+    assert s.tail_max_zeta_norm == traj.norms[-ntail:].max() == np.linalg.norm(traj.zetas[-ntail:], axis=1).max()
     assert s.max_final_gain == traj.gains[-1].max()
 
 

@@ -88,12 +88,30 @@ def test_non_finite_levels_and_an_indefinite_P_are_refused(benchmark_P):
             spec_of(benchmark_P, **given)
     with pytest.raises(ValueError, match=r"coherency levels must be finite, got delta=inf, delta_bar=2e\+10"):
         spec_of(np.diag([1e-300, 1.0]), d=1e10)  # 2 d / lambda_min(P) overflows
+    # a delta whose delta_bar = delta^2 lambda_min(P) underflows to 0, or to the least subnormal, which leaves no
+    # float d below it: before, delta = 1e-200 was refused as "got d=0.0 with delta_bar=0", a d never given
+    for given in ({"delta": 1e-200}, {"delta": 2e-162}, {"delta": 1e-200, "d": 1e-300}):
+        with pytest.raises(ValueError, match=r"^delta=\S+ is too small: delta\^2 lambda_min\(P\) leaves no d in "):
+            spec_of(np.eye(2), **given)
+    assert spec_of(np.eye(2), delta=3e-162).d == 5e-324  # delta_bar = 1e-323 leaves one
     for P in (-np.eye(2), np.diag([1.0, 0.0])):
         with pytest.raises(ValueError, match="P must be positive definite"):
             protocol.ProtocolParams(P, np.eye(2), d=0.5)
     for P in (np.diag([1.0, np.inf]), np.diag([np.nan, 1.0])):
         with pytest.raises(ValueError, match="P must be finite"):
             protocol.ProtocolParams(P, np.eye(2), d=0.5)
+
+
+def test_an_int_beyond_the_float_range_is_refused_as_a_bad_level(benchmark_P):
+    # before, d = 10**400 raised OverflowError from float(d); every other bad d raises ValueError, and the message
+    # does not print the int's 401 digits
+    cases = [({"d": 10**400}, "d"), ({"d": -(10**400)}, "d"), ({"delta": 10**400}, "delta"),
+             ({"delta": 1.0, "d": 10**400}, "d"), ({"delta": 1.0, "d": -(10**400)}, "d")]
+    for given, name in cases:
+        with pytest.raises(ValueError) as refused:
+            spec_of(benchmark_P, **given)
+        assert str(refused.value) == f"{name} must be positive and finite, got an int beyond the float range"
+    assert spec_of(benchmark_P, d=1).d == 1.0  # an int within range is a level as its float is
 
 
 def test_minimal_delta(benchmark_P):

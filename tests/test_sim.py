@@ -917,9 +917,62 @@ def test_record_reports_what_the_kernel_computed(tmp_path, bench_setup, g):
     assert np.abs(traj.gains[-1]).max() > 0.0  # the gains have moved
     for s in range(traj.n_samples):
         Z = op(np.ascontiguousarray(traj.states[s]))  # the kernel's stage-1 product
-        assert np.array_equal(traj.zetas[s], Z)
+        assert np.array_equal(traj.zetas[s], Z) and np.array_equal(traj.norms[s], np.linalg.norm(Z, axis=0))
         _, U, V = feedback(traj.gains[s], Z, params, params.spec.d)
         assert np.array_equal(rows[s, :, 6:], np.column_stack([U.T, np.linalg.norm(Z, axis=0), V]))
+
+
+def handed(*cfgs):
+    """Per run of cfgs, run as one union, the copies of (X, zeta_norm) its one sink was handed, sample by sample."""
+    samples = [[] for _ in cfgs]
+    sinks = [[lambda t, X, rho, zeta_norm, U, V, kept=kept: kept.append((X.copy(), zeta_norm.copy()))]
+             for kept in samples]
+    sim.simulate_union(cfgs, sinks)
+    return samples
+
+
+COUPLINGS = {  # a graph of each map LaplacianOperator may apply
+    "dense": graph.circulant(25, [1, 3], directed=True),
+    "gather": graph.vicsek_fractal(3, directed=True),  # fig3c's 121-node unit-weight tree
+    "scatter": graph.circulant(graph.EDGE_PATH_NODES, [1, 2], directed=False),
+}
+
+
+@pytest.mark.parametrize("path", COUPLINGS)
+def test_a_sink_is_handed_the_coherency_levels_of_the_state_it_is_handed(bench_setup, path):
+    # the loop forms each sample's |zeta_i| once, over all columns; a sink is handed them as np.linalg.norm
+    # forms them from the disagreements X L' of the X it is handed: from the dense reference where the map
+    # rounds as the dense product does, and on the per-edge scatter, which adds each node's terms in edge order,
+    # from the operator's own X L', within rounding of the dense one
+    g = COUPLINGS[path]
+    op = graph.LaplacianOperator(g)
+    assert path == ("gather" if op.unit_tree else "dense" if op.dense is not None else "scatter")
+    cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.2, record_every=20)
+    (samples,) = handed(cfg)
+    assert len(samples) == cfg.samples
+    dense = np.ascontiguousarray(graph.laplacian(g).T)  # L' as the operator holds it: a view of L rounds otherwise
+    for X, zeta_norm in samples:
+        assert zeta_norm.shape == (g.n_nodes,)
+        reference = np.linalg.norm(X @ dense, axis=0)
+        assert np.array_equal(zeta_norm, np.linalg.norm(op(X), axis=0))
+        if path == "scatter":
+            assert np.abs(zeta_norm - reference).max() <= 1e-14 * np.abs(X).max()
+        else:
+            assert np.array_equal(zeta_norm, reference)
+    assert np.abs(zeta_norm).max() > 0.0
+
+
+def test_a_union_member_is_handed_its_lone_runs_coherency_levels(bench_setup):
+    # the levels are formed over the union's columns at once, and each member is handed its columns' slice
+    model, params = bench_setup
+    cfgs = [
+        bench_cfg((model, protocol.ProtocolParams(params.P, model.B, d=d)), g, signals.chirp_signal(), t_end=0.2,
+                  record_every=20)
+        for g, d in zip(COUPLINGS.values(), (0.05, 0.5, 5.0))
+    ]
+    for member, cfg in zip(handed(*cfgs), cfgs, strict=True):
+        for (X, zeta_norm), (X1, lone) in zip(member, handed(cfg)[0], strict=True):
+            assert np.array_equal(X, X1) and np.array_equal(zeta_norm, lone)
 
 
 def test_trajectory_csv_format(tmp_path, bench_setup):
@@ -982,12 +1035,12 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
     gains[:2, 1] = 0.0
     zetas = graph.LaplacianOperator(g)(states.swapaxes(1, 2))
     _, U, V = feedback(gains, zetas, cfg.params, cfg.params.spec.d)
-    traj = SimpleNamespace(times=np.arange(S) * 0.01, states=states.swapaxes(1, 2), gains=gains, zetas=zetas,
-                           inputs=U, levels=V, config=cfg)
+    traj = SimpleNamespace(times=np.arange(S) * 0.01, states=states.swapaxes(1, 2), gains=gains,
+                           norms=np.linalg.norm(zetas, axis=1), inputs=U, levels=V, config=cfg)
     write_csv(traj, tmp_path / "fast.csv")
 
     U = U.swapaxes(1, 2)
-    znorm = np.linalg.norm(traj.zetas, axis=1)
+    znorm = traj.norms
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["t", "agent", "x_1", "x_2", "x_3", "rho", "u_1", "zeta_norm", "V_i"])
@@ -1021,12 +1074,12 @@ def peak_kib():
 cfg = cli.build_experiment(cli.normalize_config(*cli.load_config("fig3c")))[0]
 writer = sim.TrajectoryCSV(sys.argv[1], cfg)
 rng = np.random.default_rng(0)
-X, Z = rng.normal(size=(2, 3, cfg.graph.n_nodes))
-U, V, rho = rng.normal(size=(1, cfg.graph.n_nodes)), rng.random(cfg.graph.n_nodes), rng.random(cfg.graph.n_nodes)
+X = rng.normal(size=(3, cfg.graph.n_nodes))
+U, norms, V, rho = rng.normal(size=(1, cfg.graph.n_nodes)), *rng.random((3, cfg.graph.n_nodes))
 for k in range(3000):
     X += 1e-3
     rho[k % rho.size] += 1e-3
-    writer(0.05 * k, X, rho, Z, U, V)
+    writer(0.05 * k, X, rho, norms, U, V)
     if k + 1 in (300, 3000):
         print(peak_kib())
 writer.close(keep=False)
