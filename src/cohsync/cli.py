@@ -557,6 +557,9 @@ def _run(entries):
     writers = [writer for run_sinks in sinks for writer in run_sinks[1:]]
     try:
         sim.simulate_union([entry.cfg for entry in entries], sinks)
+        while writers:  # each writes the rows that wait, and only then moves its file onto its path
+            writers[0].close(keep=True)
+            del writers[0]
     except BaseException as exc:
         for writer in writers:
             writer.close(keep=False)
@@ -566,8 +569,6 @@ def _run(entries):
             return [_run([entry])[0] for entry in entries]
         _unmake_dirs(entries[0].made)
         return [exc]
-    for writer in writers:
-        writer.close(keep=True)
     summaries = [run_sinks[0].summary() for run_sinks in sinks]
     for entry, summary in zip(entries, summaries):
         _finish(entry, summary)

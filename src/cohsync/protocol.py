@@ -17,7 +17,14 @@ class CoherenceSpec:
     d: float
 
 
+def _require_float(value, name):
+    """Refuse an int beyond the float range, as a bad level: printed, its digits could run to thousands."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be positive and finite, got an int beyond the float range")
+
+
 def _require_positive(value, name):
+    _require_float(value, name)
     if not 0 < value < np.inf:  # NaN fails the comparison too
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -52,15 +59,16 @@ class ProtocolParams:
         lam = min_eigenvalue_sym(P)
         if not lam > 0:
             raise ValueError(f"P must be positive definite, got lambda_min(P) = {lam}")
-        for value, name in ((d, "d"), (delta, "delta")):  # printed, such an int's digits could run to thousands
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                raise ValueError(f"{name} must be positive and finite, got an int beyond the float range")
+        for value, name in ((d, "d"), (delta, "delta")):
+            _require_float(value, name)
         if delta is None:
             if d is None:
                 raise ValueError("the protocol needs d, delta, or both")
             _require_positive(d, "d")
             delta_bar = 2.0 * float(d)
             delta = float(np.sqrt(2.0 * d / lam))
+            if not delta > 0:  # 2 d / lam underflows to 0
+                raise ValueError(f"d={d:.6g} is too small: delta = sqrt(2 d / lambda_min(P)) underflows to 0")
         else:
             _require_positive(delta, "delta")
             delta_bar = float(delta) * float(delta) * lam

@@ -8,6 +8,7 @@ import numpy as np
 import yaml
 
 from . import signals as sigs
+from .floatrepr import REPR_SLOTS, REPR_WIDTH, repr_fields
 from .graph import DOT, LaplacianOperator, WeightedDigraph, has_directed_spanning_tree
 from .linalg import AgentModel, AssumptionError, is_stabilizable
 from .protocol import ProtocolParams
@@ -232,7 +233,10 @@ def simulate_union(cfgs, sinks):
     U = -rho y and zeta_norm = |zeta_i| over all columns, once, and calls
     every sink of run k, sinks[k], as sink(t, X, rho, zeta_norm, U, V) on
     views of the run's columns bound before the loop, valid for that call
-    only, once its gains are checked against the previous sample's.
+    only, once its gains are checked against the previous sample's. A sink
+    that keeps them copies them: TrajectoryCSV copies each sample into a
+    block that it formats once the block fills, and its close(keep=True)
+    writes what still waits after the last sample.
 
     A state entry beyond STATE_LIMIT, or not finite, raises DivergenceError
     naming the agent (and, in a union of several runs, the run's index). A
@@ -309,35 +313,72 @@ def simulate_union(cfgs, sinks):
     sample(steps * dt)
 
 
+# bytes of trajectory values a TrajectoryCSV holds and formats at once, whatever the run's N
+CSV_BLOCK_BYTES = 16 * 1024
+
+
 class TrajectoryCSV:
-    """A sink that writes one run's trajectory CSV as its samples arrive, into path + ".part".
+    """A sink that writes one run's trajectory CSV into path + ".part", a block of rows at a time.
 
     One row per (sample, agent): t, agent, x_1..x_n, rho, u_1..u_m,
-    zeta_norm, V_i, each sample's N rows one fixed template of floats in
-    repr (-0.0 keeps its sign), t formatted once a sample; lines end in
-    "\\r\\n", as the csv module's. close(keep) moves the file onto path, or
-    removes it, so a failed run leaves an earlier file at path as it was.
+    zeta_norm, V_i, each float as repr writes it (-0.0 keeps its sign);
+    lines end in "\\r\\n", as the csv module's. The values of up to
+    CSV_BLOCK_BYTES of rows wait in one block, whatever N is, so a sample
+    may span blocks, beside each row's t (repr, once a sample) and agent;
+    a full block is formatted at once (repr_fields) and written.
+    close(keep) writes what waits and moves the file onto path, or drops
+    it unformatted and removes the file, so a failed run leaves an earlier
+    file at path as it was.
     """
 
     def __init__(self, path, cfg):
         n, m, N = cfg.params.n, cfg.params.m, cfg.graph.n_nodes
         header = ["t", "agent", *(f"x_{j + 1}" for j in range(n)), "rho", *(f"u_{j + 1}" for j in range(m))]
-        floats = ",%r" * (n + m + 3)  # x, rho, u, |zeta|, V
-        self.template = "".join(f"%s,{a}{floats}\r\n" for a in range(1, N + 1))  # a sample's rows
-        self.rows = np.empty((N, n + m + 4), dtype=object)  # a sample's values by agent: t (text), x, rho, u, |zeta|, V
+        F = n + m + 3  # x, rho, u, |zeta|, V
+        labels = np.array([str(agent) for agent in range(1, N + 1)], "S")  # NUL-padded
+        self.labels = labels.view(np.uint8).reshape(N, -1)
+        self.values = np.empty((max(1, CSV_BLOCK_BYTES // (8 * F)), F))
+        self.heads = np.zeros((len(self.values), REPR_WIDTH + self.labels.shape[1] + 2), np.uint8)  # "t,agent,"
+        self.heads[:, [REPR_WIDTH, -1]] = ord(",")
+        self.separators = np.frombuffer(b"," * (F - 1) + b"\r", np.uint8)
+        self.filled = 0
         self.path, self.part = path, f"{path}.part"
-        self.fh = open(self.part, "w", newline="")
-        self.fh.write(",".join(header + ["zeta_norm", "V_i"]) + "\r\n")
+        self.fh = open(self.part, "wb")
+        self.fh.write((",".join(header + ["zeta_norm", "V_i"]) + "\r\n").encode())
 
     def __call__(self, t, X, rho, zeta_norm, U, V):
-        rows = self.rows
-        rows[:, 0] = repr(float(t))  # as %r formats the Python float
-        rows[:, 1:] = np.vstack([X, rho, U, zeta_norm, V]).T
-        self.fh.write(self.template % tuple(rows.ravel().tolist()))
+        rows = np.concatenate((X, rho[None], U, zeta_norm[None], V[None])).T
+        stamp = np.frombuffer(repr(float(t)).encode().ljust(REPR_WIDTH, b"\0"), np.uint8)
+        done = 0
+        while done < len(rows):
+            at = self.filled
+            take = min(len(rows) - done, len(self.values) - at)
+            self.values[at : at + take] = rows[done : done + take]
+            self.heads[at : at + take, :REPR_WIDTH] = stamp
+            self.heads[at : at + take, REPR_WIDTH + 1 : -1] = self.labels[done : done + take]
+            self.filled, done = at + take, done + take
+            if self.filled == len(self.values):
+                self._flush()
+
+    def _flush(self):
+        """Format and write the rows that wait."""
+        rows, (width, F) = self.filled, (self.heads.shape[1], self.values.shape[1])
+        lines = np.empty((rows, width + F * (REPR_SLOTS + 1) + 1), np.uint8)
+        lines[:, :width] = self.heads[:rows]
+        cells = lines[:, width:-1].reshape(rows, F, REPR_SLOTS + 1)
+        cells[:, :, :-1] = repr_fields(self.values[:rows].ravel()).reshape(rows, F, REPR_SLOTS)
+        cells[:, :, -1] = self.separators
+        lines[:, -1] = ord("\n")
+        self.fh.write(lines.tobytes().translate(None, b"\0"))
+        self.filled = 0
 
     def close(self, keep):
-        """Close the file, and move it onto path if keep, else remove it."""
-        self.fh.close()
+        """Close the file: if keep, write what waits and move the file onto path, else drop what waits and remove it."""
+        try:
+            if keep and self.filled:
+                self._flush()
+        finally:
+            self.fh.close()
         if keep:
             os.replace(self.part, self.path)
         else:

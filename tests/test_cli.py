@@ -396,6 +396,20 @@ def test_a_record_too_large_to_allocate_exits_2_and_leaves_no_directory(tmp_path
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["big_01"]
 
 
+def test_a_trajectory_block_too_large_to_allocate_exits_2_and_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    # 11 samples of 5 agents wait in the writer's block until the run ends, so the block is formatted, and the
+    # allocation fails, when the writer is closed
+    def exhausted(values):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array with shape (1000000000000001,) and data type uint8")
+
+    monkeypatch.setattr(cli.sim, "repr_fields", exhausted)
+    cfg = fast_passing_config(integration={"dt": 1e-3, "t_end": 0.1, "record_every": 10, "seed": 7})
+    out = tmp_path / "made" / "out"
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("out of memory: ")
+    assert not (tmp_path / "made").exists()
+
+
 def test_sweep_records_refused_inputs_and_runs_the_rest(input_files):
     cases = [case for case in REFUSED_INPUTS.values() if not case[1]]
     cfg = dict(EDGE_LIST_CONFIG, sweep=[{}] + [case[0] for case in cases] + [{"integration": {"record_every": 20}}])

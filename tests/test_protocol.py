@@ -94,6 +94,9 @@ def test_non_finite_levels_and_an_indefinite_P_are_refused(benchmark_P):
         with pytest.raises(ValueError, match=r"^delta=\S+ is too small: delta\^2 lambda_min\(P\) leaves no d in "):
             spec_of(np.eye(2), **given)
     assert spec_of(np.eye(2), delta=3e-162).d == 5e-324  # delta_bar = 1e-323 leaves one
+    # a d whose delta = sqrt(2 d / lambda_min(P)) underflows to 0: before, it gave a spec of delta = 0.0
+    with pytest.raises(ValueError, match=r"^d=\S+ is too small: delta = sqrt\(2 d / lambda_min\(P\)\) underflows"):
+        protocol.ProtocolParams(1e300 * np.eye(2), np.ones((2, 1)), d=1e-320)
     for P in (-np.eye(2), np.diag([1.0, 0.0])):
         with pytest.raises(ValueError, match="P must be positive definite"):
             protocol.ProtocolParams(P, np.eye(2), d=0.5)
@@ -111,6 +114,10 @@ def test_an_int_beyond_the_float_range_is_refused_as_a_bad_level(benchmark_P):
         with pytest.raises(ValueError) as refused:
             spec_of(benchmark_P, **given)
         assert str(refused.value) == f"{name} must be positive and finite, got an int beyond the float range"
+    # and minimal_delta, which raised OverflowError from d / lambda_min(P), refuses it as ProtocolParams does
+    with pytest.raises(ValueError) as refused:
+        protocol.minimal_delta(10**400, np.eye(2))
+    assert str(refused.value) == "d must be positive and finite, got an int beyond the float range"
     assert spec_of(benchmark_P, d=1).d == 1.0  # an int within range is a level as its float is
 
 

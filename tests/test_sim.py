@@ -1015,9 +1015,10 @@ def test_trajectory_csv_bytes_are_stable(tmp_path, bench_setup):
     assert paths[0].read_bytes() == paths[1].read_bytes() == (tmp_path / "live.csv").read_bytes()
 
 
-def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
+def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup, monkeypatch):
     # a fig3a-sized record (5 agents, 3001 samples) with values spanning
-    # many decades and signs, rendered cell by cell through csv.writer
+    # many decades and signs, rendered cell by cell through csv.writer;
+    # written again with a block of 3 rows, so each sample spans blocks
     g = graph.vicsek_fractal(1, directed=True)
     cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=30.0)
     rng = np.random.default_rng(5)
@@ -1035,9 +1036,15 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
     gains[:2, 1] = 0.0
     zetas = graph.LaplacianOperator(g)(states.swapaxes(1, 2))
     _, U, V = feedback(gains, zetas, cfg.params, cfg.params.spec.d)
+    # beyond the formatter's table of 10**k, which repr writes (set after the feedback, which would overflow):
+    # subnormal, least normal, huge and tiny
+    states[2] = [[5e-324, -2.2250738585072014e-308, 1.7976931348623157e308], [-1e-300, 3e295, -4.5e-296],
+                 [1e-291, -9.99e290, 7e-311], [2.0**-1000, -(2.0**1000), 1e-320], [1e300, -1e-305, 2.5e-310]]
     traj = SimpleNamespace(times=np.arange(S) * 0.01, states=states.swapaxes(1, 2), gains=gains,
                            norms=np.linalg.norm(zetas, axis=1), inputs=U, levels=V, config=cfg)
     write_csv(traj, tmp_path / "fast.csv")
+    monkeypatch.setattr(sim, "CSV_BLOCK_BYTES", 3 * 8 * 7)
+    write_csv(traj, tmp_path / "small.csv")
 
     U = U.swapaxes(1, 2)
     znorm = traj.norms
@@ -1053,6 +1060,21 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, bench_setup):
             row += [repr(float(znorm[s, a])), repr(float(V[s, a]))]
             writer.writerow(row)
     assert (tmp_path / "fast.csv").read_bytes() == buf.getvalue().encode()
+    assert (tmp_path / "small.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_a_writer_closed_without_keep_drops_its_waiting_samples_unformatted(tmp_path, bench_setup, monkeypatch):
+    # 6 samples of 5 agents: fewer rows than one block, so all of them still wait when the run ends
+    def refuse(x):
+        raise AssertionError("formatted samples that wait")
+
+    monkeypatch.setattr(sim, "repr_fields", refuse)
+    g = graph.vicsek_fractal(1, directed=True)
+    cfg = bench_cfg(bench_setup, g, signals.chirp_signal(), t_end=0.1, record_every=20)
+    writer = sim.TrajectoryCSV(tmp_path / "trajectory.csv", cfg)
+    sim.simulate_union([cfg], [[writer]])
+    writer.close(keep=False)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_metadata_round_trip(tmp_path):
